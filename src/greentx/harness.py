@@ -105,7 +105,8 @@ class MetricsAccumulator:
             cum_holding=self.sum_holding / c,
             cum_overflow=self.sum_overflow / c,
             theta_off=self.off_slots / c,
-            mu_window=self._mu_wsum / len(self._mu_hist),
+            # every mu is >= 0; the running sum can drift a few ulps below
+            mu_window=max(0.0, self._mu_wsum / len(self._mu_hist)),
         )
 
 

@@ -204,17 +204,16 @@ def pds_greedy(
     s: State, v_tilde: np.ndarray, factored: FactoredDynamics, mu: float
 ) -> Action:
     """Deterministic greedy action: known cost plus post-decision value."""
-    m = factored.model
-    _, greedy = factored.state_values_slice(s.h, v_tilde, mu)
-    return m.actions[int(greedy[s.b, int(s.x)])]
+    _, ai = factored.greedy_row(s.b, s.h, int(s.x), v_tilde, mu)
+    return factored.model.actions[ai]
 
 
 def pds_state_value(
     s: State, v_tilde: np.ndarray, factored: FactoredDynamics, mu: float
 ) -> float:
     """Value of a pre-decision state implied by the post-decision table."""
-    vals, _ = factored.state_values_slice(s.h, v_tilde, mu)
-    return float(vals[s.b, int(s.x)])
+    val, _ = factored.greedy_row(s.b, s.h, int(s.x), v_tilde, mu)
+    return val
 
 
 def pds_update(
@@ -286,7 +285,7 @@ def ve_batch_update(
         return 1
     m = factored.model
     cap = m.queue.capacity
-    vals, _ = factored.state_values_slice(tup.s_next.h, v_tilde, mu)
+    vals = factored.action_values_slice(tup.s_next.h, v_tilde, mu).min(axis=2)
     b = np.arange(m.n_b)
     b_next = np.minimum(b + tup.l, cap)
     drops = np.maximum(b + tup.l - cap, 0)

@@ -9,6 +9,10 @@ Everything the solvers need is precomputed here as stacked arrays indexed by
 the global action list, which is ordered canonically: radio command first,
 then z ascending, then PLR ascending. Ties in any argmin are broken toward
 the earliest action in this order.
+
+The known half of the slot dynamics (transmission goodput and the radio
+switch) is also available as one matrix, ``known_operator``, which every
+solver sweep and every post-decision lookahead multiplies by.
 """
 from __future__ import annotations
 
@@ -78,6 +82,8 @@ class JointModel:
         self._validate()
         self._build_grids()
         self._build_tables()
+        # derived models share the lazily built known operator (see _clone)
+        self._known: dict = {}
 
     def _validate(self) -> None:
         if self.gains_db.ndim != 1 or self.gains_db.size == 0:
@@ -211,6 +217,31 @@ class JointModel:
             self.feasible_bxa, n_h, axis=0
         ).reshape(self.n_s, n_a)
 
+    @property
+    def known_operator(self) -> np.ndarray:
+        """K[(b, x, a), (B, X)] = G_stack[a, b, B] * px_stack[a, x, X], read-only.
+
+        Row (b, x, a) is the distribution of the post-decision (buffer, radio)
+        pair reached by action a from buffer b and radio x, so each (b, x)
+        block of n_a rows is contiguous. Built on first use.
+        """
+        k = self._known.get("K")
+        if k is None:
+            n_b, n_x, n_a = self.n_b, self.n_x, self.n_a
+            k = np.empty((n_b, n_x, n_a, n_b, n_x))
+            g = self.G_stack.transpose(1, 0, 2)  # (b, a, B)
+            # one broadcast product per radio transition (x, x_next); a single
+            # five-axis einsum builds the same array about 6x slower
+            for x in range(n_x):
+                for x_next in range(n_x):
+                    np.multiply(
+                        g, self.px_stack[None, :, x, x_next, None], out=k[:, x, :, :, x_next]
+                    )
+            k = k.reshape(n_b * n_x * n_a, n_b * n_x)
+            k.flags.writeable = False
+            self._known["K"] = k
+        return k
+
     # ---- indexing ----------------------------------------------------------
 
     def state_index(self, s: State) -> int:
@@ -271,6 +302,10 @@ class JointModel:
     # ---- derived models ------------------------------------------------------
 
     def _clone(self, **overrides) -> "JointModel":
+        """Same model with arrivals, channel matrix or mu replaced.
+
+        None of these enter the known operator, so the clone shares it.
+        """
         kw = dict(
             gains_db=self.gains_db,
             channel_matrix=self.channel_matrix,
@@ -284,7 +319,9 @@ class JointModel:
             mu=self.mu,
         )
         kw.update(overrides)
-        return JointModel(**kw)
+        clone = JointModel(**kw)
+        clone._known = self._known
+        return clone
 
     def with_arrivals(self, arrivals: ArrivalDistribution) -> "JointModel":
         return self._clone(arrivals=arrivals)

@@ -10,6 +10,11 @@ without ever estimating those distributions.
 
 Post-decision value tables are kept as (n_b, n_h, n_x) cubes; the matching
 pre-decision tables use the planner's flat layout when exchanged with it.
+
+The exact solvers and the online learner share one precomputed known-half
+operator, ``JointModel.known_operator``: the split solver sweeps through the
+same Bellman core as the planner's value iteration, the learner's greedy
+rule reads one (b, x) block of it, and a batch update one channel slice.
 """
 from __future__ import annotations
 
@@ -17,9 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, FeasibilityError, InitializationError
+from .errors import FeasibilityError, InitializationError
 from .model import Action, JointModel, State
-from .planner import TIE_TOL, greedy_from_q
+from .planner import (
+    TIE_TOL,
+    action_free_values,
+    bellman_fixed_point,
+    flat_q,
+    greedy_from_q,
+    known_lookahead,
+    stage_cost,
+)
 from .power import PmAction, PowerState
 from .queueing import ArrivalDistribution
 
@@ -91,7 +104,7 @@ class FactoredDynamics:
         m = self.model
         return m.queue.eta * max(b_post + l - m.queue.capacity, 0)
 
-    # ---- vectorized lookahead over one channel slice ----------------------
+    # ---- lookahead through the known operator ------------------------------
 
     def action_values_slice(
         self, h: int, v_tilde: np.ndarray, mu: float | None = None
@@ -103,12 +116,8 @@ class FactoredDynamics:
         """
         m = self.model
         mu_v = m.mu if mu is None else mu
-        ev = np.einsum(
-            "abB,axX,BX->bxa",
-            m.G_stack,
-            m.px_stack,
-            v_tilde[:, h, :],
-            optimize=True,
+        ev = (m.known_operator @ v_tilde[:, h, :].ravel()).reshape(
+            m.n_b, m.n_x, m.n_a
         )
         q = (
             m.rho_hxa[h][None, :, :]
@@ -126,45 +135,45 @@ class FactoredDynamics:
         greedy = np.argmax(q <= vals[:, :, None] + TIE_TOL, axis=2)
         return vals, greedy
 
+    def greedy_row(
+        self, b: int, h: int, x: int, v_tilde: np.ndarray, mu: float | None = None
+    ) -> tuple[float, int]:
+        """Greedy value and action index at the single state (b, h, x).
+
+        The same lookahead as the slice, through only the n_a rows of the
+        known operator that leave (b, x).
+        """
+        m = self.model
+        mu_v = m.mu if mu is None else mu
+        r = (b * m.n_x + x) * m.n_a
+        ev = m.known_operator[r : r + m.n_a] @ v_tilde[:, h, :].ravel()
+        q = m.rho_hxa[h, x] + mu_v * m.hold_ba[b] + ev
+        q = np.where(m.feasible_bxa[b, x], q, np.inf)
+        val = q.min()
+        return float(val), int(np.argmax(q <= val + TIE_TOL))
+
 
 def pds_value_iteration(
     factored: FactoredDynamics,
     tol: float = 1e-9,
     max_iters: int = 200_000,
     v0: np.ndarray | None = None,
+    residuals: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the split recursion exactly; returns (post-decision, pre-decision) cubes.
 
     Alternates the two halves until the pre-decision table stops moving:
     the post-decision table absorbs arrival/channel expectations and the
     discount, the pre-decision table minimizes known cost plus landing value.
+    Appends each sweep's residual to ``residuals`` when given.
     """
     m = factored.model
-    shape = (m.n_b, m.n_h, m.n_x)
-    v = np.zeros(shape) if v0 is None else v0.reshape(shape).copy()
-    c_u = m.mu * m.queue.eta * m.o_exp  # per post-decision buffer level
-    rho = np.transpose(m.rho_hxa, (2, 0, 1))  # (a, h, x)
-    feas = np.transpose(m.feasible_bxa, (2, 0, 1))[:, :, None, :]  # (a, b, 1, x)
-    resid = np.inf
-    for _ in range(max_iters):
-        v_tilde = c_u[:, None, None] + m.gamma * np.einsum(
-            "bB,hH,BHx->bhx", m.A_clamp, m.channel_matrix, v, optimize=True
-        )
-        ev = np.einsum(
-            "abB,axX,BhX->abhx", m.G_stack, m.px_stack, v_tilde, optimize=True
-        )
-        q = rho[:, None, :, :] + m.mu * m.hold_ba.T[:, :, None, None] + ev
-        v_new = np.where(feas, q, np.inf).min(axis=0)
-        resid = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if resid < tol:
-            v_tilde = c_u[:, None, None] + m.gamma * np.einsum(
-                "bB,hH,BHx->bhx", m.A_clamp, m.channel_matrix, v, optimize=True
-            )
-            return v_tilde, v
-    raise ConvergenceError(
-        f"split value iteration stuck at residual {resid!r} after {max_iters} sweeps"
-    )
+    cost = stage_cost(m, m.mu * m.hold_ba)
+    c_u = np.repeat(m.mu * m.queue.eta * m.o_exp, m.n_x)  # per (B, X)
+    v = bellman_fixed_point(m, cost, c_u, tol, max_iters, v0, residuals)
+    v_tilde = c_u + m.gamma * action_free_values(m, v)
+    v_tilde = v_tilde.reshape(m.n_h, m.n_b, m.n_x).transpose(1, 0, 2)
+    return np.ascontiguousarray(v_tilde), np.ascontiguousarray(v.transpose(1, 0, 2))
 
 
 def policy_from_pds(
@@ -176,12 +185,10 @@ def policy_from_pds(
     fixed points the two routes select identical actions.
     """
     m = factored.model
-    q_sa = np.empty((m.n_s, m.n_a))
-    for h in range(m.n_h):
-        q = factored.action_values_slice(h, v_tilde, mu)  # (n_b, n_x, n_a)
-        idx = (np.arange(m.n_b)[:, None] * m.n_h + h) * m.n_x + np.arange(m.n_x)[None, :]
-        q_sa[idx.reshape(-1)] = q.reshape(-1, m.n_a)
-    return greedy_from_q(q_sa, m.feasible_sa)
+    mu_v = m.mu if mu is None else mu
+    w = v_tilde.transpose(1, 0, 2).reshape(m.n_h, m.n_b * m.n_x)
+    q = known_lookahead(m, stage_cost(m, mu_v * m.hold_ba), w)
+    return greedy_from_q(flat_q(q), m.feasible_sa)
 
 
 def init_pds_values(

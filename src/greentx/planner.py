@@ -4,6 +4,10 @@ Value tables are flat float64 vectors over the model's state indexing;
 policies are int vectors of global action indices. All argmin extraction
 goes through the same tie rule: earliest canonical action within TIE_TOL
 of the minimum, so independently computed solutions pick identical actions.
+
+Value iteration and the post-decision solver in ``pds`` run the same sweep,
+``bellman_fixed_point``: an action-free expectation over arrivals and the
+channel move, then one product with the model's known operator.
 """
 from __future__ import annotations
 
@@ -23,29 +27,87 @@ def greedy_from_q(q_sa: np.ndarray, feasible_sa: np.ndarray, tie_tol: float = TI
     return np.argmax(q <= qmin + tie_tol, axis=1)
 
 
-def _cost_cube(model: JointModel, mu: float) -> np.ndarray:
-    """Per-slot cost indexed (a, b, h, x); infeasible entries are +inf."""
-    rho = np.transpose(model.rho_hxa, (2, 0, 1))  # (a, h, x)
-    cost = rho[:, None, :, :] + mu * model.g_ba.T[:, :, None, None]
-    feas = np.transpose(model.feasible_bxa, (2, 0, 1))  # (a, b, x)
-    cost = np.where(feas[:, :, None, :], cost, np.inf)
-    return cost
+def stage_cost(model: JointModel, buffer_cost_ba: np.ndarray) -> np.ndarray:
+    """Per-slot cost indexed (h, b, x, a): power plus a per-(buffer, action) term.
+
+    Infeasible entries are +inf.
+    """
+    cost = model.rho_hxa[:, None, :, :] + buffer_cost_ba[None, :, None, :]
+    return np.where(model.feasible_bxa[None], cost, np.inf)
 
 
-def _expected_next_values(model: JointModel, v_cube: np.ndarray) -> np.ndarray:
-    """E[V(s') | s, a] indexed (a, b, h, x), using the factored transition."""
-    v1 = np.einsum("hH,BHX->BhX", model.channel_matrix, v_cube)
-    return np.einsum(
-        "abB,axX,BhX->abhx", model.pb_stack, model.px_stack, v1, optimize=True
+def action_free_values(model: JointModel, v_hbx: np.ndarray) -> np.ndarray:
+    """w[h, (B, X)] = sum_H P[h, H] sum_B' A_clamp[B, B'] v[H, B', X].
+
+    The expectation over the arrivals and the channel move, which no action
+    changes; ``v_hbx`` is a pre-decision table indexed (h, b, x).
+    """
+    n_h, n_b, n_x = v_hbx.shape
+    u = model.channel_matrix @ v_hbx.reshape(n_h, n_b * n_x)
+    return (model.A_clamp @ u.reshape(n_h, n_b, n_x)).reshape(n_h, n_b * n_x)
+
+
+def known_lookahead(model: JointModel, cost: np.ndarray, v_tilde: np.ndarray) -> np.ndarray:
+    """Action values ``cost + K v_tilde`` indexed (h, b, x, a).
+
+    ``v_tilde`` is a post-decision table indexed (h, (B, X)) and K the
+    model's known operator; the product keeps the action axis last, so the
+    minimum over actions runs over contiguous memory.
+    """
+    q = (v_tilde @ model.known_operator.T).reshape(cost.shape)
+    q += cost
+    return q
+
+
+def bellman_fixed_point(
+    model: JointModel,
+    cost: np.ndarray,
+    c_post,
+    tol: float,
+    max_iters: int,
+    v0: np.ndarray | None,
+    residuals: list | None,
+) -> np.ndarray:
+    """Iterate v <- min_a [cost + K (c_post + gamma w(v))] until the step is below tol.
+
+    One sweep for both exact solvers: ``cost`` (h, b, x, a) is the part of
+    the slot cost paid before the post-decision point, ``c_post`` the part
+    paid after it. ``v0`` uses the flat state layout; the returned table is
+    indexed (h, b, x). Appends each sweep's sup-norm step to ``residuals``
+    when given, and raises ConvergenceError after max_iters sweeps.
+    """
+    n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
+    if v0 is None:
+        v = np.zeros((n_h, n_b, n_x))
+    else:
+        v = np.ascontiguousarray(v0.reshape(n_b, n_h, n_x).transpose(1, 0, 2))
+    resid = np.inf
+    for _ in range(max_iters):
+        v_tilde = c_post + model.gamma * action_free_values(model, v)
+        v_new = known_lookahead(model, cost, v_tilde).min(axis=3)
+        resid = float(np.max(np.abs(v_new - v)))
+        if residuals is not None:
+            residuals.append(resid)
+        v = v_new
+        if resid < tol:
+            return v
+    raise ConvergenceError(
+        f"value iteration stuck at residual {resid!r} after {max_iters} sweeps"
     )
+
+
+def flat_q(q_hbxa: np.ndarray) -> np.ndarray:
+    """(h, b, x, a) action values as (state, action) rows in the flat layout."""
+    n_h, n_b, n_x, n_a = q_hbxa.shape
+    return q_hbxa.transpose(1, 0, 2, 3).reshape(n_b * n_h * n_x, n_a)
 
 
 def q_values(model: JointModel, v: np.ndarray, mu: float | None = None) -> np.ndarray:
     """One-step lookahead values for every (state, action); infeasible -> +inf."""
     m = model.mu if mu is None else mu
-    v_cube = v.reshape(model.n_b, model.n_h, model.n_x)
-    q = _cost_cube(model, m) + model.gamma * _expected_next_values(model, v_cube)
-    return np.transpose(q, (1, 2, 3, 0)).reshape(model.n_s, model.n_a)
+    v_hbx = v.reshape(model.n_b, model.n_h, model.n_x).transpose(1, 0, 2)
+    v_tilde = model.gamma * action_free_values(model, v_hbx)
+    return flat_q(known_lookahead(model, stage_cost(model, m * model.g_ba), v_tilde))
 
 
 def value_iteration(
@@ -60,23 +122,10 @@ def value_iteration(
     Returns (value table, greedy policy). Raises ConvergenceError if the
     residual is still above tol after max_iters sweeps.
     """
-    shape = (model.n_b, model.n_h, model.n_x)
-    v_cube = np.zeros(shape) if v0 is None else v0.reshape(shape).copy()
-    cost = _cost_cube(model, model.mu)
-    for _ in range(max_iters):
-        q = cost + model.gamma * _expected_next_values(model, v_cube)
-        v_new = q.min(axis=0)
-        resid = float(np.max(np.abs(v_new - v_cube)))
-        if residuals is not None:
-            residuals.append(resid)
-        v_cube = v_new
-        if resid < tol:
-            v = v_cube.reshape(model.n_s)
-            policy = greedy_from_q(q_values(model, v), model.feasible_sa)
-            return v, policy
-    raise ConvergenceError(
-        f"value iteration stuck at residual {resid!r} after {max_iters} sweeps"
-    )
+    cost = stage_cost(model, model.mu * model.g_ba)
+    v_hbx = bellman_fixed_point(model, cost, 0.0, tol, max_iters, v0, residuals)
+    v = v_hbx.transpose(1, 0, 2).reshape(model.n_s)
+    return v, greedy_from_q(q_values(model, v), model.feasible_sa)
 
 
 def action_value(s: State, a: Action, v: np.ndarray, model: JointModel) -> float:

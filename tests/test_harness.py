@@ -62,6 +62,21 @@ def test_accumulator_matches_vectorized_recompute():
     assert np.allclose(rows[:, 6], window, rtol=1e-12)
 
 
+def test_window_mean_stays_nonnegative_when_the_running_sum_drifts():
+    # 0.3 + 0.6 rounds below 0.9, so once both leave the window the running
+    # sum sits at -1.1e-16 although every mu in it is zero
+    acc = MetricsAccumulator(mu_window=2)
+    rows = [
+        acc.update(
+            power_w=0.0, g_realized=0.0, holding=0.0, drops=0.0, off_slot=False, mu=mu
+        )
+        for mu in (0.3, 0.6, 0.0, 0.0)
+    ]
+    assert acc._mu_wsum < 0.0
+    assert rows[-1].mu_window == 0.0
+    assert all(r.mu_window >= 0.0 for r in rows)
+
+
 def test_csv_text_is_exact_and_round_trips():
     rec = MetricsRecord(0, 0.1 + 0.2, 0.32, 3.0, 0.0, 0.5, 1.0)
     text = metrics_csv_text([rec])

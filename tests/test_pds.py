@@ -1,7 +1,10 @@
 """Known/unknown factorization of the slot dynamics and the split solver."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greentx.config import STOCK_GAINS_DB, reduced_profile
 from greentx.errors import ConvergenceError, FeasibilityError, InitializationError
 from greentx.model import State
 from greentx.pds import (
@@ -13,7 +16,7 @@ from greentx.pds import (
     policy_from_pds,
 )
 from greentx.planner import q_values, value_iteration
-from greentx.power import PowerState
+from greentx.power import PowerProfile, PowerState
 from greentx.queueing import ArrivalDistribution
 
 
@@ -146,6 +149,14 @@ def test_post_decision_table_is_contraction_of_pre(reduced_model_mu1):
         assert v_tilde[b, h, x] == pytest.approx(want, rel=1e-12)
 
 
+def test_split_solver_residuals_contract_geometrically(reduced_model_mu1):
+    resids = []
+    pds_value_iteration(FactoredDynamics(reduced_model_mu1), tol=1e-6, residuals=resids)
+    r = np.array(resids)
+    assert r[-1] < 1e-6 <= r[-2]
+    assert np.all(r[1:] <= reduced_model_mu1.gamma * r[:-1] + 1e-12)
+
+
 def test_split_solver_raises_when_capped(reduced_model_mu1):
     with pytest.raises(ConvergenceError):
         pds_value_iteration(FactoredDynamics(reduced_model_mu1), max_iters=2)
@@ -182,3 +193,77 @@ def test_offline_init_accepts_a_single_packet_per_slot(reduced_model):
     f = FactoredDynamics(reduced_model)
     v0 = init_pds_values(f, ArrivalDistribution.deterministic(1))
     assert np.all(np.isfinite(v0))
+
+
+# ---- the known operator against the einsum it replaces ----------------------
+
+
+def _einsum_slice(m, h, v_tilde, mu):
+    """Reference lookahead over one channel slice, contracted term by term."""
+    ev = np.einsum(
+        "abB,axX,BX->bxa", m.G_stack, m.px_stack, v_tilde[:, h, :], optimize=True
+    )
+    q = m.rho_hxa[h][None, :, :] + mu * m.hold_ba[:, None, :] + ev
+    return np.where(m.feasible_bxa, q, np.inf)
+
+
+def _stochastic_rows(draw, n_rows, n_cols):
+    raw = draw(
+        st.lists(
+            st.floats(0.05, 1.0), min_size=n_rows * n_cols, max_size=n_rows * n_cols
+        )
+    )
+    a = np.array(raw).reshape(n_rows, n_cols)
+    return a / a.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def small_models(draw):
+    """Small random models: random channel law and arrival pmf, theta < 1, p_off > 0."""
+    n_h = draw(st.integers(2, 4))
+    capacity = draw(st.integers(2, 6))
+    cfg = reduced_profile(
+        capacity=capacity,
+        gains_db=tuple(
+            draw(
+                st.lists(
+                    st.sampled_from(STOCK_GAINS_DB),
+                    min_size=n_h,
+                    max_size=n_h,
+                    unique=True,
+                )
+            )
+        ),
+        z_max=draw(st.integers(1, min(capacity, 3))),
+        plr_grid=(0.01, 0.04, 0.16)[: draw(st.integers(1, 3))],
+        gamma=draw(st.floats(0.5, 0.95)),
+        power=PowerProfile(
+            p_on=0.32, p_off=draw(st.floats(0.001, 0.1)), theta=draw(st.floats(0.2, 0.95))
+        ),
+        mu=draw(st.floats(0.05, 5.0)),
+    )
+    n_l = draw(st.integers(1, capacity + 2))
+    return (
+        cfg.build_model()
+        .with_channel(_stochastic_rows(draw, n_h, n_h))
+        .with_arrivals(ArrivalDistribution(_stochastic_rows(draw, 1, n_l)[0]))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models())
+def test_known_operator_matches_the_einsum_route_on_random_models(m):
+    f = FactoredDynamics(m)
+    v_tilde, _ = pds_value_iteration(f)
+    for h in range(m.n_h):
+        q = f.action_values_slice(h, v_tilde)
+        np.testing.assert_allclose(q, _einsum_slice(m, h, v_tilde, m.mu), rtol=0, atol=1e-12)
+        vals, greedy = f.state_values_slice(h, v_tilde)
+        for b in range(m.n_b):
+            for x in range(m.n_x):
+                # the row and the slice may sum in different orders (last ulp)
+                val, a = f.greedy_row(b, h, x, v_tilde)
+                assert a == greedy[b, x]
+                assert val == pytest.approx(vals[b, x], rel=0, abs=1e-12)
+    _, pol_vi = value_iteration(m)
+    assert np.array_equal(policy_from_pds(v_tilde, f), pol_vi)
