@@ -11,8 +11,10 @@ then z ascending, then PLR ascending. Ties in any argmin are broken toward
 the earliest action in this order.
 
 The known half of the slot dynamics (transmission goodput and the radio
-switch) is also available as one matrix, ``known_operator``, which every
-solver sweep and every post-decision lookahead multiplies by.
+switch) is also available as one packed operator, ``known_operator``: only
+the feasible (buffer, radio, action) rows, grouped by (buffer, radio) block.
+Every solver sweep and every post-decision lookahead multiplies by it and
+takes each block's minimum, so infeasible triples are never computed.
 """
 from __future__ import annotations
 
@@ -50,6 +52,42 @@ class Action:
     bep: BepLevel
     y: PmAction
     z: int
+
+
+@dataclass(frozen=True)
+class KnownOperator:
+    """Transmission goodput and radio switch for every feasible (b, x, a).
+
+    Row r is the r-th feasible triple in canonical order (``index`` holds
+    its flat (b, x, a) position, ``action`` its global action index): the
+    distribution ``G_stack[a, b, B] * px_stack[a, x, X]`` of the
+    post-decision (buffer, radio) pair reached by action a from buffer b and
+    radio x. Infeasible triples have no row. ``matrix`` stores row r as
+    column r, shape (n_b * n_x, n_rows), so that a table of post-decision
+    values times ``matrix`` keeps the rows on the last, contiguous axis.
+    The rows leaving (b, x) are ``bounds[k]:bounds[k + 1]`` with
+    k = b * n_x + x; no block is empty, since z = 0 is always feasible.
+    """
+
+    matrix: np.ndarray
+    index: np.ndarray
+    action: np.ndarray
+    bounds: np.ndarray
+    shape: tuple  # (n_b, n_x, n_a) of the full table the rows are packed from
+
+    def pack(self, table: np.ndarray) -> np.ndarray:
+        """The feasible entries of a (..., n_b, n_x, n_a) table, in row order."""
+        return table.reshape(table.shape[:-3] + (-1,))[..., self.index]
+
+    def unpack(self, q: np.ndarray) -> np.ndarray:
+        """(..., n_rows) back to (..., n_b, n_x, n_a), +inf at infeasible entries."""
+        full = np.full(q.shape[:-1] + (int(np.prod(self.shape)),), np.inf)
+        full[..., self.index] = q
+        return full.reshape(q.shape[:-1] + self.shape)
+
+    def block_min(self, q: np.ndarray) -> np.ndarray:
+        """Minimum over each (b, x) block of the last axis: (..., n_b * n_x)."""
+        return np.minimum.reduceat(q, self.bounds[:-1], axis=-1)
 
 
 class JointModel:
@@ -218,29 +256,24 @@ class JointModel:
         ).reshape(self.n_s, n_a)
 
     @property
-    def known_operator(self) -> np.ndarray:
-        """K[(b, x, a), (B, X)] = G_stack[a, b, B] * px_stack[a, x, X], read-only.
+    def known_operator(self) -> KnownOperator:
+        """The feasible rows of the known half of the slot dynamics.
 
-        Row (b, x, a) is the distribution of the post-decision (buffer, radio)
-        pair reached by action a from buffer b and radio x, so each (b, x)
-        block of n_a rows is contiguous. Built on first use.
+        Built on first use from ``G_stack`` and ``px_stack``; see KnownOperator.
         """
-        k = self._known.get("K")
-        if k is None:
-            n_b, n_x, n_a = self.n_b, self.n_x, self.n_a
-            k = np.empty((n_b, n_x, n_a, n_b, n_x))
-            g = self.G_stack.transpose(1, 0, 2)  # (b, a, B)
-            # one broadcast product per radio transition (x, x_next); a single
-            # five-axis einsum builds the same array about 6x slower
-            for x in range(n_x):
-                for x_next in range(n_x):
-                    np.multiply(
-                        g, self.px_stack[None, :, x, x_next, None], out=k[:, x, :, :, x_next]
-                    )
-            k = k.reshape(n_b * n_x * n_a, n_b * n_x)
-            k.flags.writeable = False
-            self._known["K"] = k
-        return k
+        op = self._known.get("K")
+        if op is None:
+            index = np.flatnonzero(self.feasible_bxa)
+            bx, a = np.divmod(index, self.n_a)
+            b, x = np.divmod(bx, self.n_x)
+            matrix = self.G_stack[a, b].T[:, None, :] * self.px_stack[a, x].T[None, :, :]
+            matrix = matrix.reshape(self.n_b * self.n_x, index.size)
+            bounds = np.searchsorted(bx, np.arange(self.n_b * self.n_x + 1))
+            for arr in (matrix, index, a, bounds):
+                arr.flags.writeable = False
+            op = KnownOperator(matrix, index, a, bounds, (self.n_b, self.n_x, self.n_a))
+            self._known["K"] = op
+        return op
 
     # ---- indexing ----------------------------------------------------------
 

@@ -12,13 +12,17 @@ Post-decision value tables are kept as (n_b, n_h, n_x) cubes; the matching
 pre-decision tables use the planner's flat layout when exchanged with it.
 
 The exact solvers and the online learner share one precomputed known-half
-operator, ``JointModel.known_operator``: the split solver sweeps through the
-same Bellman core as the planner's value iteration, the learner's greedy
-rule reads one (b, x) block of it, and a batch update one channel slice.
+operator, ``JointModel.known_operator``, which holds only the feasible
+(b, x, a) rows: the split solver sweeps through the same Bellman core as the
+planner's value iteration, the learner's greedy rule reads the rows of one
+(b, x) block, and a batch update takes every block's minimum at one channel.
+Only the slice methods that return a full (b, x, a) table fill the
+infeasible entries with +inf.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,25 +110,35 @@ class FactoredDynamics:
 
     # ---- lookahead through the known operator ------------------------------
 
+    @cached_property
+    def _packed_costs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Power (h, row) and holding (row,) at the known operator's rows."""
+        m = self.model
+        op = m.known_operator
+        rho = op.pack(np.broadcast_to(m.rho_hxa[:, None], (m.n_h,) + op.shape))
+        hold = op.pack(np.broadcast_to(m.hold_ba[:, None, :], op.shape))
+        return rho, hold
+
+    def packed_values(
+        self, h: int, v_tilde: np.ndarray, mu: float | None = None
+    ) -> np.ndarray:
+        """Lookahead cost of every feasible (b, x, a) at channel h, in row order.
+
+        Known cost plus the post-decision value of where the action lands.
+        """
+        mu_v = self.model.mu if mu is None else mu
+        rho, hold = self._packed_costs
+        ev = v_tilde[:, h, :].ravel() @ self.model.known_operator.matrix
+        return rho[h] + mu_v * hold + ev
+
     def action_values_slice(
         self, h: int, v_tilde: np.ndarray, mu: float | None = None
     ) -> np.ndarray:
         """Lookahead cost of every action from every (b, x) at channel h.
 
-        Returns (n_b, n_x, n_a) with +inf at infeasible entries:
-        known cost plus the post-decision value of where the action lands.
+        Returns (n_b, n_x, n_a) with +inf at infeasible entries.
         """
-        m = self.model
-        mu_v = m.mu if mu is None else mu
-        ev = (m.known_operator @ v_tilde[:, h, :].ravel()).reshape(
-            m.n_b, m.n_x, m.n_a
-        )
-        q = (
-            m.rho_hxa[h][None, :, :]
-            + mu_v * m.hold_ba[:, None, :]
-            + ev
-        )
-        return np.where(m.feasible_bxa, q, np.inf)
+        return self.model.known_operator.unpack(self.packed_values(h, v_tilde, mu))
 
     def state_values_slice(
         self, h: int, v_tilde: np.ndarray, mu: float | None = None
@@ -135,22 +149,33 @@ class FactoredDynamics:
         greedy = np.argmax(q <= vals[:, :, None] + TIE_TOL, axis=2)
         return vals, greedy
 
+    def slice_minima(
+        self, h: int, v_tilde: np.ndarray, mu: float | None = None
+    ) -> np.ndarray:
+        """Greedy value of every (b, x) at channel h: each block's minimum, (n_b, n_x)."""
+        m = self.model
+        vals = m.known_operator.block_min(self.packed_values(h, v_tilde, mu))
+        return vals.reshape(m.n_b, m.n_x)
+
     def greedy_row(
         self, b: int, h: int, x: int, v_tilde: np.ndarray, mu: float | None = None
     ) -> tuple[float, int]:
         """Greedy value and action index at the single state (b, h, x).
 
-        The same lookahead as the slice, through only the n_a rows of the
-        known operator that leave (b, x).
+        The same lookahead as the slice, through only the feasible rows of
+        the known operator that leave (b, x); the tie rule's winner maps
+        back to its global action index.
         """
         m = self.model
+        op = m.known_operator
         mu_v = m.mu if mu is None else mu
-        r = (b * m.n_x + x) * m.n_a
-        ev = m.known_operator[r : r + m.n_a] @ v_tilde[:, h, :].ravel()
-        q = m.rho_hxa[h, x] + mu_v * m.hold_ba[b] + ev
-        q = np.where(m.feasible_bxa[b, x], q, np.inf)
+        rho, hold = self._packed_costs
+        k = b * m.n_x + x
+        lo, hi = op.bounds[k], op.bounds[k + 1]
+        ev = v_tilde[:, h, :].ravel() @ op.matrix[:, lo:hi]
+        q = rho[h, lo:hi] + mu_v * hold[lo:hi] + ev
         val = q.min()
-        return float(val), int(np.argmax(q <= val + TIE_TOL))
+        return float(val), int(op.action[lo + np.argmax(q <= val + TIE_TOL)])
 
 
 def pds_value_iteration(
@@ -188,7 +213,7 @@ def policy_from_pds(
     mu_v = m.mu if mu is None else mu
     w = v_tilde.transpose(1, 0, 2).reshape(m.n_h, m.n_b * m.n_x)
     q = known_lookahead(m, stage_cost(m, mu_v * m.hold_ba), w)
-    return greedy_from_q(flat_q(q), m.feasible_sa)
+    return greedy_from_q(flat_q(m, q), m.feasible_sa)
 
 
 def init_pds_values(

@@ -7,7 +7,10 @@ of the minimum, so independently computed solutions pick identical actions.
 
 Value iteration and the post-decision solver in ``pds`` run the same sweep,
 ``bellman_fixed_point``: an action-free expectation over arrivals and the
-channel move, then one product with the model's known operator.
+channel move, then one product with the model's packed known operator and a
+minimum over each (buffer, radio) block of its feasible rows. Action values
+are kept packed, one entry per feasible (b, x, a); only the callers that
+hand out a full (state, action) table spread them out with +inf.
 """
 from __future__ import annotations
 
@@ -28,12 +31,12 @@ def greedy_from_q(q_sa: np.ndarray, feasible_sa: np.ndarray, tie_tol: float = TI
 
 
 def stage_cost(model: JointModel, buffer_cost_ba: np.ndarray) -> np.ndarray:
-    """Per-slot cost indexed (h, b, x, a): power plus a per-(buffer, action) term.
+    """Per-slot cost indexed (h, row): power plus a per-(buffer, action) term.
 
-    Infeasible entries are +inf.
+    Rows are the known operator's feasible (b, x, a) rows, in its order.
     """
     cost = model.rho_hxa[:, None, :, :] + buffer_cost_ba[None, :, None, :]
-    return np.where(model.feasible_bxa[None], cost, np.inf)
+    return model.known_operator.pack(cost)
 
 
 def action_free_values(model: JointModel, v_hbx: np.ndarray) -> np.ndarray:
@@ -48,13 +51,13 @@ def action_free_values(model: JointModel, v_hbx: np.ndarray) -> np.ndarray:
 
 
 def known_lookahead(model: JointModel, cost: np.ndarray, v_tilde: np.ndarray) -> np.ndarray:
-    """Action values ``cost + K v_tilde`` indexed (h, b, x, a).
+    """Action values ``cost + K v_tilde`` indexed (h, row).
 
     ``v_tilde`` is a post-decision table indexed (h, (B, X)) and K the
-    model's known operator; the product keeps the action axis last, so the
-    minimum over actions runs over contiguous memory.
+    model's packed known operator, so only feasible (b, x, a) rows are
+    computed, each (b, x) block contiguous on the last axis.
     """
-    q = (v_tilde @ model.known_operator.T).reshape(cost.shape)
+    q = v_tilde @ model.known_operator.matrix
     q += cost
     return q
 
@@ -70,13 +73,16 @@ def bellman_fixed_point(
 ) -> np.ndarray:
     """Iterate v <- min_a [cost + K (c_post + gamma w(v))] until the step is below tol.
 
-    One sweep for both exact solvers: ``cost`` (h, b, x, a) is the part of
+    One sweep for both exact solvers: ``cost`` (h, row) is the part of
     the slot cost paid before the post-decision point, ``c_post`` the part
     paid after it. ``v0`` uses the flat state layout; the returned table is
     indexed (h, b, x). Appends each sweep's sup-norm step to ``residuals``
-    when given, and raises ConvergenceError after max_iters sweeps.
+    when given, and raises ConvergenceError after max_iters sweeps. The
+    minimum over actions is the minimum over each (b, x) block of the
+    packed rows, so infeasible actions never enter it.
     """
     n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
+    op = model.known_operator
     if v0 is None:
         v = np.zeros((n_h, n_b, n_x))
     else:
@@ -84,7 +90,7 @@ def bellman_fixed_point(
     resid = np.inf
     for _ in range(max_iters):
         v_tilde = c_post + model.gamma * action_free_values(model, v)
-        v_new = known_lookahead(model, cost, v_tilde).min(axis=3)
+        v_new = op.block_min(known_lookahead(model, cost, v_tilde)).reshape(n_h, n_b, n_x)
         resid = float(np.max(np.abs(v_new - v)))
         if residuals is not None:
             residuals.append(resid)
@@ -96,10 +102,13 @@ def bellman_fixed_point(
     )
 
 
-def flat_q(q_hbxa: np.ndarray) -> np.ndarray:
-    """(h, b, x, a) action values as (state, action) rows in the flat layout."""
-    n_h, n_b, n_x, n_a = q_hbxa.shape
-    return q_hbxa.transpose(1, 0, 2, 3).reshape(n_b * n_h * n_x, n_a)
+def flat_q(model: JointModel, q_packed: np.ndarray) -> np.ndarray:
+    """(h, row) action values as (state, action) rows in the flat layout.
+
+    Infeasible actions get +inf.
+    """
+    q = model.known_operator.unpack(q_packed)  # (h, b, x, a)
+    return q.transpose(1, 0, 2, 3).reshape(model.n_s, model.n_a)
 
 
 def q_values(model: JointModel, v: np.ndarray, mu: float | None = None) -> np.ndarray:
@@ -107,7 +116,7 @@ def q_values(model: JointModel, v: np.ndarray, mu: float | None = None) -> np.nd
     m = model.mu if mu is None else mu
     v_hbx = v.reshape(model.n_b, model.n_h, model.n_x).transpose(1, 0, 2)
     v_tilde = model.gamma * action_free_values(model, v_hbx)
-    return flat_q(known_lookahead(model, stage_cost(model, m * model.g_ba), v_tilde))
+    return flat_q(model, known_lookahead(model, stage_cost(model, m * model.g_ba), v_tilde))
 
 
 def value_iteration(

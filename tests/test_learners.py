@@ -1,6 +1,8 @@
 """Step-size schedules, multiplier ascent, and both online learners."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from greentx.env import SlotOutcome
 from greentx.errors import ConfigError
@@ -89,6 +91,26 @@ def test_mu_ascent_and_clipping():
     assert mu_update(st, g_realized=1000.0, beta_n=1.0) == 5.0
     st2 = MultiplierState(mu=0.1, target=4.0, mu_max=5.0)
     assert mu_update(st2, g_realized=0.0, beta_n=1.0) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu_max=hst.floats(1e-3, 1e3),
+    start=hst.floats(0.0, 1.0),
+    g=hst.floats(-1e6, 1e6),
+    beta=hst.floats(0.0, 1.0),
+)
+@example(mu_max=5.0, start=0.0, g=4.0, beta=0.5)  # lands exactly on 0
+@example(mu_max=5.0, start=1.0, g=4.0, beta=0.5)  # lands exactly on mu_max
+@example(mu_max=5.0, start=0.0, g=-1e6, beta=1.0)  # clipped at 0
+@example(mu_max=5.0, start=1.0, g=1e6, beta=1.0)  # clipped at mu_max
+def test_mu_update_equals_np_clip_and_stays_in_range(mu_max, start, g, beta):
+    st = MultiplierState(mu=start * mu_max, target=4.0, mu_max=mu_max)
+    expected = float(np.clip(st.mu + beta * (g - st.target), 0.0, mu_max))
+    got = mu_update(st, g_realized=g, beta_n=beta)
+    assert type(got) is float and type(st.mu) is float
+    assert got == expected == st.mu
+    assert 0.0 <= got <= mu_max
 
 
 def test_multiplier_validation():

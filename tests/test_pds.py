@@ -15,7 +15,7 @@ from greentx.pds import (
     pds_value_iteration,
     policy_from_pds,
 )
-from greentx.planner import q_values, value_iteration
+from greentx.planner import bellman_fixed_point, q_values, stage_cost, value_iteration
 from greentx.power import PowerProfile, PowerState
 from greentx.queueing import ArrivalDistribution
 
@@ -207,6 +207,18 @@ def _einsum_slice(m, h, v_tilde, mu):
     return np.where(m.feasible_bxa, q, np.inf)
 
 
+def _masked_sweep(m, v_hbx, c_post, buffer_cost_ba):
+    """Reference sweep over every (b, x, a) row, infeasible actions masked to +inf."""
+    k = np.einsum("abB,axX->bxaBX", m.G_stack, m.px_stack).reshape(-1, m.n_b * m.n_x)
+    cost = m.rho_hxa[:, None, :, :] + buffer_cost_ba[None, :, None, :]
+    cost = np.where(m.feasible_bxa[None], cost, np.inf)
+    n_h, n_b, n_x = v_hbx.shape
+    u = m.channel_matrix @ v_hbx.reshape(n_h, n_b * n_x)
+    w = (m.A_clamp @ u.reshape(n_h, n_b, n_x)).reshape(n_h, n_b * n_x)
+    q = ((c_post + m.gamma * w) @ k.T).reshape(cost.shape) + cost
+    return q.min(axis=3)
+
+
 def _stochastic_rows(draw, n_rows, n_cols):
     raw = draw(
         st.lists(
@@ -253,17 +265,35 @@ def small_models(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_models())
 def test_known_operator_matches_the_einsum_route_on_random_models(m):
+    op = m.known_operator
+    # packed rows: exactly the feasible (b, x, a), canonical order, no empty block
+    assert np.array_equal(op.index, np.flatnonzero(m.feasible_bxa))
+    assert np.array_equal(op.action, op.index % m.n_a)
+    assert op.bounds[0] == 0 and op.bounds[-1] == op.index.size
+    assert np.all(np.diff(op.bounds) > 0)
+    assert np.array_equal(op.index // m.n_a, np.repeat(np.arange(m.n_b * m.n_x), np.diff(op.bounds)))
     f = FactoredDynamics(m)
-    v_tilde, _ = pds_value_iteration(f)
+    v_tilde, v = pds_value_iteration(f)
     for h in range(m.n_h):
         q = f.action_values_slice(h, v_tilde)
         np.testing.assert_allclose(q, _einsum_slice(m, h, v_tilde, m.mu), rtol=0, atol=1e-12)
         vals, greedy = f.state_values_slice(h, v_tilde)
+        # the batch slot's block minima are the full slice's minima, bit for bit
+        assert np.array_equal(f.slice_minima(h, v_tilde), q.min(axis=2))
         for b in range(m.n_b):
             for x in range(m.n_x):
                 # the row and the slice may sum in different orders (last ulp)
                 val, a = f.greedy_row(b, h, x, v_tilde)
+                assert m.feasible_bxa[b, x, a]
                 assert a == greedy[b, x]
                 assert val == pytest.approx(vals[b, x], rel=0, abs=1e-12)
+    # one packed sweep against the full-row masked sweep, for both solvers' costs
+    v_hbx = v.transpose(1, 0, 2) + 0.5  # off the fixed point, so the sweep moves
+    c_u = np.repeat(m.mu * m.queue.eta * m.o_exp, m.n_x)
+    for cost_ba, c_post in ((m.mu * m.g_ba, 0.0), (m.mu * m.hold_ba, c_u)):
+        swept = bellman_fixed_point(
+            m, stage_cost(m, cost_ba), c_post, np.inf, 1, v_hbx.transpose(1, 0, 2), None
+        )
+        np.testing.assert_array_equal(swept, _masked_sweep(m, v_hbx, c_post, cost_ba))
     _, pol_vi = value_iteration(m)
     assert np.array_equal(policy_from_pds(v_tilde, f), pol_vi)
