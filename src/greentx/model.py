@@ -89,6 +89,18 @@ class KnownOperator:
         """Minimum over each (b, x) block of the last axis: (..., n_b * n_x)."""
         return np.minimum.reduceat(q, self.bounds[:-1], axis=-1)
 
+    def block_argmin(self, q: np.ndarray, q_min: np.ndarray, tie_tol: float) -> np.ndarray:
+        """First row of each (b, x) block within tie_tol of its minimum ``q_min``.
+
+        Returns packed row numbers, (..., n_b * n_x); a block with no such
+        row (NaN values) gets its first row.
+        """
+        starts = self.bounds[:-1]
+        n_rows = q.shape[-1]
+        near = q <= np.repeat(q_min, np.diff(self.bounds), axis=-1) + tie_tol
+        first = np.minimum.reduceat(np.where(near, np.arange(n_rows), n_rows), starts, axis=-1)
+        return np.where(first < n_rows, first, starts)
+
 
 class JointModel:
     """Finite MDP assembled from the channel, queue, radio, and PHY pieces."""

@@ -13,9 +13,10 @@ pre-decision tables use the planner's flat layout when exchanged with it.
 
 The exact solvers and the online learner share one precomputed known-half
 operator, ``JointModel.known_operator``, which holds only the feasible
-(b, x, a) rows: the split solver sweeps through the same Bellman core as the
-planner's value iteration, the learner's greedy rule reads the rows of one
-(b, x) block, and a batch update takes every block's minimum at one channel.
+(b, x, a) rows: the split solver runs the planner's Bellman core (minimizing
+sweeps over every row, evaluation sweeps over the greedy row of each state),
+the learner's greedy rule reads the rows of one (b, x) block, and a batch
+update takes every block's minimum at one channel.
 Only the slice methods that return a full (b, x, a) table fill the
 infeasible entries with +inf.
 """
@@ -190,7 +191,9 @@ def pds_value_iteration(
     Alternates the two halves until the pre-decision table stops moving:
     the post-decision table absorbs arrival/channel expectations and the
     discount, the pre-decision table minimizes known cost plus landing value.
-    Appends each sweep's residual to ``residuals`` when given.
+    Runs ``bellman_fixed_point``, which evaluates a settled greedy policy
+    between minimizing sweeps; appends each minimizing sweep's residual to
+    ``residuals`` when given.
     """
     m = factored.model
     cost = stage_cost(m, m.mu * m.hold_ba)

@@ -1,23 +1,27 @@
-"""Exact solvers for the joint model: value iteration and policy evaluation.
+"""Exact solver for the joint model: modified policy iteration.
 
 Value tables are flat float64 vectors over the model's state indexing;
 policies are int vectors of global action indices. All argmin extraction
 goes through the same tie rule: earliest canonical action within TIE_TOL
 of the minimum, so independently computed solutions pick identical actions.
 
-Value iteration and the post-decision solver in ``pds`` run the same sweep,
-``bellman_fixed_point``: an action-free expectation over arrivals and the
-channel move, then one product with the model's packed known operator and a
-minimum over each (buffer, radio) block of its feasible rows. Action values
-are kept packed, one entry per feasible (b, x, a); only the callers that
-hand out a full (state, action) table spread them out with +inf.
+Value iteration and the post-decision solver in ``pds`` run the same core,
+``bellman_fixed_point``. A minimizing sweep is an action-free expectation
+over arrivals and the channel move, then one product with the model's
+packed known operator and a minimum over each (buffer, radio) block of its
+feasible rows. Once two minimizing sweeps pick the same greedy rows, that
+policy is evaluated by sweeps through its one row per state, which cost a
+small fraction of a minimizing sweep; the solve still ends on a minimizing
+sweep, with value iteration's stopping rule. Action values are kept packed,
+one entry per feasible (b, x, a); only the callers that hand out a full
+(state, action) table spread them out with +inf.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import Action, JointModel, State
+from .model import JointModel
 
 # Values within this distance of the row minimum count as tied.
 TIE_TOL = 1e-9
@@ -73,13 +77,20 @@ def bellman_fixed_point(
 ) -> np.ndarray:
     """Iterate v <- min_a [cost + K (c_post + gamma w(v))] until the step is below tol.
 
-    One sweep for both exact solvers: ``cost`` (h, row) is the part of
+    One solver for both exact planners: ``cost`` (h, row) is the part of
     the slot cost paid before the post-decision point, ``c_post`` the part
     paid after it. ``v0`` uses the flat state layout; the returned table is
-    indexed (h, b, x). Appends each sweep's sup-norm step to ``residuals``
-    when given, and raises ConvergenceError after max_iters sweeps. The
-    minimum over actions is the minimum over each (b, x) block of the
-    packed rows, so infeasible actions never enter it.
+    indexed (h, b, x). The minimum over actions is the minimum over each
+    (b, x) block of the packed rows, so infeasible actions never enter it.
+
+    Modified policy iteration (Puterman, ch. 6.5): after each minimizing
+    sweep the greedy packed row of every state is found with the tie rule;
+    when two sweeps in a row pick the same rows, that policy is evaluated
+    by one-row sweeps (``_evaluate_rows``) before minimizing again. Only
+    minimizing sweeps append their sup-norm step to ``residuals``, and only
+    one whose step is below tol returns, so the stopping rule and error
+    bound are value iteration's. ``max_iters`` caps minimizing and
+    evaluation sweeps together; past it, ConvergenceError is raised.
     """
     n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
     op = model.known_operator
@@ -88,18 +99,67 @@ def bellman_fixed_point(
     else:
         v = np.ascontiguousarray(v0.reshape(n_b, n_h, n_x).transpose(1, 0, 2))
     resid = np.inf
-    for _ in range(max_iters):
+    rows = None
+    sweeps = 0
+    while sweeps < max_iters:
         v_tilde = c_post + model.gamma * action_free_values(model, v)
-        v_new = op.block_min(known_lookahead(model, cost, v_tilde)).reshape(n_h, n_b, n_x)
+        q = known_lookahead(model, cost, v_tilde)
+        v_min = op.block_min(q)
+        v_new = v_min.reshape(n_h, n_b, n_x)
         resid = float(np.max(np.abs(v_new - v)))
         if residuals is not None:
             residuals.append(resid)
+        sweeps += 1
         v = v_new
         if resid < tol:
             return v
+        greedy = op.block_argmin(q, v_min, TIE_TOL)
+        if rows is not None and np.array_equal(greedy, rows):
+            v, used = _evaluate_rows(model, cost, c_post, rows, v, tol, max_iters - sweeps)
+            sweeps += used
+        rows = greedy
     raise ConvergenceError(
         f"value iteration stuck at residual {resid!r} after {max_iters} sweeps"
     )
+
+
+def _evaluate_rows(
+    model: JointModel,
+    cost: np.ndarray,
+    c_post,
+    rows: np.ndarray,
+    v: np.ndarray,
+    tol: float,
+    max_sweeps: int,
+) -> tuple[np.ndarray, int]:
+    """Iterate v <- c_pi + gamma K_pi A_clamp (P v) for the packed rows ``rows``.
+
+    ``rows`` (h, (b, x)) picks one known-operator row per state; its
+    cost is ``cost + K c_post`` and its transition the row with the arrival
+    clamp and the discount folded in, so a sweep is one channel move and one
+    (n_b n_x)-square matrix-vector product per channel.
+    Stops once a step is below tol (or is NaN) or after max_sweeps; returns
+    the (h, b, x) table and the number of sweeps taken.
+    """
+    n_h = model.n_h
+    n_bx = model.n_b * model.n_x
+    k_pi = model.known_operator.matrix.T[rows]  # (h, (b, x), (B, X))
+    c_pi = np.take_along_axis(cost, rows, axis=1) + k_pi @ np.broadcast_to(c_post, n_bx)
+    k_pi = model.A_clamp.T @ k_pi.reshape(n_h, n_bx, model.n_b, model.n_x)
+    k_pi = (model.gamma * k_pi).reshape(n_h, n_bx, n_bx)
+    c_pi = c_pi[:, :, None]
+    shape = v.shape
+    v = v.reshape(n_h, n_bx, 1)
+    sweeps = 0
+    while sweeps < max_sweeps:
+        v_new = k_pi @ (model.channel_matrix @ v[:, :, 0])[:, :, None]
+        v_new += c_pi
+        step = np.max(np.abs(v_new - v))
+        sweeps += 1
+        v = v_new
+        if not step >= tol:
+            break
+    return v.reshape(shape), sweeps
 
 
 def flat_q(model: JointModel, q_packed: np.ndarray) -> np.ndarray:
@@ -129,92 +189,10 @@ def value_iteration(
     """Solve the discounted control problem to sup-norm residual below tol.
 
     Returns (value table, greedy policy). Raises ConvergenceError if the
-    residual is still above tol after max_iters sweeps.
+    residual is still above tol after max_iters sweeps, minimizing and
+    evaluation sweeps counted together.
     """
     cost = stage_cost(model, model.mu * model.g_ba)
     v_hbx = bellman_fixed_point(model, cost, 0.0, tol, max_iters, v0, residuals)
     v = v_hbx.transpose(1, 0, 2).reshape(model.n_s)
     return v, greedy_from_q(q_values(model, v), model.feasible_sa)
-
-
-def action_value(s: State, a: Action, v: np.ndarray, model: JointModel) -> float:
-    """Cost plus discounted expected continuation, via the joint transition pmf."""
-    pmf = model.joint_transition_pmf(s, a)
-    return model.lagrangian_cost(s, a) + model.gamma * float(pmf @ v)
-
-
-def policy_evaluate(
-    policy: np.ndarray,
-    model: JointModel,
-    tol: float = 1e-9,
-    max_iters: int = 200_000,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Discounted (total, power-only, buffer-only) cost of a stationary policy.
-
-    The three value vectors satisfy total = power + mu * buffer at the fixed
-    point, since the policy is shared and cost splits linearly.
-    """
-    n_s = model.n_s
-    states = model.all_states()
-    pb_sel = np.empty((n_s, model.n_b))
-    ph_sel = np.empty((n_s, model.n_h))
-    px_sel = np.empty((n_s, model.n_x))
-    rho_sel = np.empty(n_s)
-    g_sel = np.empty(n_s)
-    for i, s in enumerate(states):
-        a = int(policy[i])
-        if not model.feasible_sa[i, a]:
-            raise ConvergenceError(f"policy picks infeasible action {a} in state {s}")
-        pb_sel[i] = model.pb_stack[a, s.b]
-        ph_sel[i] = model.channel_matrix[s.h]
-        px_sel[i] = model.px_stack[a, int(s.x)]
-        rho_sel[i] = model.rho_hxa[s.h, int(s.x), a]
-        g_sel[i] = model.g_ba[s.b, a]
-
-    costs = np.stack([rho_sel + model.mu * g_sel, rho_sel, g_sel])
-    values = np.zeros((3, n_s))
-    shape = (model.n_b, model.n_h, model.n_x)
-    for _ in range(max_iters):
-        new = np.empty_like(values)
-        for k in range(3):
-            ev = np.einsum(
-                "sB,sH,sX,BHX->s",
-                pb_sel,
-                ph_sel,
-                px_sel,
-                values[k].reshape(shape),
-                optimize=True,
-            )
-            new[k] = costs[k] + model.gamma * ev
-        resid = float(np.max(np.abs(new - values)))
-        values = new
-        if resid < tol:
-            return values[0], values[1], values[2]
-    raise ConvergenceError(f"policy evaluation stuck at residual {resid!r}")
-
-
-def dense_value_iteration(
-    costs: np.ndarray,
-    transitions: np.ndarray,
-    gamma: float,
-    tol: float = 1e-9,
-    max_iters: int = 200_000,
-    feasible: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plain tabular solver for an explicit (S, A) cost / (S, A, S) transition MDP.
-
-    Returns (V, Q, policy). Useful for small reference problems and oracles.
-    """
-    n_s, n_a = costs.shape
-    if feasible is None:
-        feasible = np.ones((n_s, n_a), dtype=bool)
-    c = np.where(feasible, costs, np.inf)
-    v = np.zeros(n_s)
-    for _ in range(max_iters):
-        q = c + gamma * np.einsum("saS,S->sa", transitions, v)
-        v_new = q.min(axis=1)
-        resid = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if resid < tol:
-            return v, q, greedy_from_q(q, feasible)
-    raise ConvergenceError(f"dense value iteration stuck at residual {resid!r}")

@@ -18,6 +18,8 @@ from greentx.pds import (
 from greentx.planner import bellman_fixed_point, q_values, stage_cost, value_iteration
 from greentx.power import PowerProfile, PowerState
 from greentx.queueing import ArrivalDistribution
+from oracles import dense_value_iteration
+from test_planner import _dense_problem
 
 
 def test_pds_of_shifts_buffer_and_settles_radio(reduced_model):
@@ -297,3 +299,20 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m):
         np.testing.assert_array_equal(swept, _masked_sweep(m, v_hbx, c_post, cost_ba))
     _, pol_vi = value_iteration(m)
     assert np.array_equal(policy_from_pds(v_tilde, f), pol_vi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models())
+def test_both_solvers_match_the_dense_oracle_on_random_models(m):
+    costs, trans = _dense_problem(m)
+    v_ref, _, pol_ref = dense_value_iteration(
+        costs, trans, m.gamma, tol=1e-12, feasible=m.feasible_sa
+    )
+    bound = 1e-9 / (1.0 - m.gamma)
+    v, pol = value_iteration(m)
+    f = FactoredDynamics(m)
+    v_tilde, v_pds = pds_value_iteration(f)
+    assert np.array_equal(pol, pol_ref)
+    assert np.array_equal(policy_from_pds(v_tilde, f), pol_ref)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
+    np.testing.assert_allclose(v_pds.reshape(m.n_s), v_ref, rtol=0, atol=bound)
