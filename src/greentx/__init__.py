@@ -22,7 +22,6 @@ from .harness import (
     RunResult,
     emit_metrics_csv,
     load_tables,
-    per_step_suboptimal,
     run_experiment,
     serialize_tables,
     solve_tables,
@@ -74,7 +73,6 @@ __all__ = [
     "load_tables",
     "overflow_penalty",
     "pds_value_iteration",
-    "per_step_suboptimal",
     "policy_from_pds",
     "reduced_profile",
     "run_experiment",

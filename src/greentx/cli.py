@@ -7,13 +7,7 @@ import sys
 
 from .config import ExperimentConfig, table_profile
 from .errors import ConfigError
-from .harness import (
-    emit_metrics_csv,
-    load_tables,
-    run_experiment,
-    serialize_tables,
-    solve_tables,
-)
+from .harness import load_tables, run_experiment, serialize_tables, solve_tables
 
 
 def _add_common(p: argparse.ArgumentParser, out_help: str) -> None:
@@ -66,27 +60,11 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    if args.k is None and not args.k_sweep:
-        raise ConfigError("baseline needs --k or --k-sweep")
-    if args.k is not None and args.k_sweep:
-        raise ConfigError("--k and --k-sweep are mutually exclusive")
-    if args.k is not None:
-        cfg = _load_config(args, algorithm="threshold", threshold_k=args.k)
-        result = run_experiment(cfg, out_csv=args.out)
-        _report(result)
-        return 0
-    base = _load_config(args, algorithm="threshold")
-    lines = ["k,cum_power_w,cum_holding,cum_overflow,theta_off"]
-    for k in range(base.capacity + 1):
-        cfg = dataclasses.replace(base, threshold_k=k)
-        rec = run_experiment(cfg).final
-        lines.append(
-            f"{k},{rec.cum_power_w!r},{rec.cum_holding!r},"
-            f"{rec.cum_overflow!r},{rec.theta_off!r}"
-        )
-        print(f"k={k} power={rec.cum_power_w:.6g} holding={rec.cum_holding:.6g}")
-    with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if args.k is None:
+        raise ConfigError("baseline needs --k")
+    cfg = _load_config(args, algorithm="threshold", threshold_k=args.k)
+    result = run_experiment(cfg, out_csv=args.out)
+    _report(result)
     return 0
 
 
@@ -127,9 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("baseline", help="threshold-k baseline")
-    p.add_argument("--k", type=int)
-    p.add_argument("--k-sweep", action="store_true", dest="k_sweep")
-    _add_common(p, "metrics CSV path (sweep: summary CSV, one row per k)")
+    p.add_argument("--k", type=int, help="wake the sleeping radio once the backlog exceeds k")
+    _add_common(p, "metrics CSV path")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("suboptimal", help="re-planning reference on estimated statistics")

@@ -5,13 +5,21 @@ means (cumulative sums divided by slot count), except the multiplier, which
 is averaged over a sliding 1000-slot window so its transient is visible.
 Runs are deterministic given the config (seed included), and a checkpointed
 run resumed from disk reproduces the uninterrupted metric stream bit-exactly.
+
+The run loop drives one actor per run, with no adapter around it: the
+learners (``QLearner``, ``PdsLearner``), ``PolicyActor`` (the exact policy,
+the threshold baseline and replayed tables) and ``SuboptimalActor``. Each
+has ``act(state) -> Action``, ``learn(outcome)``, a ``mu`` property (the
+price in effect this slot), ``tables()`` (the arrays a finished run
+reports), and ``snapshot()``/``restore(snap)``, whose dict holds arrays and
+JSON values only, so that checkpoints need no pickle.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
-import pickle
+import zipfile
 from collections import deque
 from dataclasses import dataclass
 
@@ -20,7 +28,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .env import Environment, threshold_k_action
 from .errors import ConfigError, TableFormatError
-from .learners import PdsLearner, QLearner, mu_update
+from .learners import MultiplierState, PdsLearner, QLearner, mu_update
 from .model import JointModel, State
 from .pds import FactoredDynamics, init_pds_values
 from .planner import value_iteration
@@ -65,7 +73,13 @@ class MetricsRecord:
 
 
 class MetricsAccumulator:
-    """Prefix sums of per-slot observations; picklable for checkpointing."""
+    """Prefix sums of per-slot observations.
+
+    ``snapshot`` keeps the counts and float sums as plain numbers (JSON
+    round-trips them exactly) and the multiplier window as an array.
+    """
+
+    _SCALARS = ("count", "sum_cost", "sum_power", "sum_holding", "sum_overflow", "off_slots")
 
     def __init__(self, mu_window: int = MU_WINDOW_SLOTS) -> None:
         self.count = 0
@@ -109,6 +123,19 @@ class MetricsAccumulator:
             mu_window=max(0.0, self._mu_wsum / len(self._mu_hist)),
         )
 
+    def snapshot(self) -> dict:
+        return {
+            **{name: getattr(self, name) for name in self._SCALARS},
+            "mu_hist": np.array(self._mu_hist, dtype=np.float64),
+            "mu_wsum": self._mu_wsum,
+        }
+
+    def restore(self, snap: dict) -> None:
+        for name in self._SCALARS:
+            setattr(self, name, snap[name])
+        self._mu_hist = deque(snap["mu_hist"].tolist(), maxlen=self._mu_hist.maxlen)
+        self._mu_wsum = snap["mu_wsum"]
+
 
 def _row_values(rec) -> tuple:
     if isinstance(rec, MetricsRecord):
@@ -145,6 +172,28 @@ def fingerprint_digest(fingerprint: dict) -> str:
     ).hexdigest()
 
 
+def _header_blob(header: dict) -> np.ndarray:
+    return np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+
+
+def _read_npz(path) -> tuple[dict, dict]:
+    """JSON header and arrays of an npz file; refuses pickled content."""
+    try:
+        z = np.load(path, allow_pickle=False)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with z:
+            arrays = {k: z[k] for k in z.files}
+        blob = arrays.pop("__header__", None)
+        header = None if blob is None else json.loads(blob.tobytes().decode("utf-8"))
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # pickled data, object arrays, a broken archive or header
+        raise TableFormatError(f"unreadable table file {path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise TableFormatError("missing header block")
+    return header, arrays
+
+
 def serialize_tables(tables: dict, path, *, kind: str, fingerprint: dict) -> None:
     """Write named arrays plus a self-describing JSON header to an npz file."""
     arrays = {}
@@ -161,19 +210,12 @@ def serialize_tables(tables: dict, path, *, kind: str, fingerprint: dict) -> Non
         "fingerprint_sha256": fingerprint_digest(fingerprint),
         "fingerprint": fingerprint,
     }
-    blob = np.frombuffer(
-        json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez(path, __header__=blob, **arrays)
+    np.savez(path, __header__=_header_blob(header), **arrays)
 
 
 def load_tables(path, *, expect_kind: str | None = None, fingerprint: dict | None = None):
     """Read tables back; refuses kind, shape, or fingerprint mismatches."""
-    with np.load(path) as z:
-        if "__header__" not in z.files:
-            raise TableFormatError("missing header block")
-        header = json.loads(bytes(z["__header__"].tobytes()).decode("utf-8"))
-        tables = {k: z[k] for k in z.files if k != "__header__"}
+    header, tables = _read_npz(path)
     if header.get("format_version") != TABLE_FORMAT_VERSION:
         raise TableFormatError(f"unsupported format version {header.get('format_version')!r}")
     if expect_kind is not None and header.get("kind") != expect_kind:
@@ -189,18 +231,61 @@ def load_tables(path, *, expect_kind: str | None = None, fingerprint: dict | Non
     return tables, header
 
 
+_ARRAY_REF = "__array__"
+
+
 def save_checkpoint(path, payload: dict) -> None:
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    """Write nested dicts and lists of arrays and JSON values in the table format.
+
+    Arrays become npz entries and everything else goes into the JSON header,
+    where each array is a ``{"__array__": entry}`` reference. Tuples come back
+    as lists.
+    """
+    arrays = {}
+
+    def encode(obj):
+        if isinstance(obj, np.ndarray):
+            name = f"a{len(arrays)}"
+            arrays[name] = obj
+            return {_ARRAY_REF: name}
+        if isinstance(obj, dict):
+            return {k: encode(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [encode(v) for v in obj]
+        return obj
+
+    header = {
+        "format_version": TABLE_FORMAT_VERSION,
+        "kind": "checkpoint",
+        "payload": encode(payload),
+    }
+    with open(path, "wb") as fh:  # a path would get ".npz" appended
+        np.savez(fh, __header__=_header_blob(header), **arrays)
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+    """Read a checkpoint back; anything but a checkpoint in this format is refused."""
+    header, arrays = _read_npz(path)
+    if header.get("format_version") != TABLE_FORMAT_VERSION or header.get("kind") != "checkpoint":
+        raise TableFormatError(f"{path} is not a checkpoint of format {TABLE_FORMAT_VERSION}")
+
+    def decode(obj):
+        if isinstance(obj, dict):
+            if set(obj) == {_ARRAY_REF}:
+                arr = arrays.get(str(obj[_ARRAY_REF]))
+                if arr is None:
+                    raise TableFormatError(f"checkpoint lacks array {obj[_ARRAY_REF]!r}")
+                return arr
+            return {k: decode(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [decode(v) for v in obj]
+        return obj
+
+    return decode(header.get("payload"))
 
 
 # ---------------------------------------------------------------------------
-# Actors: a uniform act/learn/snapshot surface over policies and learners
+# Actors besides the learners (the surface is in the module docstring)
 # ---------------------------------------------------------------------------
 
 
@@ -235,116 +320,6 @@ class PolicyActor:
         pass
 
 
-class ThresholdActor:
-    """Wake-above-k baseline; no learning, multiplier pinned at the config value."""
-
-    def __init__(self, model: JointModel, k: int, fixed_plr: float, mu: float):
-        self.model = model
-        self.k = int(k)
-        self.fixed_plr = float(fixed_plr)
-        self._mu = float(mu)
-
-    @property
-    def mu(self) -> float:
-        return self._mu
-
-    def act(self, s: State):
-        return threshold_k_action(s, self.k, self.model, self.fixed_plr)
-
-    def learn(self, outcome) -> None:
-        pass
-
-    def tables(self) -> dict:
-        return {"threshold_k": np.asarray(self.k, dtype=np.int64)}
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def restore(self, snap: dict) -> None:
-        pass
-
-
-class QActor:
-    """Adapter over QLearner; optionally pins the multiplier (diagnostics)."""
-
-    def __init__(self, learner: QLearner, fixed_mu: bool = False):
-        self.learner = learner
-        self.fixed_mu = fixed_mu
-        self._mu0 = learner.multiplier.mu
-
-    @property
-    def mu(self) -> float:
-        return self.learner.multiplier.mu
-
-    def act(self, s: State):
-        return self.learner.act(s)
-
-    def learn(self, outcome) -> None:
-        self.learner.learn(outcome)
-        if self.fixed_mu:
-            self.learner.multiplier.mu = self._mu0
-
-    def tables(self) -> dict:
-        return {"q": self.learner.q.copy(), "visits": self.learner.visits.copy()}
-
-    def snapshot(self) -> dict:
-        lr = self.learner
-        return {
-            "q": lr.q.copy(),
-            "visits": lr.visits.copy(),
-            "n": lr.n,
-            "mu": lr.multiplier.mu,
-        }
-
-    def restore(self, snap: dict) -> None:
-        lr = self.learner
-        lr.q[...] = snap["q"]
-        lr.visits[...] = snap["visits"]
-        lr.n = snap["n"]
-        lr.multiplier.mu = snap["mu"]
-
-
-class PdsActor:
-    """Adapter over PdsLearner (plain or virtual-experience batched)."""
-
-    def __init__(self, learner: PdsLearner, fixed_mu: bool = False):
-        self.learner = learner
-        self.fixed_mu = fixed_mu
-        self._mu0 = learner.multiplier.mu
-
-    @property
-    def mu(self) -> float:
-        return self.learner.multiplier.mu
-
-    def act(self, s: State):
-        return self.learner.act(s)
-
-    def learn(self, outcome) -> None:
-        self.learner.learn(outcome)
-        if self.fixed_mu:
-            self.learner.multiplier.mu = self._mu0
-
-    def tables(self) -> dict:
-        lr = self.learner
-        return {"v_tilde": lr.v_tilde.copy(), "visits": lr.visits.copy()}
-
-    def snapshot(self) -> dict:
-        lr = self.learner
-        return {
-            "v_tilde": lr.v_tilde.copy(),
-            "visits": lr.visits.copy(),
-            "n": lr.n,
-            "mu": lr.multiplier.mu,
-        }
-
-    def restore(self, snap: dict) -> None:
-        lr = self.learner
-        lr.v_tilde[...] = snap["v_tilde"]
-        lr.visits[...] = snap["visits"]
-        lr.n = snap["n"]
-        lr.multiplier.mu = snap["mu"]
-
-
 class SuboptimalActor:
     """Reference that re-plans on empirical statistics every epoch.
 
@@ -358,17 +333,16 @@ class SuboptimalActor:
         self,
         cfg: ExperimentConfig,
         model: JointModel,
+        multiplier: MultiplierState,
         *,
         true_stats: bool = False,
-        fixed_mu: bool = False,
         solve_tol: float = 1e-6,
     ) -> None:
         self.model = model
         self.epoch = cfg.epoch_slots
         self.schedules = cfg.schedules()
-        self.multiplier = cfg.multiplier()
+        self.multiplier = multiplier
         self.true_stats = true_stats
-        self.fixed_mu = fixed_mu
         self.solve_tol = solve_tol
         self.n = 0
         self.support = model.arrivals.pmf.size
@@ -412,8 +386,7 @@ class SuboptimalActor:
     def learn(self, outcome) -> None:
         self.arrival_counts[min(outcome.l, self.support - 1)] += 1
         self.channel_counts[outcome.s.h, outcome.h_next] += 1
-        if not self.fixed_mu:
-            mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
+        mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
         self.n += 1
         if self.n % self.epoch == 0:
             self._solve()
@@ -446,8 +419,8 @@ def _build_actor(
     cfg: ExperimentConfig,
     model: JointModel,
     env: Environment,
+    multiplier: MultiplierState,
     *,
-    fixed_mu: bool,
     true_stats: bool,
 ):
     alg = cfg.algorithm
@@ -455,18 +428,21 @@ def _build_actor(
         v, policy = value_iteration(model)
         return PolicyActor(model, policy, cfg.mu, {"v": v})
     if alg == "threshold":
-        return ThresholdActor(model, cfg.threshold_k, cfg.fixed_plr, cfg.mu)
+        k = cfg.threshold_k
+        table = [
+            model.action_index[threshold_k_action(model.state_of(i), k, model, cfg.fixed_plr)]
+            for i in range(model.n_s)
+        ]
+        return PolicyActor(model, table, cfg.mu, {"threshold_k": np.asarray(k, dtype=np.int64)})
     if alg == "q":
-        learner = QLearner(model, cfg.schedules(), cfg.multiplier(), env.streams.exploration)
-        return QActor(learner, fixed_mu)
+        return QLearner(model, cfg.schedules(), multiplier, env.streams.exploration)
     if alg in ("pds", "pds_ve"):
         factored = FactoredDynamics(model)
         v0 = init_pds_values(factored, cfg.init_arrivals(), mu_init=cfg.init_mu)
         period = cfg.ve_period if alg == "pds_ve" else None
-        learner = PdsLearner(factored, v0, cfg.schedules(), cfg.multiplier(), period)
-        return PdsActor(learner, fixed_mu)
+        return PdsLearner(factored, v0, cfg.schedules(), multiplier, period)
     if alg == "suboptimal":
-        return SuboptimalActor(cfg, model, true_stats=true_stats, fixed_mu=fixed_mu)
+        return SuboptimalActor(cfg, model, multiplier, true_stats=true_stats)
     raise ConfigError(f"unknown algorithm {alg!r}")
 
 
@@ -515,7 +491,8 @@ def run_experiment(
 
     ``policy`` (a flat action-index table) overrides the configured algorithm
     and is followed verbatim. ``fixed_mu`` pins the multiplier at its starting
-    value for learners, turning off the constraint ascent. ``true_stats``
+    value for learners and the re-planning reference, turning off the
+    constraint ascent (``MultiplierState.fixed``). ``true_stats``
     hands the re-planning reference the true statistics instead of estimates.
     Checkpointing saves full run state every ``checkpoint_every`` slots;
     ``resume_from`` continues such a run and reproduces its uninterrupted
@@ -526,17 +503,19 @@ def run_experiment(
     if policy is not None:
         actor = PolicyActor(model, policy, cfg.mu)
     else:
-        actor = _build_actor(cfg, model, env, fixed_mu=fixed_mu, true_stats=true_stats)
+        multiplier = dataclasses.replace(cfg.multiplier(), fixed=fixed_mu)
+        actor = _build_actor(cfg, model, env, multiplier, true_stats=true_stats)
     acc = MetricsAccumulator()
     history = np.empty((cfg.horizon, len(CSV_COLUMNS)), dtype=np.float64)
     start = 0
     if resume_from is not None:
         payload = load_checkpoint(resume_from)
-        if payload["config"] != cfg.to_dict():
+        # compared as canonical JSON: the config's tuples come back as lists
+        if fingerprint_digest(payload["config"]) != fingerprint_digest(cfg.to_dict()):
             raise ConfigError("checkpoint was produced by a different config")
         start = payload["slot"]
         history[:start] = payload["history"]
-        acc = payload["acc"]
+        acc.restore(payload["acc"])
         env.restore(payload["env"])
         actor.restore(payload["actor"])
 
@@ -565,8 +544,8 @@ def run_experiment(
                 {
                     "config": cfg.to_dict(),
                     "slot": n + 1,
-                    "history": history[: n + 1].copy(),
-                    "acc": acc,
+                    "history": history[: n + 1],
+                    "acc": acc.snapshot(),
                     "env": env.snapshot(),
                     "actor": actor.snapshot(),
                 },
@@ -580,11 +559,6 @@ def run_experiment(
             result.tables, tables_out, kind=cfg.algorithm, fingerprint=cfg.model_fingerprint()
         )
     return result
-
-
-def per_step_suboptimal(cfg: ExperimentConfig, **kwargs) -> RunResult:
-    """The re-planning reference as a first-class run."""
-    return run_experiment(dataclasses.replace(cfg, algorithm="suboptimal"), **kwargs)
 
 
 def solve_tables(cfg: ExperimentConfig, method: str = "vi") -> dict:

@@ -11,6 +11,12 @@ Both learners update their tables asynchronously, so each table entry steps
 with alpha of its own write count (a local clock per entry), while beta runs
 on the global slot count. Entries written rarely, such as off-state entries
 that only batch slots reach, keep large corrections until they are seen.
+
+Both learners are actors of the run loop as they stand (see ``harness``):
+besides ``act`` and ``learn`` they report the price in effect (``mu``),
+their tables, and a snapshot that ``restore`` reinstates for checkpoints.
+A run that pins the price hands them a ``MultiplierState`` with ``fixed``
+set, so the pin lives in ``mu_update`` alone.
 """
 from __future__ import annotations
 
@@ -22,7 +28,6 @@ from .errors import ConfigError
 from .model import Action, JointModel, State
 from .pds import FactoredDynamics, PostDecisionState
 from .planner import TIE_TOL
-from .power import PowerState
 
 
 @dataclass
@@ -53,17 +58,18 @@ class LearningSchedule:
         return max(self.eps_floor, self.eps_start * self.eps_decay**n)
 
 
-def default_schedules() -> LearningSchedule:
-    return LearningSchedule()
-
-
 @dataclass
 class MultiplierState:
-    """Constraint price: tracks how far average buffer cost runs above target."""
+    """Constraint price: tracks how far average buffer cost runs above target.
+
+    ``fixed`` pins the price at its current value: ``mu_update`` leaves it
+    alone, which turns off the constraint ascent for every learner at once.
+    """
 
     mu: float = 0.0
     target: float = 4.0
     mu_max: float = 100.0
+    fixed: bool = False
 
     def __post_init__(self) -> None:
         if self.mu_max <= 0:
@@ -76,10 +82,11 @@ class MultiplierState:
 
 def mu_update(state: MultiplierState, g_realized: float, beta_n: float) -> float:
     """Projected ascent step on the buffer-cost constraint; returns the new price."""
-    # builtin min/max: np.clip on one float costs about ten times as much
-    state.mu = float(
-        min(max(state.mu + beta_n * (g_realized - state.target), 0.0), state.mu_max)
-    )
+    if not state.fixed:
+        # builtin min/max: np.clip on one float costs about ten times as much
+        state.mu = float(
+            min(max(state.mu + beta_n * (g_realized - state.target), 0.0), state.mu_max)
+        )
     return state.mu
 
 
@@ -167,6 +174,22 @@ class QLearner:
         mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
         self.n += 1
 
+    @property
+    def mu(self) -> float:
+        return self.multiplier.mu
+
+    def tables(self) -> dict:
+        return {"q": self.q.copy(), "visits": self.visits.copy()}
+
+    def snapshot(self) -> dict:
+        return {**self.tables(), "n": self.n, "mu": self.multiplier.mu}
+
+    def restore(self, snap: dict) -> None:
+        self.q[...] = snap["q"]
+        self.visits[...] = snap["visits"]
+        self.n = snap["n"]
+        self.multiplier.mu = snap["mu"]
+
 
 # ---------------------------------------------------------------------------
 # Post-decision-state learning
@@ -233,33 +256,6 @@ def pds_update(
     old = v_tilde[st.b, st.h, int(st.x)]
     v_tilde[st.b, st.h, int(st.x)] = (1.0 - alpha) * old + alpha * target
     return float(v_tilde[st.b, st.h, int(st.x)])
-
-
-def virtual_tuples(tup: PdsExperienceTuple, model: JointModel) -> list[PdsExperienceTuple]:
-    """Reuse one observed (arrival burst, channel move) at every (buffer, radio).
-
-    The unknown half of the dynamics does not depend on buffer or radio
-    state, so the observed l and channel move are valid samples for all of
-    them. The actual experience appears as the tuple matching its own
-    post-decision state.
-    """
-    cap = model.queue.capacity
-    eta = model.queue.eta
-    h_t = tup.s_pds.h
-    h_n = tup.s_next.h
-    l = tup.l
-    out = []
-    for b in range(cap + 1):
-        for x in (PowerState.OFF, PowerState.ON):
-            out.append(
-                PdsExperienceTuple(
-                    s_pds=PostDecisionState(b, h_t, x),
-                    cost_unknown=eta * max(b + l - cap, 0),
-                    s_next=State(min(b + l, cap), h_n, x),
-                    l=l,
-                )
-            )
-    return out
 
 
 def ve_batch_update(
@@ -342,3 +338,19 @@ class PdsLearner:
         self.visits[written] += 1
         mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
         self.n += 1
+
+    @property
+    def mu(self) -> float:
+        return self.multiplier.mu
+
+    def tables(self) -> dict:
+        return {"v_tilde": self.v_tilde.copy(), "visits": self.visits.copy()}
+
+    def snapshot(self) -> dict:
+        return {**self.tables(), "n": self.n, "mu": self.multiplier.mu}
+
+    def restore(self, snap: dict) -> None:
+        self.v_tilde[...] = snap["v_tilde"]
+        self.visits[...] = snap["visits"]
+        self.n = snap["n"]
+        self.multiplier.mu = snap["mu"]

@@ -22,15 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FeasibilityError
+from .errors import ConfigError
 from .phy import BepLevel, ChannelState, PhyConfig, bits_per_symbol, goodput_pmf, tx_power
 from .power import PmAction, PowerProfile, PowerState, pm_transition_pmf
-from .queueing import (
-    ArrivalDistribution,
-    QueueConfig,
-    buffer_transition_pmf,
-    expected_overflow,
-)
+from .queueing import ArrivalDistribution, QueueConfig, expected_overflow
 
 
 @dataclass(frozen=True)
@@ -226,7 +221,6 @@ class JointModel:
                 self.px_stack[i, int(x)] = pm_transition_pmf(
                     x, a.y, self.profile.theta
                 )
-        self.pb_stack = self.G_stack @ self.A_clamp
 
         # power draw per (channel, radio state, action); impossible combos -> inf
         self.tx_ha = np.zeros((n_h, n_a))
@@ -297,9 +291,6 @@ class JointModel:
         b, h = divmod(idx, self.n_h)
         return State(b, h, PowerState(x))
 
-    def all_states(self) -> list[State]:
-        return [self.state_of(i) for i in range(self.n_s)]
-
     # ---- feasibility -------------------------------------------------------
 
     def is_feasible(self, s: State, a: Action) -> bool:
@@ -309,40 +300,6 @@ class JointModel:
 
     def feasible_action_indices(self, s: State) -> np.ndarray:
         return np.flatnonzero(self.feasible_bxa[s.b, int(s.x)])
-
-    def feasible_actions(self, s: State) -> list[Action]:
-        """Allowed actions in canonical order (y, then z, then PLR)."""
-        return [self.actions[i] for i in self.feasible_action_indices(s)]
-
-    # ---- single-pair quantities (reference paths, used heavily in tests) ----
-
-    def joint_transition_pmf(self, s: State, a: Action) -> np.ndarray:
-        """One-slot transition pmf over flat state indices."""
-        if not self.is_feasible(s, a):
-            raise FeasibilityError(f"action {a} infeasible in state {s}")
-        pb = buffer_transition_pmf(
-            s.b, a.z, a.bep.plr, self.arrivals, self.queue.capacity
-        )
-        ph = self.channel_matrix[s.h]
-        px = pm_transition_pmf(s.x, a.y, self.profile.theta)
-        return np.einsum("b,h,x->bhx", pb, ph, px).reshape(self.n_s)
-
-    def power_cost(self, s: State, a: Action) -> float:
-        """Expected power draw (watts) for the slot."""
-        if not self.is_feasible(s, a):
-            raise FeasibilityError(f"action {a} infeasible in state {s}")
-        return float(self.rho_hxa[s.h, int(s.x), self.action_index[a]])
-
-    def expected_buffer_cost(self, s: State, a: Action) -> float:
-        """Expected holding plus eta-weighted expected drops."""
-        if not self.is_feasible(s, a):
-            raise FeasibilityError(f"action {a} infeasible in state {s}")
-        return float(self.g_ba[s.b, self.action_index[a]])
-
-    def lagrangian_cost(self, s: State, a: Action, mu: float | None = None) -> float:
-        """Power plus mu-weighted buffer cost for one slot."""
-        m = self.mu if mu is None else mu
-        return self.power_cost(s, a) + m * self.expected_buffer_cost(s, a)
 
     # ---- derived models ------------------------------------------------------
 

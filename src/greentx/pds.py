@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FeasibilityError, InitializationError
-from .model import Action, JointModel, State
+from .errors import InitializationError
+from .model import JointModel
 from .planner import (
     TIE_TOL,
     action_free_values,
@@ -51,63 +51,11 @@ class PostDecisionState:
     x: PowerState
 
 
-def pds_of(s: State, a: Action, f_realized: int, x_next: PowerState) -> PostDecisionState:
-    """Post-decision state reached from s after f deliveries and the radio settle."""
-    if not 0 <= f_realized <= a.z:
-        raise FeasibilityError(f"delivered f={f_realized} outside [0, z={a.z}]")
-    return PostDecisionState(s.b - f_realized, s.h, x_next)
-
-
 class FactoredDynamics:
     """Known/unknown split of the one-slot dynamics of a JointModel."""
 
     def __init__(self, model: JointModel) -> None:
         self.model = model
-
-    # ---- the controller-dependent half ----------------------------------
-
-    def known_pmf(self, s: State, a: Action) -> np.ndarray:
-        """Distribution over post-decision states, flat state indexing."""
-        m = self.model
-        if not m.is_feasible(s, a):
-            raise FeasibilityError(f"action {a} infeasible in state {s}")
-        ai = m.action_index[a]
-        pb = m.G_stack[ai, s.b]  # transmission only, no arrivals
-        ph = np.zeros(m.n_h)
-        ph[s.h] = 1.0  # channel has not moved yet
-        px = m.px_stack[ai, int(s.x)]
-        return np.einsum("b,h,x->bhx", pb, ph, px).reshape(m.n_s)
-
-    def known_cost(self, s: State, a: Action, mu: float | None = None) -> float:
-        """Power plus mu-weighted expected holding (drops are not known yet)."""
-        m = self.model
-        if not m.is_feasible(s, a):
-            raise FeasibilityError(f"action {a} infeasible in state {s}")
-        ai = m.action_index[a]
-        mu_v = m.mu if mu is None else mu
-        return float(m.rho_hxa[s.h, int(s.x), ai] + mu_v * m.hold_ba[s.b, ai])
-
-    # ---- the controller-independent half ---------------------------------
-
-    def unknown_pmf(self, st: PostDecisionState) -> np.ndarray:
-        """Distribution over next pre-decision states, flat state indexing."""
-        m = self.model
-        pb = m.A_clamp[st.b]  # arrivals with the capacity clamp
-        ph = m.channel_matrix[st.h]
-        px = np.zeros(m.n_x)
-        px[int(st.x)] = 1.0  # radio already settled
-        return np.einsum("b,h,x->bhx", pb, ph, px).reshape(m.n_s)
-
-    def unknown_cost(self, st: PostDecisionState, mu: float | None = None) -> float:
-        """mu-weighted expected drop penalty for arrivals on this buffer level."""
-        m = self.model
-        mu_v = m.mu if mu is None else mu
-        return float(mu_v * m.queue.eta * m.o_exp[st.b])
-
-    def realized_unknown_cost(self, b_post: int, l: int) -> float:
-        """Drop penalty for one observed arrival burst (not mu-weighted)."""
-        m = self.model
-        return m.queue.eta * max(b_post + l - m.queue.capacity, 0)
 
     # ---- lookahead through the known operator ------------------------------
 

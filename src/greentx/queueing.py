@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError
-from .phy import goodput_pmf
 
 
 @dataclass(frozen=True)
@@ -84,63 +83,6 @@ class QueueConfig:
             raise ConfigError("capacity must be at least 1")
         if self.eta < 0:
             raise ConfigError("eta must be nonnegative")
-
-
-def next_buffer(b: int, f: int, l: int, capacity: int) -> int:
-    """Buffer occupancy after f departures and l arrivals, clamped at capacity."""
-    if not 0 <= f <= b:
-        raise ConfigError(f"departures f={f} outside [0, b={b}]")
-    if l < 0:
-        raise ConfigError("arrivals must be nonnegative")
-    return min(b - f + l, capacity)
-
-
-def buffer_transition_pmf(
-    b: int, z: int, plr: float, arrivals: ArrivalDistribution, capacity: int
-) -> np.ndarray:
-    """Distribution of the next buffer level given z transmission attempts.
-
-    The capacity bin aggregates every arrival burst that would overflow.
-    """
-    if not 0 <= b <= capacity:
-        raise ConfigError(f"buffer level b={b} outside [0, {capacity}]")
-    if z > b:
-        raise ConfigError(f"cannot send z={z} packets from a buffer of {b}")
-    f_pmf = goodput_pmf(z, plr)
-    l_pmf = arrivals.pmf
-    out = np.zeros(capacity + 1)
-    for f in range(z + 1):
-        post = b - f
-        # arrivals that land strictly inside the buffer
-        hi = min(capacity - 1 - post, arrivals.l_max)
-        if hi >= 0:
-            out[post : post + hi + 1] += f_pmf[f] * l_pmf[: hi + 1]
-        # everything else hits the capacity bin
-        first_clamped = capacity - post
-        if first_clamped <= arrivals.l_max:
-            out[capacity] += f_pmf[f] * l_pmf[max(first_clamped, 0) :].sum()
-    return out
-
-
-def buffer_cost(
-    b: int,
-    z: int,
-    plr: float,
-    arrivals: ArrivalDistribution,
-    capacity: int,
-    eta: float,
-) -> float:
-    """Expected holding cost plus eta-weighted expected packet drops."""
-    if not 0 <= b <= capacity:
-        raise ConfigError(f"buffer level b={b} outside [0, {capacity}]")
-    if z > b:
-        raise ConfigError(f"cannot send z={z} packets from a buffer of {b}")
-    f_pmf = goodput_pmf(z, plr)
-    total = 0.0
-    for f in range(z + 1):
-        post = b - f
-        total += f_pmf[f] * (post + eta * expected_overflow(post, arrivals, capacity))
-    return total
 
 
 def expected_overflow(

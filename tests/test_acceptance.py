@@ -23,7 +23,19 @@ from greentx.pds import (
 from greentx.phy import goodput_pmf
 from greentx.planner import value_iteration
 from greentx.power import PmAction, PowerState, pm_transition_pmf
-from greentx.queueing import buffer_cost, buffer_transition_pmf, overflow_penalty
+from greentx.queueing import overflow_penalty
+from oracles import (
+    all_states,
+    buffer_cost,
+    buffer_transition_pmf,
+    feasible_actions,
+    joint_transition_pmf,
+    known_cost,
+    known_pmf,
+    lagrangian_cost,
+    unknown_pmf,
+)
+from oracles import unknown_cost as unknown_cost_of
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -91,17 +103,17 @@ def test_criterion_01_direct_and_post_decision_planners_agree(reduced_model):
 def test_criterion_02_factored_halves_compose_to_the_joint_model(reduced_model):
     m = reduced_model.with_mu(1.0)
     fac = FactoredDynamics(m)
-    pds_all = [PostDecisionState(s.b, s.h, s.x) for s in m.all_states()]
-    unknown = np.stack([fac.unknown_pmf(p) for p in pds_all])
-    unknown_cost = np.array([fac.unknown_cost(p) for p in pds_all])
+    pds_all = [PostDecisionState(s.b, s.h, s.x) for s in all_states(m)]
+    unknown = np.stack([unknown_pmf(fac, p) for p in pds_all])
+    unknown_cost = np.array([unknown_cost_of(fac, p) for p in pds_all])
     worst_pmf = worst_cost = 0.0
     pairs = 0
-    for s in m.all_states():
-        for a in m.feasible_actions(s):
-            k = fac.known_pmf(s, a)
-            worst_pmf = max(worst_pmf, np.abs(k @ unknown - m.joint_transition_pmf(s, a)).max())
-            composed = fac.known_cost(s, a) + k @ unknown_cost
-            worst_cost = max(worst_cost, abs(composed - m.lagrangian_cost(s, a)))
+    for s in all_states(m):
+        for a in feasible_actions(m, s):
+            k = known_pmf(fac, s, a)
+            worst_pmf = max(worst_pmf, np.abs(k @ unknown - joint_transition_pmf(m, s, a)).max())
+            composed = known_cost(fac, s, a) + k @ unknown_cost
+            worst_cost = max(worst_cost, abs(composed - lagrangian_cost(m, s, a)))
             pairs += 1
     ok = worst_pmf <= 1e-12 and worst_cost <= 1e-12
     print(
@@ -246,12 +258,12 @@ def test_criterion_08_distributions_normalize_and_match_monte_carlo(full_model):
             pmf = buffer_transition_pmf(b, a.z, a.bep.plr, m.arrivals, m.queue.capacity)
             worst = max(worst, abs(pmf.sum() - 1.0))
     fac = FactoredDynamics(m)
-    for s in m.all_states():
-        for a in m.feasible_actions(s):
-            worst = max(worst, abs(fac.known_pmf(s, a).sum() - 1.0))
-    for s in m.all_states():
+    for s in all_states(m):
+        for a in feasible_actions(m, s):
+            worst = max(worst, abs(known_pmf(fac, s, a).sum() - 1.0))
+    for s in all_states(m):
         p = PostDecisionState(s.b, s.h, s.x)
-        worst = max(worst, abs(fac.unknown_pmf(p).sum() - 1.0))
+        worst = max(worst, abs(unknown_pmf(fac, p).sum() - 1.0))
     for x in (PowerState.OFF, PowerState.ON):
         for y in (PmAction.S_OFF, PmAction.S_ON):
             for theta in (1.0, 0.5):

@@ -68,30 +68,16 @@ def test_learn_q_seed_override_changes_stream(tmp_path, cfg_file):
     assert rerun.read_text() == a.read_text()
 
 
-def test_baseline_single_and_sweep(tmp_path, cfg_file):
+def test_baseline_single_k(tmp_path, cfg_file):
     single = tmp_path / "k5.csv"
     rc = main(["baseline", "--k", "5", "--config", cfg_file, "--out", str(single)])
     assert rc == 0
     assert len(single.read_text().splitlines()) == 201
 
-    sweep = tmp_path / "sweep.csv"
-    rc = main(
-        ["baseline", "--k-sweep", "--config", cfg_file, "--horizon", "60",
-         "--out", str(sweep)]
-    )
-    assert rc == 0
-    lines = sweep.read_text().splitlines()
-    assert lines[0] == "k,cum_power_w,cum_holding,cum_overflow,theta_off"
-    assert len(lines) == 12  # k = 0..10 on the reduced buffer
-
 
 def test_baseline_flag_conflicts(tmp_path, cfg_file):
     out = str(tmp_path / "x.csv")
     assert main(["baseline", "--config", cfg_file, "--out", out]) == 2
-    assert (
-        main(["baseline", "--k", "1", "--k-sweep", "--config", cfg_file, "--out", out])
-        == 2
-    )
 
 
 def test_suboptimal_command(tmp_path, cfg_file):

@@ -1,4 +1,6 @@
-"""Run orchestration: metrics accounting, persistence, resume, actor adapters."""
+"""Run orchestration: metrics accounting, persistence, resume, the run loop's actors."""
+import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +17,13 @@ from greentx.harness import (
     load_checkpoint,
     load_tables,
     metrics_csv_text,
-    per_step_suboptimal,
     run_experiment,
     save_checkpoint,
     serialize_tables,
     solve_tables,
 )
 from greentx.planner import value_iteration
+from oracles import per_step_suboptimal
 
 
 # ---- metrics accounting ------------------------------------------------------
@@ -127,12 +129,36 @@ def test_tables_reject_non_finite_and_headerless(tmp_path):
         load_tables(bare)
 
 
-def test_checkpoint_pickle_round_trip(tmp_path):
-    path = tmp_path / "ck.pkl"
+def test_checkpoint_round_trip(tmp_path):
+    path = tmp_path / "ck.ckpt"
     payload = {"slot": 3, "arr": np.arange(4)}
     save_checkpoint(path, payload)
     back = load_checkpoint(path)
     assert back["slot"] == 3 and np.array_equal(back["arr"], payload["arr"])
+
+
+class _MakesMarker:
+    """Unpickling this creates a directory: a stand-in for arbitrary code."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.marker,))
+
+
+def test_checkpoint_loading_never_unpickles(tmp_path):
+    marker = tmp_path / "marker"
+    crafted = tmp_path / "crafted.ckpt"
+    with open(crafted, "wb") as fh:
+        pickle.dump({"slot": 0, "payload": _MakesMarker(marker)}, fh)
+    with pytest.raises((TableFormatError, ConfigError)):
+        load_checkpoint(crafted)
+    assert not marker.exists()
+    cfg = reduced_profile(algorithm="pds_ve", horizon=50, seed=2)
+    with pytest.raises((TableFormatError, ConfigError)):
+        run_experiment(cfg, resume_from=crafted)
+    assert not marker.exists()
 
 
 # ---- the run loop ---------------------------------------------------------------
@@ -147,15 +173,18 @@ def test_rerun_is_byte_deterministic():
     assert np.array_equal(r1.tables["v_tilde"], r2.tables["v_tilde"])
 
 
-def test_resume_reproduces_uninterrupted_run(tmp_path):
-    cfg = reduced_profile(algorithm="pds_ve", horizon=400, seed=2)
+@pytest.mark.parametrize("algorithm", ["q", "pds", "pds_ve", "suboptimal", "threshold", "vi"])
+def test_resume_reproduces_uninterrupted_run(tmp_path, algorithm):
+    cfg = reduced_profile(algorithm=algorithm, horizon=400, seed=2)
     ck = tmp_path / "run.ckpt"
     full = run_experiment(cfg, checkpoint_path=ck, checkpoint_every=150)
     resumed = run_experiment(cfg, resume_from=ck)  # continues from slot 300
     assert np.array_equal(resumed.history, full.history)
     assert resumed.csv_text() == full.csv_text()
     assert resumed.mu_final == full.mu_final
-    assert np.array_equal(resumed.tables["v_tilde"], full.tables["v_tilde"])
+    assert resumed.tables.keys() == full.tables.keys()
+    for name, table in full.tables.items():
+        assert np.array_equal(resumed.tables[name], table)
 
 
 def test_pds_tables_count_every_written_entry():

@@ -12,7 +12,6 @@ from greentx.learners import (
     PdsExperienceTuple,
     PdsLearner,
     QLearner,
-    default_schedules,
     epsilon_greedy,
     experience_from,
     mu_update,
@@ -21,11 +20,11 @@ from greentx.learners import (
     pds_update,
     q_update,
     ve_batch_update,
-    virtual_tuples,
 )
 from greentx.model import State
 from greentx.pds import FactoredDynamics, PostDecisionState
 from greentx.power import PowerState
+from oracles import default_schedules, virtual_tuples
 
 
 def _outcome(model, s, a, *, f=0, l=0, x_next=PowerState.ON, h_next=None):
@@ -91,6 +90,8 @@ def test_mu_ascent_and_clipping():
     assert mu_update(st, g_realized=1000.0, beta_n=1.0) == 5.0
     st2 = MultiplierState(mu=0.1, target=4.0, mu_max=5.0)
     assert mu_update(st2, g_realized=0.0, beta_n=1.0) == 0.0
+    pinned = MultiplierState(mu=1.0, target=4.0, mu_max=5.0, fixed=True)
+    assert mu_update(pinned, g_realized=10.0, beta_n=0.5) == 1.0 == pinned.mu
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,7 +263,7 @@ def test_virtual_tuples_cover_every_buffer_and_radio(reduced_model):
         s_next=State(7, 3, PowerState.ON),
         l=3,
     )
-    vts = virtual_tuples(real, m)
+    vts = virtual_tuples(m, real)
     assert len(vts) == m.n_b * m.n_x
     seen = {(t.s_pds.b, int(t.s_pds.x)) for t in vts}
     assert seen == {(b, x) for b in range(m.n_b) for x in (0, 1)}
@@ -297,7 +298,7 @@ def test_ve_batch_matches_sequential_virtual_updates(reduced_model_mu1):
     # table, then written simultaneously
     manual = v0.copy()
     vals, _ = f.state_values_slice(tup.s_next.h, v0, mu)
-    for t in virtual_tuples(tup, m):
+    for t in virtual_tuples(m, tup):
         target = mu * t.cost_unknown + m.gamma * vals[t.s_next.b, int(t.s_next.x)]
         b, h, x = t.s_pds.b, t.s_pds.h, int(t.s_pds.x)
         manual[b, h, x] = (1.0 - alpha) * v0[b, h, x] + alpha * target

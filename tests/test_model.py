@@ -6,11 +6,16 @@ from greentx.errors import ConfigError, FeasibilityError
 from greentx.model import Action, JointModel, State
 from greentx.phy import PhyConfig, tx_power
 from greentx.power import PmAction, PowerProfile, PowerState
-from greentx.queueing import (
-    ArrivalDistribution,
-    QueueConfig,
+from greentx.queueing import ArrivalDistribution, QueueConfig
+from oracles import (
+    all_states,
     buffer_cost,
     buffer_transition_pmf,
+    expected_buffer_cost,
+    feasible_actions,
+    joint_transition_pmf,
+    lagrangian_cost,
+    power_cost,
 )
 
 TX_BEST_GAIN_Z1_PLR1 = 0.00012385257154998638  # -2.08 dB, one packet, 1% PLR
@@ -50,10 +55,10 @@ def test_action_index_inverts_actions(reduced_model):
 
 def test_feasible_action_counts(reduced_model):
     m = reduced_model
-    assert len(m.feasible_actions(State(0, 0, PowerState.ON))) == 2
-    assert len(m.feasible_actions(State(3, 0, PowerState.OFF))) == 2
-    assert len(m.feasible_actions(State(3, 0, PowerState.ON))) == 2 + 3 * 5
-    assert len(m.feasible_actions(State(10, 2, PowerState.ON))) == m.n_a
+    assert len(feasible_actions(m, State(0, 0, PowerState.ON))) == 2
+    assert len(feasible_actions(m, State(3, 0, PowerState.OFF))) == 2
+    assert len(feasible_actions(m, State(3, 0, PowerState.ON))) == 2 + 3 * 5
+    assert len(feasible_actions(m, State(10, 2, PowerState.ON))) == m.n_a
 
 
 def test_feasible_indices_are_canonically_ordered(reduced_model):
@@ -81,9 +86,9 @@ def test_feasible_sa_matches_per_pair_predicate(reduced_model):
 
 def test_joint_transition_is_a_distribution(reduced_model):
     m = reduced_model
-    for s in m.all_states():
-        for a in m.feasible_actions(s):
-            pmf = m.joint_transition_pmf(s, a)
+    for s in all_states(m):
+        for a in feasible_actions(m, s):
+            pmf = joint_transition_pmf(m, s, a)
             assert pmf.shape == (m.n_s,)
             assert np.all(pmf >= 0.0)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -92,19 +97,20 @@ def test_joint_transition_is_a_distribution(reduced_model):
 def test_joint_transition_rejects_infeasible(reduced_model):
     tx = reduced_model.actions[2]
     with pytest.raises(FeasibilityError):
-        reduced_model.joint_transition_pmf(State(5, 0, PowerState.OFF), tx)
+        joint_transition_pmf(reduced_model, State(5, 0, PowerState.OFF), tx)
     with pytest.raises(FeasibilityError):
-        reduced_model.joint_transition_pmf(State(0, 0, PowerState.ON), tx)
+        joint_transition_pmf(reduced_model, State(0, 0, PowerState.ON), tx)
 
 
 def test_pb_stack_matches_reference_pmf(reduced_model):
     m = reduced_model
+    pb_stack = m.G_stack @ m.A_clamp
     for i, a in enumerate(m.actions):
         for b in range(a.z, m.n_b):
             want = buffer_transition_pmf(
                 b, a.z, a.bep.plr, m.arrivals, m.queue.capacity
             )
-            assert np.allclose(m.pb_stack[i, b], want, atol=1e-15)
+            assert np.allclose(pb_stack[i, b], want, atol=1e-15)
 
 
 def test_power_cost_branches(reduced_model):
@@ -113,11 +119,11 @@ def test_power_cost_branches(reduced_model):
     off, on = PowerState.OFF, PowerState.ON
     hold_off, hold_on = m.actions[0], m.actions[1]
     tx1 = m.actions[2]  # one packet at the lowest PLR
-    assert m.power_cost(State(4, 3, off), hold_off) == p.p_off
-    assert m.power_cost(State(4, 3, on), hold_on) == p.p_on
-    assert m.power_cost(State(4, 3, off), hold_on) == p.p_tr
-    assert m.power_cost(State(4, 3, on), hold_off) == p.p_tr
-    assert m.power_cost(State(4, 3, on), tx1) == pytest.approx(
+    assert power_cost(m, State(4, 3, off), hold_off) == p.p_off
+    assert power_cost(m, State(4, 3, on), hold_on) == p.p_on
+    assert power_cost(m, State(4, 3, off), hold_on) == p.p_tr
+    assert power_cost(m, State(4, 3, on), hold_off) == p.p_tr
+    assert power_cost(m, State(4, 3, on), tx1) == pytest.approx(
         p.p_on + TX_BEST_GAIN_Z1_PLR1, rel=1e-12
     )
 
@@ -163,11 +169,11 @@ def test_holding_term_formula(reduced_model):
 def test_lagrangian_combines_power_and_buffer(reduced_model_mu1):
     m = reduced_model_mu1
     s = State(6, 1, PowerState.ON)
-    for a in m.feasible_actions(s):
-        want = m.power_cost(s, a) + 1.0 * m.expected_buffer_cost(s, a)
-        assert m.lagrangian_cost(s, a) == pytest.approx(want, rel=1e-12)
-        scaled = m.power_cost(s, a) + 2.5 * m.expected_buffer_cost(s, a)
-        assert m.lagrangian_cost(s, a, mu=2.5) == pytest.approx(scaled, rel=1e-12)
+    for a in feasible_actions(m, s):
+        want = power_cost(m, s, a) + 1.0 * expected_buffer_cost(m, s, a)
+        assert lagrangian_cost(m, s, a) == pytest.approx(want, rel=1e-12)
+        scaled = power_cost(m, s, a) + 2.5 * expected_buffer_cost(m, s, a)
+        assert lagrangian_cost(m, s, a, mu=2.5) == pytest.approx(scaled, rel=1e-12)
 
 
 def test_clones_leave_the_original_untouched(reduced_model):
@@ -209,4 +215,4 @@ def test_tiny_model_smoke():
     assert m.n_a == 2 + 2 * 2
     s = State(3, 0, PowerState.ON)
     a = m.actions[2]
-    assert m.joint_transition_pmf(s, a).sum() == pytest.approx(1.0, abs=1e-12)
+    assert joint_transition_pmf(m, s, a).sum() == pytest.approx(1.0, abs=1e-12)

@@ -11,14 +11,24 @@ from greentx.pds import (
     FactoredDynamics,
     PostDecisionState,
     init_pds_values,
-    pds_of,
     pds_value_iteration,
     policy_from_pds,
 )
 from greentx.planner import bellman_fixed_point, q_values, stage_cost, value_iteration
 from greentx.power import PowerProfile, PowerState
 from greentx.queueing import ArrivalDistribution
-from oracles import dense_value_iteration
+from oracles import (
+    all_states,
+    dense_value_iteration,
+    joint_transition_pmf,
+    known_cost,
+    known_pmf,
+    lagrangian_cost,
+    pds_of,
+    realized_unknown_cost,
+    unknown_cost,
+    unknown_pmf,
+)
 from test_planner import _dense_problem
 
 
@@ -38,7 +48,7 @@ def test_pds_of_shifts_buffer_and_settles_radio(reduced_model):
 def _random_feasible_pairs(model, n, seed=0):
     rng = np.random.default_rng(seed)
     pairs = []
-    states = model.all_states()
+    states = all_states(model)
     while len(pairs) < n:
         s = states[int(rng.integers(model.n_s))]
         feas = model.feasible_action_indices(s)
@@ -53,7 +63,7 @@ def _unknown_matrix(factored):
     rows = np.empty((m.n_s, m.n_s))
     for k in range(m.n_s):
         s = m.state_of(k)
-        rows[k] = factored.unknown_pmf(PostDecisionState(s.b, s.h, s.x))
+        rows[k] = unknown_pmf(factored, PostDecisionState(s.b, s.h, s.x))
     return rows
 
 
@@ -61,8 +71,8 @@ def test_slot_pmf_factors_through_the_split(reduced_model_mu1):
     f = FactoredDynamics(reduced_model_mu1)
     u = _unknown_matrix(f)
     for s, a in _random_feasible_pairs(reduced_model_mu1, 200, seed=1):
-        joint = reduced_model_mu1.joint_transition_pmf(s, a)
-        composed = f.known_pmf(s, a) @ u
+        joint = joint_transition_pmf(reduced_model_mu1, s, a)
+        composed = known_pmf(f, s, a) @ u
         assert np.allclose(joint, composed, atol=1e-14)
 
 
@@ -70,25 +80,25 @@ def test_slot_cost_factors_through_the_split(reduced_model_mu1):
     m = reduced_model_mu1
     f = FactoredDynamics(m)
     c_u = np.array(
-        [f.unknown_cost(PostDecisionState(s.b, s.h, s.x)) for s in m.all_states()]
+        [unknown_cost(f, PostDecisionState(s.b, s.h, s.x)) for s in all_states(m)]
     )
     for s, a in _random_feasible_pairs(m, 200, seed=2):
-        total = f.known_cost(s, a) + float(f.known_pmf(s, a) @ c_u)
-        assert total == pytest.approx(m.lagrangian_cost(s, a), rel=1e-12)
+        total = known_cost(f, s, a) + float(known_pmf(f, s, a) @ c_u)
+        assert total == pytest.approx(lagrangian_cost(m, s, a), rel=1e-12)
 
 
 def test_known_pmf_properties(reduced_model):
     m = reduced_model
     f = FactoredDynamics(m)
     for s, a in _random_feasible_pairs(m, 50, seed=3):
-        pmf = f.known_pmf(s, a).reshape(m.n_b, m.n_h, m.n_x)
+        pmf = known_pmf(f, s, a).reshape(m.n_b, m.n_h, m.n_x)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pmf >= 0.0)
         off_channel = np.delete(pmf, s.h, axis=1)
         assert np.all(off_channel == 0.0)  # channel has not moved yet
     tx = m.actions[2]
     with pytest.raises(FeasibilityError):
-        f.known_pmf(State(0, 0, PowerState.ON), tx)
+        known_pmf(f, State(0, 0, PowerState.ON), tx)
 
 
 def test_unknown_pmf_properties(reduced_model):
@@ -97,7 +107,7 @@ def test_unknown_pmf_properties(reduced_model):
     for b in (0, 4, 10):
         for h in range(m.n_h):
             for x in (PowerState.OFF, PowerState.ON):
-                pmf = f.unknown_pmf(PostDecisionState(b, h, x)).reshape(
+                pmf = unknown_pmf(f, PostDecisionState(b, h, x)).reshape(
                     m.n_b, m.n_h, m.n_x
                 )
                 assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -107,9 +117,9 @@ def test_unknown_pmf_properties(reduced_model):
 def test_realized_unknown_cost(reduced_model):
     f = FactoredDynamics(reduced_model)
     eta = reduced_model.queue.eta
-    assert f.realized_unknown_cost(10, 3) == eta * 3
-    assert f.realized_unknown_cost(2, 1) == 0.0
-    assert f.realized_unknown_cost(9, 1) == 0.0
+    assert realized_unknown_cost(f, 10, 3) == eta * 3
+    assert realized_unknown_cost(f, 2, 1) == 0.0
+    assert realized_unknown_cost(f, 9, 1) == 0.0
 
 
 def test_split_solver_agrees_with_direct_solver(reduced_model_mu1):

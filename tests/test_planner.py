@@ -6,7 +6,15 @@ from greentx.errors import ConvergenceError
 from greentx.model import State
 from greentx.power import PowerState
 from greentx.planner import TIE_TOL, greedy_from_q, q_values, value_iteration
-from oracles import action_value, dense_value_iteration, policy_evaluate
+from oracles import (
+    action_value,
+    all_states,
+    dense_value_iteration,
+    joint_transition_pmf,
+    lagrangian_cost,
+    policy_evaluate,
+    power_cost,
+)
 
 
 def test_dense_vi_single_state_geometric_series():
@@ -53,11 +61,11 @@ def test_greedy_tie_rule_prefers_earliest_within_tol():
 def _dense_problem(model):
     costs = np.full((model.n_s, model.n_a), np.inf)
     trans = np.zeros((model.n_s, model.n_a, model.n_s))
-    for i, s in enumerate(model.all_states()):
+    for i, s in enumerate(all_states(model)):
         for j, a in enumerate(model.actions):
             if model.feasible_sa[i, j]:
-                costs[i, j] = model.lagrangian_cost(s, a)
-                trans[i, j] = model.joint_transition_pmf(s, a)
+                costs[i, j] = lagrangian_cost(model, s, a)
+                trans[i, j] = joint_transition_pmf(model, s, a)
             else:
                 trans[i, j, i] = 1.0  # masked out, kept stochastic
     return costs, trans
@@ -118,8 +126,8 @@ def test_q_values_mu_override(reduced_model_mu1):
     i = m.state_index(s)
     j = int(m.feasible_action_indices(s)[-1])
     a = m.actions[j]
-    pmf = m.joint_transition_pmf(s, a)
-    want = m.power_cost(s, a) + m.gamma * float(pmf @ v)
+    pmf = joint_transition_pmf(m, s, a)
+    want = power_cost(m, s, a) + m.gamma * float(pmf @ v)
     assert q0[i, j] == pytest.approx(want, rel=1e-10)
 
 

@@ -11,12 +11,10 @@ from greentx.phy import goodput_pmf
 from greentx.queueing import (
     ArrivalDistribution,
     QueueConfig,
-    buffer_cost,
-    buffer_transition_pmf,
     expected_overflow,
-    next_buffer,
     overflow_penalty,
 )
+from oracles import buffer_cost, buffer_transition_pmf, next_buffer
 
 
 def test_poisson_truncation_point():
