@@ -30,7 +30,6 @@ from .learners import LearningSchedule, MultiplierState, PdsLearner, QLearner
 from .model import Action, JointModel, State
 from .pds import (
     FactoredDynamics,
-    PostDecisionState,
     init_pds_values,
     pds_value_iteration,
     policy_from_pds,
@@ -58,7 +57,6 @@ __all__ = [
     "MultiplierState",
     "PdsLearner",
     "PmAction",
-    "PostDecisionState",
     "PowerProfile",
     "PowerState",
     "QLearner",

@@ -6,7 +6,7 @@ import dataclasses
 import sys
 
 from .config import ExperimentConfig, table_profile
-from .errors import ConfigError
+from .errors import ConfigError, TableFormatError
 from .harness import load_tables, run_experiment, serialize_tables, solve_tables
 
 
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, TableFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,12 +7,12 @@ draws of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, FeasibilityError
 from .model import Action, JointModel, State
-from .pds import PostDecisionState
 from .power import PmAction, PowerState
 from .queueing import ArrivalDistribution
 
@@ -41,6 +41,9 @@ class RngStreams:
     def restore(self, snap: dict) -> None:
         for name, state in snap.items():
             getattr(self, name).bit_generator.state = state
+
+
+_OFF, _ON = int(PowerState.OFF), int(PowerState.ON)
 
 
 def _sample_pmf(pmf_cumsum: np.ndarray, rng: np.random.Generator) -> int:
@@ -193,65 +196,33 @@ class ArrivalModel:
             self.chain_state = snap["chain_state"]
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Everything observed while executing one slot."""
+class SlotOutcome(NamedTuple):
+    """Everything observed while executing one slot, as plain numbers.
 
-    s: State
-    action: Action
+    ``s``, ``s_next`` are flat state indices and ``a`` a global action
+    index; ``f`` packets were delivered, ``l`` arrived, and ``holding``
+    (the post-transmission backlog) plus eta-weighted ``drops`` is the
+    realized buffer cost ``g_realized``.
+    """
+
+    s: int
+    a: int
     f: int
     l: int
-    x_next: PowerState
-    h_next: int
+    s_next: int
     power_w: float
     holding: int
     drops: int
     g_realized: float
-    s_pds: PostDecisionState
-    s_next: State
-
-
-def env_step(
-    s: State,
-    a: Action,
-    channel: ChannelModel,
-    arrivals: ArrivalModel,
-    model: JointModel,
-    streams: RngStreams,
-) -> SlotOutcome:
-    """Execute one slot: deliveries, radio settle, arrivals, channel move."""
-    if not model.is_feasible(s, a):
-        raise FeasibilityError(f"action {a} infeasible in state {s}")
-    ai = model.action_index[a]
-    f = int(streams.goodput.binomial(a.z, 1.0 - a.bep.plr)) if a.z > 0 else 0
-    px = model.px_stack[ai, int(s.x)]
-    x_next = PowerState.OFF if streams.pm.random() < px[0] else PowerState.ON
-    l = arrivals.sample(streams.arrival)
-    h_next = channel.step(s.h, streams.channel)
-
-    cap = model.queue.capacity
-    power = float(model.rho_hxa[s.h, int(s.x), ai])
-    holding = s.b - f
-    drops = max(holding + l - cap, 0)
-    g_real = holding + model.queue.eta * drops
-    return SlotOutcome(
-        s=s,
-        action=a,
-        f=f,
-        l=l,
-        x_next=x_next,
-        h_next=h_next,
-        power_w=power,
-        holding=holding,
-        drops=drops,
-        g_realized=g_real,
-        s_pds=PostDecisionState(s.b - f, s.h, x_next),
-        s_next=State(min(holding + l, cap), h_next, x_next),
-    )
 
 
 class Environment:
-    """Stateful wrapper around env_step with checkpointable internals."""
+    """One slot at a time: deliveries, radio settle, arrivals, channel move.
+
+    ``s`` is the flat index of the current state; ``step`` takes a global
+    action index. The per-action numbers a slot reads are copied out of the
+    model once, into Python lists.
+    """
 
     def __init__(
         self,
@@ -265,23 +236,43 @@ class Environment:
         self.channel = channel
         self.arrivals = arrivals
         self.streams = streams
-        self.state = s0
+        self.s = model.state_index(s0)
+        self._z = model.action_z.tolist()
+        self._p_deliver = [1.0 - plr for plr in model.action_plr.tolist()]
+        self._p_off = model.px_stack[:, :, int(PowerState.OFF)].tolist()  # [a][x]
+        self._rho = model.rho_hxa.tolist()  # [h][x][a]
 
-    def step(self, a: Action) -> SlotOutcome:
-        out = env_step(self.state, a, self.channel, self.arrivals, self.model, self.streams)
-        self.state = out.s_next
-        return out
+    def step(self, a: int) -> SlotOutcome:
+        m = self.model
+        s = self.s
+        if not m.feasible_sa[s, a]:
+            raise FeasibilityError(f"action {m.actions[a]} infeasible in state {m.state_of(s)}")
+        b, h, x = m.decode(s)
+        streams = self.streams
+        z = self._z[a]
+        f = int(streams.goodput.binomial(z, self._p_deliver[a])) if z > 0 else 0
+        x_next = _OFF if streams.pm.random() < self._p_off[a][x] else _ON
+        l = self.arrivals.sample(streams.arrival)
+        h_next = self.channel.step(h, streams.channel)
+
+        cap = m.queue.capacity
+        holding = b - f
+        drops = max(holding + l - cap, 0)
+        self.s = m.encode(min(holding + l, cap), h_next, x_next)
+        return SlotOutcome(
+            s, a, f, l, self.s, self._rho[h][x][a], holding, drops,
+            holding + m.queue.eta * drops,
+        )
 
     def snapshot(self) -> dict:
         return {
-            "state": (self.state.b, self.state.h, int(self.state.x)),
+            "state": self.model.decode(self.s),
             "streams": self.streams.snapshot(),
             "arrivals": self.arrivals.snapshot(),
         }
 
     def restore(self, snap: dict) -> None:
-        b, h, x = snap["state"]
-        self.state = State(b, h, PowerState(x))
+        self.s = self.model.encode(*snap["state"])
         self.streams.restore(snap["streams"])
         self.arrivals.restore(snap["arrivals"])
 

@@ -9,10 +9,14 @@ run resumed from disk reproduces the uninterrupted metric stream bit-exactly.
 The run loop drives one actor per run, with no adapter around it: the
 learners (``QLearner``, ``PdsLearner``), ``PolicyActor`` (the exact policy,
 the threshold baseline and replayed tables) and ``SuboptimalActor``. Each
-has ``act(state) -> Action``, ``learn(outcome)``, a ``mu`` property (the
-price in effect this slot), ``tables()`` (the arrays a finished run
-reports), and ``snapshot()``/``restore(snap)``, whose dict holds arrays and
-JSON values only, so that checkpoints need no pickle.
+has ``act(s: int) -> int`` (flat state index in, global action index out),
+``learn(outcome)`` reading the ``SlotOutcome`` that ``Environment.step``
+returned, a ``mu`` property (the price in effect this slot), ``tables()``
+(the arrays a finished run reports), and ``snapshot()``/``restore(snap)``,
+whose dict holds arrays and JSON values only, so that checkpoints need no
+pickle. Inside the loop states and actions are integers; the ``State`` and
+``Action`` dataclasses appear only at the edge (the configured start state,
+the threshold table, ``model.state_of``).
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from .config import ExperimentConfig
 from .env import Environment, threshold_k_action
 from .errors import ConfigError, TableFormatError
 from .learners import MultiplierState, PdsLearner, QLearner, mu_update
-from .model import JointModel, State
+from .model import JointModel
 from .pds import FactoredDynamics, init_pds_values
 from .planner import value_iteration
 from .power import PmAction, PowerState
@@ -297,6 +301,7 @@ class PolicyActor:
         self.policy = np.asarray(policy, dtype=np.int64)
         if self.policy.shape != (model.n_s,):
             raise ConfigError(f"policy must have shape ({model.n_s},)")
+        self._actions = self.policy.tolist()
         self._mu = float(mu)
         self._extra = dict(extra_tables or {})
 
@@ -304,8 +309,8 @@ class PolicyActor:
     def mu(self) -> float:
         return self._mu
 
-    def act(self, s: State):
-        return self.model.actions[int(self.policy[self.model.state_index(s)])]
+    def act(self, s: int) -> int:
+        return self._actions[s]
 
     def learn(self, outcome) -> None:
         pass
@@ -380,12 +385,14 @@ class SuboptimalActor:
         self._v, self.policy = value_iteration(m, tol=tol, v0=self._v)
         self._solved_mu = mu
 
-    def act(self, s: State):
-        return self.model.actions[int(self.policy[self.model.state_index(s)])]
+    def act(self, s: int) -> int:
+        return int(self.policy[s])
 
     def learn(self, outcome) -> None:
+        _, h, _ = self.model.decode(outcome.s)
+        _, h_next, _ = self.model.decode(outcome.s_next)
         self.arrival_counts[min(outcome.l, self.support - 1)] += 1
-        self.channel_counts[outcome.s.h, outcome.h_next] += 1
+        self.channel_counts[h, h_next] += 1
         mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
         self.n += 1
         if self.n % self.epoch == 0:
@@ -519,8 +526,11 @@ def run_experiment(
         env.restore(payload["env"])
         actor.restore(payload["actor"])
 
+    # a slot is spent off when the radio is off and told to stay off
+    stays_off = (model.action_y == int(PmAction.S_OFF)).tolist()
+    x_off = int(PowerState.OFF)
     for n in range(start, cfg.horizon):
-        s = env.state
+        s = env.s
         a = actor.act(s)
         mu_n = actor.mu  # price in effect while this slot runs
         out = env.step(a)
@@ -530,7 +540,7 @@ def run_experiment(
             g_realized=out.g_realized,
             holding=out.holding,
             drops=out.drops,
-            off_slot=(s.x == PowerState.OFF and a.y == PmAction.S_OFF),
+            off_slot=(model.decode(s)[2] == x_off and stays_off[a]),
             mu=mu_n,
         )
         history[n] = rec.astuple()

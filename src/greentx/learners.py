@@ -13,8 +13,10 @@ on the global slot count. Entries written rarely, such as off-state entries
 that only batch slots reach, keep large corrections until they are seen.
 
 Both learners are actors of the run loop as they stand (see ``harness``):
-besides ``act`` and ``learn`` they report the price in effect (``mu``),
-their tables, and a snapshot that ``restore`` reinstates for checkpoints.
+``act`` maps a flat state index to a global action index and ``learn``
+reads the slot's ``SlotOutcome``; besides these they report the price in
+effect (``mu``), their tables, and a snapshot that ``restore`` reinstates
+for checkpoints.
 A run that pins the price hands them a ``MultiplierState`` with ``fixed``
 set, so the pin lives in ``mu_update`` alone.
 """
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import Action, JointModel, State
-from .pds import FactoredDynamics, PostDecisionState
+from .model import JointModel
+from .pds import FactoredDynamics
 from .planner import TIE_TOL
 
 
@@ -145,32 +147,18 @@ class QLearner:
         self.visits = np.zeros((model.n_s, model.n_a), dtype=np.int64)
         self.n = 0
 
-    def act(self, s: State) -> Action:
-        m = self.model
-        si = m.state_index(s)
-        feas = m.feasible_action_indices(s)
-        ai = epsilon_greedy(self.q[si], feas, self.schedules.epsilon(self.n), self.rng)
-        self._last_action_idx = ai
-        return m.actions[ai]
+    def act(self, s: int) -> int:
+        feas = np.flatnonzero(self.model.feasible_sa[s])
+        return epsilon_greedy(self.q[s], feas, self.schedules.epsilon(self.n), self.rng)
 
     def learn(self, outcome) -> None:
-        m = self.model
-        si = m.state_index(outcome.s)
-        ai = self._last_action_idx
+        s, a = outcome.s, outcome.a
         cost = outcome.power_w + self.multiplier.mu * outcome.g_realized
         # per-pair step size: rarely visited pairs keep large corrections
-        alpha = self.schedules.alpha(int(self.visits[si, ai]))
-        self.visits[si, ai] += 1
-        q_update(
-            self.q,
-            si,
-            ai,
-            cost,
-            m.state_index(outcome.s_next),
-            alpha,
-            m.gamma,
-            m.feasible_sa,
-        )
+        alpha = self.schedules.alpha(int(self.visits[s, a]))
+        self.visits[s, a] += 1
+        m = self.model
+        q_update(self.q, s, a, cost, outcome.s_next, alpha, m.gamma, m.feasible_sa)
         mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
         self.n += 1
 
@@ -196,99 +184,57 @@ class QLearner:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PdsExperienceTuple:
-    """One slot of experience keyed by its post-decision state.
-
-    ``cost_unknown`` is the realized drop penalty without the multiplier;
-    the update weighs it by the multiplier current at update time. Virtual
-    tuples have no originating state/action.
-    """
-
-    s_pds: PostDecisionState
-    cost_unknown: float
-    s_next: State
-    l: int
-    s: State | None = None
-    a: Action | None = None
-
-
-def experience_from(outcome, eta: float) -> PdsExperienceTuple:
-    return PdsExperienceTuple(
-        s_pds=outcome.s_pds,
-        cost_unknown=eta * outcome.drops,
-        s_next=outcome.s_next,
-        l=outcome.l,
-        s=outcome.s,
-        a=outcome.action,
-    )
-
-
-def pds_greedy(
-    s: State, v_tilde: np.ndarray, factored: FactoredDynamics, mu: float
-) -> Action:
-    """Deterministic greedy action: known cost plus post-decision value."""
-    _, ai = factored.greedy_row(s.b, s.h, int(s.x), v_tilde, mu)
-    return factored.model.actions[ai]
-
-
-def pds_state_value(
-    s: State, v_tilde: np.ndarray, factored: FactoredDynamics, mu: float
-) -> float:
-    """Value of a pre-decision state implied by the post-decision table."""
-    val, _ = factored.greedy_row(s.b, s.h, int(s.x), v_tilde, mu)
-    return val
-
-
 def pds_update(
     v_tilde: np.ndarray,
-    tup: PdsExperienceTuple,
+    b: int,
+    h: int,
+    x: int,
+    h_next: int,
+    l: int,
     alpha: float,
     mu: float,
     factored: FactoredDynamics,
 ) -> float:
-    """Move one post-decision entry toward its sampled one-slot target."""
+    """Move post-decision entry (b, h, x) toward its sampled one-slot target.
+
+    The slot's ``l`` arrivals and move to channel ``h_next`` lead to the
+    pre-decision state (min(b + l, capacity), h_next, x), whose greedy
+    value the target discounts; the drops cost eta each, weighed by mu.
+    """
     m = factored.model
-    target = mu * tup.cost_unknown + m.gamma * pds_state_value(
-        tup.s_next, v_tilde, factored, mu
-    )
-    st = tup.s_pds
-    old = v_tilde[st.b, st.h, int(st.x)]
-    v_tilde[st.b, st.h, int(st.x)] = (1.0 - alpha) * old + alpha * target
-    return float(v_tilde[st.b, st.h, int(st.x)])
+    cap = m.queue.capacity
+    drops = max(b + l - cap, 0)
+    val, _ = factored.greedy_row(min(b + l, cap), h_next, x, v_tilde, mu)
+    target = mu * (m.queue.eta * drops) + m.gamma * val
+    v_tilde[b, h, x] = (1.0 - alpha) * v_tilde[b, h, x] + alpha * target
+    return float(v_tilde[b, h, x])
 
 
 def ve_batch_update(
     v_tilde: np.ndarray,
-    tup: PdsExperienceTuple,
+    h: int,
+    h_next: int,
+    l: int,
     alpha: float | np.ndarray,
     mu: float,
     factored: FactoredDynamics,
-    period: int,
-    n: int,
 ) -> int:
-    """Batch slot: update every (buffer, radio) entry at the observed channel.
+    """Batch slot: update every (buffer, radio) entry at the observed channel h.
 
-    Off-batch slots fall back to the single-entry update, for which alpha
-    must be a scalar. On a batch slot alpha is a scalar or an (n_b, n_x)
-    array of per-entry step sizes for the written slice. Batch targets are
-    all computed from the pre-update table (order-free), each entry written
-    exactly once. Returns the number of entries written.
+    Replays the observed ``l`` arrivals and move to ``h_next`` from every
+    buffer level and radio state. alpha is a scalar or an (n_b, n_x) array
+    of per-entry step sizes. All targets are computed from the pre-update
+    table (order-free), each entry written exactly once. Returns the number
+    of entries written.
     """
-    if period < 1:
-        raise ConfigError("period must be at least 1")
-    if n % period != 0:
-        pds_update(v_tilde, tup, alpha, mu, factored)
-        return 1
     m = factored.model
     cap = m.queue.capacity
-    vals = factored.slice_minima(tup.s_next.h, v_tilde, mu)
+    vals = factored.slice_minima(h_next, v_tilde, mu)
     b = np.arange(m.n_b)
-    b_next = np.minimum(b + tup.l, cap)
-    drops = np.maximum(b + tup.l - cap, 0)
+    b_next = np.minimum(b + l, cap)
+    drops = np.maximum(b + l - cap, 0)
     targets = mu * m.queue.eta * drops[:, None] + m.gamma * vals[b_next, :]
-    h_t = tup.s_pds.h
-    v_tilde[:, h_t, :] = (1.0 - alpha) * v_tilde[:, h_t, :] + alpha * targets
+    v_tilde[:, h, :] = (1.0 - alpha) * v_tilde[:, h, :] + alpha * targets
     return m.n_b * m.n_x
 
 
@@ -317,23 +263,25 @@ class PdsLearner:
         self.multiplier = multiplier
         self.ve_period = ve_period
         self.n = 0
+        self._decode = factored.model.decode
 
-    def act(self, s: State) -> Action:
-        return pds_greedy(s, self.v_tilde, self.factored, self.multiplier.mu)
+    def act(self, s: int) -> int:
+        b, h, x = self._decode(s)
+        return self.factored.greedy_row(b, h, x, self.v_tilde, self.multiplier.mu)[1]
 
     def learn(self, outcome) -> None:
-        eta = self.factored.model.queue.eta
-        tup = experience_from(outcome, eta)
+        # the post-decision entry is (holding, h, x_next): x_next is s_next's radio
+        _, h, _ = self._decode(outcome.s)
+        _, h_next, x = self._decode(outcome.s_next)
         mu = self.multiplier.mu
-        st = tup.s_pds
         batch = self.ve_period is not None and self.n % self.ve_period == 0
-        written = (slice(None), st.h, slice(None)) if batch else (st.b, st.h, int(st.x))
+        written = (slice(None), h, slice(None)) if batch else (outcome.holding, h, x)
         alpha = self.schedules.alpha(self.visits[written])
-        if self.ve_period is None:
-            pds_update(self.v_tilde, tup, alpha, mu, self.factored)
+        if batch:
+            ve_batch_update(self.v_tilde, h, h_next, outcome.l, alpha, mu, self.factored)
         else:
-            ve_batch_update(
-                self.v_tilde, tup, alpha, mu, self.factored, self.ve_period, self.n
+            pds_update(
+                self.v_tilde, outcome.holding, h, x, h_next, outcome.l, alpha, mu, self.factored
             )
         self.visits[written] += 1
         mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))

@@ -282,24 +282,23 @@ class JointModel:
         return op
 
     # ---- indexing ----------------------------------------------------------
+    # The run loop carries flat state indices (buffer-major, radio fastest);
+    # encode/decode convert them from and to plain (b, h, x) ints.
 
-    def state_index(self, s: State) -> int:
-        return (s.b * self.n_h + s.h) * self.n_x + int(s.x)
+    def encode(self, b: int, h: int, x: int) -> int:
+        return (b * self.n_h + h) * self.n_x + x
 
-    def state_of(self, idx: int) -> State:
+    def decode(self, idx: int) -> tuple[int, int, int]:
         idx, x = divmod(idx, self.n_x)
         b, h = divmod(idx, self.n_h)
+        return b, h, x
+
+    def state_index(self, s: State) -> int:
+        return self.encode(s.b, s.h, int(s.x))
+
+    def state_of(self, idx: int) -> State:
+        b, h, x = self.decode(idx)
         return State(b, h, PowerState(x))
-
-    # ---- feasibility -------------------------------------------------------
-
-    def is_feasible(self, s: State, a: Action) -> bool:
-        if a.z == 0:
-            return True
-        return s.x == PowerState.ON and a.y == PmAction.S_ON and a.z <= s.b
-
-    def feasible_action_indices(self, s: State) -> np.ndarray:
-        return np.flatnonzero(self.feasible_bxa[s.b, int(s.x)])
 
     # ---- derived models ------------------------------------------------------
 

@@ -22,7 +22,6 @@ infeasible entries with +inf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,15 +39,6 @@ from .planner import (
 )
 from .power import PmAction, PowerState
 from .queueing import ArrivalDistribution
-
-
-@dataclass(frozen=True)
-class PostDecisionState:
-    """Mid-slot state: transmission resolved, arrivals and channel move pending."""
-
-    b: int
-    h: int
-    x: PowerState
 
 
 class FactoredDynamics:

@@ -7,15 +7,16 @@ checked against them:
 
 - buffer primitives: ``next_buffer``, ``buffer_transition_pmf`` and
   ``buffer_cost``, by enumerating deliveries and arrivals;
-- the joint model pair by pair: ``all_states``, ``feasible_actions``,
-  ``joint_transition_pmf``, ``power_cost``, ``expected_buffer_cost`` and
-  ``lagrangian_cost``;
-- the post-decision split pair by pair: ``pds_of``, ``known_pmf``,
-  ``known_cost``, ``unknown_pmf``, ``unknown_cost`` and
+- the joint model pair by pair: ``all_states``, ``is_feasible`` (the
+  feasibility rule the model's masks encode), ``feasible_action_indices``,
+  ``feasible_actions``, ``joint_transition_pmf``, ``power_cost``,
+  ``expected_buffer_cost`` and ``lagrangian_cost``;
+- the post-decision split pair by pair: ``PostDecisionState``, ``pds_of``,
+  ``known_pmf``, ``known_cost``, ``unknown_pmf``, ``unknown_cost`` and
   ``realized_unknown_cost``;
-- the learners' references: ``default_schedules`` and ``virtual_tuples``
-  (one observed slot replayed at every buffer level and radio state, which
-  a batch update must match);
+- the learners' references: ``default_schedules``, the experience record
+  ``PdsExperienceTuple`` and ``virtual_tuples`` (one observed slot replayed
+  at every buffer level and radio state, which a batch update must match);
 - solvers: ``action_value`` through the joint pmf, ``policy_evaluate`` (a
   per-state evaluation loop) and ``dense_value_iteration`` (dense tabular
   value iteration);
@@ -26,18 +27,19 @@ Functions on the model or the factored dynamics take it first.
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from greentx.config import ExperimentConfig
 from greentx.errors import ConfigError, ConvergenceError, FeasibilityError
 from greentx.harness import RunResult, run_experiment
-from greentx.learners import LearningSchedule, PdsExperienceTuple
+from greentx.learners import LearningSchedule
 from greentx.model import Action, JointModel, State
-from greentx.pds import FactoredDynamics, PostDecisionState
+from greentx.pds import FactoredDynamics
 from greentx.phy import goodput_pmf
 from greentx.planner import greedy_from_q
-from greentx.power import PowerState, pm_transition_pmf
+from greentx.power import PmAction, PowerState, pm_transition_pmf
 from greentx.queueing import ArrivalDistribution, expected_overflow
 
 # ---- buffer primitives ---------------------------------------------------------
@@ -107,14 +109,26 @@ def all_states(model: JointModel) -> list[State]:
     return [model.state_of(i) for i in range(model.n_s)]
 
 
+def is_feasible(model: JointModel, s: State, a: Action) -> bool:
+    """Transmitting needs the radio on and kept on, and no more packets than held."""
+    if a.z == 0:
+        return True
+    return s.x == PowerState.ON and a.y == PmAction.S_ON and a.z <= s.b
+
+
+def feasible_action_indices(model: JointModel, s: State) -> np.ndarray:
+    """Global indices of the allowed actions, read from the model's mask."""
+    return np.flatnonzero(model.feasible_bxa[s.b, int(s.x)])
+
+
 def feasible_actions(model: JointModel, s: State) -> list[Action]:
     """Allowed actions in canonical order (y, then z, then PLR)."""
-    return [model.actions[i] for i in model.feasible_action_indices(s)]
+    return [model.actions[i] for i in feasible_action_indices(model, s)]
 
 
 def joint_transition_pmf(model: JointModel, s: State, a: Action) -> np.ndarray:
     """One-slot transition pmf over flat state indices."""
-    if not model.is_feasible(s, a):
+    if not is_feasible(model, s, a):
         raise FeasibilityError(f"action {a} infeasible in state {s}")
     pb = buffer_transition_pmf(s.b, a.z, a.bep.plr, model.arrivals, model.queue.capacity)
     ph = model.channel_matrix[s.h]
@@ -124,14 +138,14 @@ def joint_transition_pmf(model: JointModel, s: State, a: Action) -> np.ndarray:
 
 def power_cost(model: JointModel, s: State, a: Action) -> float:
     """Expected power draw (watts) for the slot."""
-    if not model.is_feasible(s, a):
+    if not is_feasible(model, s, a):
         raise FeasibilityError(f"action {a} infeasible in state {s}")
     return float(model.rho_hxa[s.h, int(s.x), model.action_index[a]])
 
 
 def expected_buffer_cost(model: JointModel, s: State, a: Action) -> float:
     """Expected holding plus eta-weighted expected drops."""
-    if not model.is_feasible(s, a):
+    if not is_feasible(model, s, a):
         raise FeasibilityError(f"action {a} infeasible in state {s}")
     return float(model.g_ba[s.b, model.action_index[a]])
 
@@ -145,6 +159,15 @@ def lagrangian_cost(model: JointModel, s: State, a: Action, mu: float | None = N
 # ---- the post-decision split, one pair at a time -------------------------------
 
 
+@dataclass(frozen=True)
+class PostDecisionState:
+    """Mid-slot state: transmission resolved, arrivals and channel move pending."""
+
+    b: int
+    h: int
+    x: PowerState
+
+
 def pds_of(s: State, a: Action, f_realized: int, x_next: PowerState) -> PostDecisionState:
     """Post-decision state reached from s after f deliveries and the radio settle."""
     if not 0 <= f_realized <= a.z:
@@ -155,7 +178,7 @@ def pds_of(s: State, a: Action, f_realized: int, x_next: PowerState) -> PostDeci
 def known_pmf(factored: FactoredDynamics, s: State, a: Action) -> np.ndarray:
     """Distribution over post-decision states, flat state indexing."""
     m = factored.model
-    if not m.is_feasible(s, a):
+    if not is_feasible(m, s, a):
         raise FeasibilityError(f"action {a} infeasible in state {s}")
     ai = m.action_index[a]
     pb = m.G_stack[ai, s.b]  # transmission only, no arrivals
@@ -168,7 +191,7 @@ def known_pmf(factored: FactoredDynamics, s: State, a: Action) -> np.ndarray:
 def known_cost(factored: FactoredDynamics, s: State, a: Action, mu: float | None = None) -> float:
     """Power plus mu-weighted expected holding (drops are not known yet)."""
     m = factored.model
-    if not m.is_feasible(s, a):
+    if not is_feasible(m, s, a):
         raise FeasibilityError(f"action {a} infeasible in state {s}")
     ai = m.action_index[a]
     mu_v = m.mu if mu is None else mu
@@ -203,6 +226,22 @@ def realized_unknown_cost(factored: FactoredDynamics, b_post: int, l: int) -> fl
 
 def default_schedules() -> LearningSchedule:
     return LearningSchedule()
+
+
+@dataclass(frozen=True)
+class PdsExperienceTuple:
+    """One slot of experience keyed by its post-decision state.
+
+    ``cost_unknown`` is the realized drop penalty without the multiplier.
+    Virtual tuples have no originating state/action.
+    """
+
+    s_pds: PostDecisionState
+    cost_unknown: float
+    s_next: State
+    l: int
+    s: State | None = None
+    a: Action | None = None
 
 
 def virtual_tuples(model: JointModel, tup: PdsExperienceTuple) -> list[PdsExperienceTuple]:

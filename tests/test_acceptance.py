@@ -12,11 +12,10 @@ import pytest
 
 from greentx.config import reduced_profile, table_profile
 from greentx.harness import run_experiment
-from greentx.learners import PdsExperienceTuple, epsilon_greedy, q_update, ve_batch_update
+from greentx.learners import epsilon_greedy, q_update, ve_batch_update
 from greentx.model import State
 from greentx.pds import (
     FactoredDynamics,
-    PostDecisionState,
     pds_value_iteration,
     policy_from_pds,
 )
@@ -25,6 +24,8 @@ from greentx.planner import value_iteration
 from greentx.power import PmAction, PowerState, pm_transition_pmf
 from greentx.queueing import overflow_penalty
 from oracles import (
+    PdsExperienceTuple,
+    PostDecisionState,
     all_states,
     buffer_cost,
     buffer_transition_pmf,
@@ -227,7 +228,7 @@ def test_criterion_07_batch_update_touches_one_channel_slice(full_model):
         s_next=State(6, 5, PowerState.ON),
         l=2,
     )
-    written = ve_batch_update(after, tup, alpha=0.065, mu=0.7, factored=fac, period=50, n=4_950)
+    written = ve_batch_update(after, h=3, h_next=5, l=2, alpha=0.065, mu=0.7, factored=fac)
     changed = np.argwhere(after != before)
     other_h = [h for h in range(full_model.n_h) if h != tup.s_pds.h]
     others_identical = np.array_equal(after[:, other_h, :], before[:, other_h, :])

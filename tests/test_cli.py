@@ -32,15 +32,27 @@ def test_solve_then_eval_round_trip(tmp_path, cfg_file, capsys):
     assert "cum_power_w=" in capsys.readouterr().out
 
 
-def test_eval_refuses_mismatched_model(tmp_path, cfg_file):
+def test_eval_refuses_mismatched_model(tmp_path, cfg_file, capsys):
     tables = tmp_path / "sol.npz"
     assert main(["solve", "--config", cfg_file, "--out", str(tables)]) == 0
-    # a different on-power changes the model the tables were solved for
+    # a different (still valid) on-power changes the model the tables were solved for
     rc = main(
         ["eval", "--tables", str(tables), "--config", cfg_file,
-         "--p-on", "0.5", "--out", str(tmp_path / "x.csv")]
+         "--p-on", "0.3", "--out", str(tmp_path / "x.csv")]
     )
     assert rc == 2
+    assert "error: model fingerprint mismatch" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_file_that_is_not_a_table(tmp_path, cfg_file, capsys):
+    bogus = tmp_path / "g.npz"
+    bogus.write_text("not a table\n")
+    rc = main(
+        ["eval", "--tables", str(bogus), "--config", cfg_file, "--out", str(tmp_path / "x.csv")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable table file") and "Traceback" not in err
 
 
 def test_learn_writes_metrics_and_tables(tmp_path, cfg_file):

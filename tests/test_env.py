@@ -1,4 +1,6 @@
 """Simulated plant: rng streams, channel and traffic models, slot execution."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from greentx.env import (
     Environment,
     RngStreams,
     birth_death_matrix,
-    env_step,
     mmpp_step,
     perturb_channel,
     threshold_k_action,
@@ -21,6 +22,7 @@ from greentx.errors import ConfigError, FeasibilityError
 from greentx.model import State
 from greentx.power import PmAction, PowerState
 from greentx.queueing import ArrivalDistribution
+from oracles import joint_transition_pmf, power_cost
 
 MMPP_MEAN_PKTS_PER_S = 211.95000000000002  # stationary @ rates, frozen
 
@@ -188,50 +190,63 @@ def test_stationary_arrival_model():
 # ---- slot execution -----------------------------------------------------------
 
 
-def _det_env(model, arrivals_k=3, seed=0, h0=1):
+def _det_env(model, s0, arrivals_k=3, seed=0):
     channel = ChannelModel(model.gains_db, np.eye(model.n_h))
     arrivals = ArrivalModel(
         "stationary", pmf=ArrivalDistribution.deterministic(arrivals_k)
     )
-    streams = RngStreams.from_seed(seed)
-    return channel, arrivals, streams
+    return Environment(model, channel, arrivals, RngStreams.from_seed(seed), s0)
 
 
 def test_env_step_rejects_infeasible(reduced_model):
-    channel, arrivals, streams = _det_env(reduced_model)
-    tx = reduced_model.actions[2]
+    env = _det_env(reduced_model, State(0, 1, PowerState.ON))
     with pytest.raises(FeasibilityError):
-        env_step(State(0, 1, PowerState.ON), tx, channel, arrivals, reduced_model, streams)
+        env.step(2)  # one packet from an empty buffer
 
 
 def test_env_step_bookkeeping_on_a_full_buffer(reduced_model):
     m = reduced_model
-    channel, arrivals, streams = _det_env(m, arrivals_k=3)
     s = State(10, 1, PowerState.ON)
-    hold_on = m.actions[1]
-    out = env_step(s, hold_on, channel, arrivals, m, streams)
+    env = _det_env(m, s, arrivals_k=3)
+    out = env.step(1)  # stay on, send nothing
+    assert out.s == m.state_index(s) and out.a == 1
     assert out.f == 0 and out.l == 3
     assert out.holding == 10
     assert out.drops == 3
     assert out.g_realized == 10 + m.queue.eta * 3
-    assert out.s_next == State(10, 1, PowerState.ON)  # identity channel, theta = 1
-    assert out.s_pds.b == 10 and out.s_pds.h == 1
+    assert out.s_next == m.state_index(State(10, 1, PowerState.ON))  # identity channel, theta = 1
+    # the post-decision state is (holding, channel of s, radio of s_next)
+    assert m.state_of(out.s).h == 1
     assert out.power_w == m.profile.p_on
 
 
 def test_env_step_transmission_bookkeeping(reduced_model):
     m = reduced_model
-    channel, arrivals, streams = _det_env(m, arrivals_k=0, seed=42)
-    s = State(6, 2, PowerState.ON)
-    a = m.actions[2 + 5 * 3]  # four packets at the lowest PLR
-    assert a.z == 4
-    out = env_step(s, a, channel, arrivals, m, streams)
+    env = _det_env(m, State(6, 2, PowerState.ON), arrivals_k=0, seed=42)
+    a = 2 + 5 * 3  # four packets at the lowest PLR
+    assert m.actions[a].z == 4
+    out = env.step(a)
     assert 0 <= out.f <= 4
     assert out.holding == 6 - out.f
     assert out.drops == 0
-    assert out.s_next.b == out.holding
-    assert out.s_pds.b == 6 - out.f
+    assert m.state_of(out.s_next).b == out.holding
     assert out.power_w == m.rho_hxa[2, 1, 2 + 5 * 3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+def test_env_step_lands_where_the_joint_model_allows(reduced_cfg, reduced_model, si, pick, seed):
+    m = reduced_model
+    s = si % m.n_s
+    feas = np.flatnonzero(m.feasible_sa[s])
+    a = int(feas[pick % feas.size])
+    env = replace(reduced_cfg, seed=seed).build_env(m)
+    env.s = s
+    out = env.step(a)
+    st_s, act = m.state_of(s), m.actions[a]
+    assert (out.s, out.a) == (s, a) and env.s == out.s_next
+    assert joint_transition_pmf(m, st_s, act)[out.s_next] > 0.0
+    assert out.power_w == power_cost(m, st_s, act)
 
 
 def test_environment_snapshot_replays_identically(reduced_cfg, reduced_model):
@@ -239,24 +254,24 @@ def test_environment_snapshot_replays_identically(reduced_cfg, reduced_model):
     pol_rng = np.random.default_rng(0)
 
     def random_action(s):
-        feas = reduced_model.feasible_action_indices(s)
-        return reduced_model.actions[int(feas[pol_rng.integers(feas.size)])]
+        feas = np.flatnonzero(reduced_model.feasible_sa[s])
+        return int(feas[pol_rng.integers(feas.size)])
 
     for _ in range(50):
-        env.step(random_action(env.state))
+        env.step(random_action(env.s))
     snap = env.snapshot()
-    probe = [env.step(reduced_model.actions[1]) for _ in range(30)]
+    probe = [env.step(1) for _ in range(30)]
     env.restore(snap)
-    replay = [env.step(reduced_model.actions[1]) for _ in range(30)]
+    replay = [env.step(1) for _ in range(30)]
     assert probe == replay
 
 
 def test_environment_is_wired_from_config(reduced_cfg):
     env = reduced_cfg.build_env()
     assert isinstance(env, Environment)
-    assert env.state == reduced_cfg.initial_state()
-    out = env.step(env.model.actions[1])
-    assert env.state == out.s_next
+    assert env.s == env.model.state_index(reduced_cfg.initial_state())
+    out = env.step(1)
+    assert env.s == out.s_next
 
 
 # ---- fixed-threshold baseline --------------------------------------------------

@@ -9,42 +9,36 @@ from greentx.errors import ConfigError
 from greentx.learners import (
     LearningSchedule,
     MultiplierState,
-    PdsExperienceTuple,
     PdsLearner,
     QLearner,
     epsilon_greedy,
-    experience_from,
     mu_update,
-    pds_greedy,
-    pds_state_value,
     pds_update,
     q_update,
     ve_batch_update,
 )
 from greentx.model import State
-from greentx.pds import FactoredDynamics, PostDecisionState
+from greentx.pds import FactoredDynamics
 from greentx.power import PowerState
-from oracles import default_schedules, virtual_tuples
+from oracles import PdsExperienceTuple, PostDecisionState, default_schedules, virtual_tuples
 
 
 def _outcome(model, s, a, *, f=0, l=0, x_next=PowerState.ON, h_next=None):
+    """The slot record of action index a taken in State s."""
     h_next = s.h if h_next is None else h_next
     holding = s.b - f
     cap = model.queue.capacity
     drops = max(holding + l - cap, 0)
     return SlotOutcome(
-        s=s,
-        action=a,
+        s=model.state_index(s),
+        a=a,
         f=f,
         l=l,
-        x_next=x_next,
-        h_next=h_next,
-        power_w=float(model.rho_hxa[s.h, int(s.x), model.action_index[a]]),
+        s_next=model.state_index(State(min(holding + l, cap), h_next, x_next)),
+        power_w=float(model.rho_hxa[s.h, int(s.x), a]),
         holding=holding,
         drops=drops,
         g_realized=holding + model.queue.eta * drops,
-        s_pds=PostDecisionState(s.b - f, s.h, x_next),
-        s_next=State(min(holding + l, cap), h_next, x_next),
     )
 
 
@@ -160,11 +154,10 @@ def test_q_learner_first_visit_writes_sampled_target(reduced_model):
         np.random.default_rng(5),
     )
     s = State(3, 1, PowerState.ON)
-    a = learner.act(s)
-    ai = learner._last_action_idx
-    out = _outcome(m, s, a, f=a.z, l=2)
-    learner.learn(out)
     si = m.state_index(s)
+    ai = learner.act(si)
+    out = _outcome(m, s, ai, f=m.actions[ai].z, l=2)
+    learner.learn(out)
     # alpha(0) = 1 and the table started at zero, so the entry is the bare cost
     assert learner.q[si, ai] == out.power_w + 0.0 * out.g_realized
     assert learner.visits[si, ai] == 1 and learner.n == 1
@@ -180,16 +173,14 @@ def test_q_learner_second_visit_uses_per_pair_rate(reduced_model):
         np.random.default_rng(5),
     )
     s = State(3, 1, PowerState.ON)
-    a = learner.act(s)
-    ai = learner._last_action_idx
-    out = _outcome(m, s, a, f=a.z, l=2)
-    learner.learn(out)
     si = m.state_index(s)
+    ai = learner.act(si)
+    out = _outcome(m, s, ai, f=m.actions[ai].z, l=2)
+    learner.learn(out)
     q_old = learner.q[si, ai]
     mu_before = learner.multiplier.mu
-    sn = m.state_index(out.s_next)
+    sn = out.s_next
     best_next = learner.q[sn][m.feasible_sa[sn]].min()
-    learner._last_action_idx = ai
     learner.learn(out)
     alpha = sched.alpha(1)  # second visit of this pair
     want = (1.0 - alpha) * q_old + alpha * (
@@ -206,25 +197,22 @@ def test_pds_greedy_is_deterministic_and_canonical(reduced_model_mu1):
     f = FactoredDynamics(m)
     v = np.zeros((m.n_b, m.n_h, m.n_x))
     s = State(6, 2, PowerState.ON)
-    a1 = pds_greedy(s, v, f, mu=1.0)
-    a2 = pds_greedy(s, v, f, mu=1.0)
+    _, a1 = f.greedy_row(s.b, s.h, int(s.x), v, mu=1.0)
+    _, a2 = f.greedy_row(s.b, s.h, int(s.x), v, mu=1.0)
     assert a1 == a2
     q = f.action_values_slice(s.h, v, 1.0)[s.b, int(s.x)]
-    assert m.action_index[a1] == int(np.argmin(np.where(np.isinf(q), np.inf, q)))
+    assert a1 == int(np.argmin(np.where(np.isinf(q), np.inf, q)))
 
 
 def test_pds_update_full_step_hits_target(reduced_model_mu1):
     m = reduced_model_mu1
     f = FactoredDynamics(m)
     v = np.zeros((m.n_b, m.n_h, m.n_x))
-    tup = PdsExperienceTuple(
-        s_pds=PostDecisionState(4, 1, PowerState.ON),
-        cost_unknown=2.0 * m.queue.eta,
-        s_next=State(5, 1, PowerState.ON),
-        l=3,
-    )
-    target = 1.0 * tup.cost_unknown + m.gamma * pds_state_value(tup.s_next, v, f, 1.0)
-    got = pds_update(v, tup, alpha=1.0, mu=1.0, factored=f)
+    # 8 arrivals on 4 held packets overflow capacity 10 by 2
+    b, h, x, h_next, l = 4, 1, int(PowerState.ON), 2, 8
+    val, _ = f.greedy_row(10, h_next, x, v, 1.0)
+    target = 1.0 * (m.queue.eta * 2) + m.gamma * val
+    got = pds_update(v, b, h, x, h_next, l, alpha=1.0, mu=1.0, factored=f)
     assert got == target and v[4, 1, 1] == target
     assert np.count_nonzero(v) == 1  # single-entry update
 
@@ -233,26 +221,10 @@ def test_pds_update_blends_with_alpha(reduced_model_mu1):
     m = reduced_model_mu1
     f = FactoredDynamics(m)
     v = np.full((m.n_b, m.n_h, m.n_x), 10.0)
-    tup = PdsExperienceTuple(
-        s_pds=PostDecisionState(2, 0, PowerState.OFF),
-        cost_unknown=0.0,
-        s_next=State(2, 0, PowerState.OFF),
-        l=0,
-    )
-    target = m.gamma * pds_state_value(tup.s_next, v, f, 0.5)
-    got = pds_update(v, tup, alpha=0.25, mu=0.5, factored=f)
+    off = int(PowerState.OFF)
+    target = m.gamma * f.greedy_row(2, 0, off, v, 0.5)[0]
+    got = pds_update(v, 2, 0, off, h_next=0, l=0, alpha=0.25, mu=0.5, factored=f)
     assert got == 0.75 * 10.0 + 0.25 * target
-
-
-def test_experience_from_carries_the_slot(reduced_model):
-    m = reduced_model
-    s = State(9, 1, PowerState.ON)
-    a = m.actions[2]
-    out = _outcome(m, s, a, f=0, l=3)  # 9 + 3 overflows capacity 10 by 2
-    tup = experience_from(out, m.queue.eta)
-    assert tup.cost_unknown == m.queue.eta * 2
-    assert tup.s_pds == out.s_pds and tup.s_next == out.s_next
-    assert tup.l == 3 and tup.s == s and tup.a == a
 
 
 def test_virtual_tuples_cover_every_buffer_and_radio(reduced_model):
@@ -291,7 +263,7 @@ def test_ve_batch_matches_sequential_virtual_updates(reduced_model_mu1):
     alpha, mu = 0.3, 1.0
 
     batched = v0.copy()
-    wrote = ve_batch_update(batched, tup, alpha, mu, f, period=1, n=0)
+    wrote = ve_batch_update(batched, tup.s_pds.h, tup.s_next.h, tup.l, alpha, mu, f)
     assert wrote == m.n_b * m.n_x
 
     # reference: every virtual target computed from the frozen pre-update
@@ -312,18 +284,20 @@ def test_ve_off_batch_slot_updates_single_entry(reduced_model_mu1):
     m = reduced_model_mu1
     f = FactoredDynamics(m)
     v0 = np.full((m.n_b, m.n_h, m.n_x), 5.0)
-    tup = PdsExperienceTuple(
-        s_pds=PostDecisionState(3, 0, PowerState.ON),
-        cost_unknown=0.0,
-        s_next=State(3, 1, PowerState.ON),
-        l=0,
-    )
-    v = v0.copy()
-    wrote = ve_batch_update(v, tup, 0.5, 1.0, f, period=10, n=7)
-    assert wrote == 1
+    sched, price = default_schedules(), MultiplierState(mu=1.0, target=4.0, mu_max=5.0)
+    learner = PdsLearner(f, v0, sched, price, ve_period=10)
+    learner.n = 7  # not a multiple of the period
+    # stay on with nothing sent or arriving; the channel moves from 0 to 1
+    out = _outcome(m, State(3, 0, PowerState.ON), 1, h_next=1)
+    learner.learn(out)
+    v = learner.v_tilde
+    assert learner.visits.sum() == 1
     assert np.count_nonzero(v != v0) == 1 and v[3, 0, 1] != v0[3, 0, 1]
+    # switched off during the slot: the entry is keyed by the radio after it
+    learner.learn(_outcome(m, State(3, 0, PowerState.ON), 0, x_next=PowerState.OFF, h_next=1))
+    assert learner.visits[3, 0, 0] == 1 and learner.visits.sum() == 2
     with pytest.raises(ConfigError):
-        ve_batch_update(v, tup, 0.5, 1.0, f, period=0, n=0)
+        PdsLearner(f, v0, sched, price, ve_period=0)
 
 
 def test_pds_learner_updates_table_and_price(reduced_model_mu1):
@@ -334,10 +308,10 @@ def test_pds_learner_updates_table_and_price(reduced_model_mu1):
         f, v0, default_schedules(), MultiplierState(mu=1.0, target=4.0, mu_max=5.0)
     )
     s = State(8, 1, PowerState.ON)
-    a = learner.act(s)
-    assert a == pds_greedy(s, learner.v_tilde, f, 1.0)
+    a = learner.act(m.state_index(s))
+    assert a == f.greedy_row(8, 1, 1, learner.v_tilde, 1.0)[1]
     # deliver only part of the backlog so the buffer-cost sample exceeds 4
-    out = _outcome(m, s, a, f=min(a.z, 3), l=0)
+    out = _outcome(m, s, a, f=min(m.actions[a].z, 3), l=0)
     mu_before = learner.multiplier.mu
     learner.learn(out)
     assert learner.n == 1
@@ -360,7 +334,7 @@ def test_pds_learner_mu_is_clipped_at_its_cap(reduced_model_mu1):
         ve_period=1,
     )
     s = State(10, 0, PowerState.ON)
-    a = learner.act(s)
+    a = learner.act(m.state_index(s))
     out = _outcome(m, s, a, f=0, l=10)  # heavy burst, large g sample
     learner.learn(out)
     assert learner.multiplier.mu == 5.0
@@ -374,13 +348,11 @@ def test_pds_learner_steps_each_entry_on_its_own_count(reduced_model_mu1):
     learner = PdsLearner(f, v0, sched, MultiplierState(mu=1.0, target=4.0, mu_max=5.0))
     learner.n = 10_000  # late in a run, where the global alpha(n) is small
     s = State(5, 1, PowerState.ON)
-    out = _outcome(m, s, learner.act(s), f=0, l=1)
-    tup = experience_from(out, m.queue.eta)
-    st = tup.s_pds
-    entry = (st.b, st.h, int(st.x))
+    out = _outcome(m, s, learner.act(m.state_index(s)), f=0, l=1)
+    entry = (5, 1, 1)  # (holding, channel of s, radio after the slot)
     for visit in (0, 1):
         want = learner.v_tilde.copy()
-        pds_update(want, tup, sched.alpha(visit), learner.multiplier.mu, f)
+        pds_update(want, *entry, 1, 1, sched.alpha(visit), learner.multiplier.mu, f)
         learner.learn(out)
         assert np.array_equal(learner.v_tilde, want)
         assert learner.visits[entry] == visit + 1
@@ -399,18 +371,17 @@ def test_ve_learner_batch_slot_steps_fresh_entries_fully(reduced_model_mu1):
     )
     learner.n = 10  # a batch slot
     s = State(6, 2, PowerState.ON)
-    out = _outcome(m, s, learner.act(s), f=0, l=2, h_next=3)
-    tup = experience_from(out, m.queue.eta)
-    h = tup.s_pds.h
+    out = _outcome(m, s, learner.act(m.state_index(s)), f=0, l=2, h_next=3)
+    h = s.h
     learner.visits[3, h, 1] = 7  # written before: steps with alpha(7)
     learner.visits[0, h + 1, 0] = 4  # another channel: not written this slot
     visits0 = learner.visits.copy()
     mu = learner.multiplier.mu
 
     want = v0.copy()
-    ve_batch_update(want, tup, sched.alpha(visits0[:, h, :]), mu, f, period=1, n=0)
+    ve_batch_update(want, h, 3, 2, sched.alpha(visits0[:, h, :]), mu, f)
     full = v0.copy()
-    ve_batch_update(full, tup, 1.0, mu, f, period=1, n=0)
+    ve_batch_update(full, h, 3, 2, 1.0, mu, f)
     learner.learn(out)
     assert np.array_equal(learner.v_tilde, want)
     fresh = visits0[:, h, :] == 0
@@ -424,9 +395,8 @@ def test_ve_learner_batch_slot_steps_fresh_entries_fully(reduced_model_mu1):
     # off-batch slot: exactly the observed entry counts one more write
     visits1 = learner.visits.copy()
     learner.learn(out)
-    st = tup.s_pds
     grew = learner.visits - visits1
-    assert grew[st.b, st.h, int(st.x)] == 1 and grew.sum() == 1
+    assert grew[6, h, 1] == 1 and grew.sum() == 1
 
 
 def test_pds_learner_rejects_a_nonpositive_period(reduced_model_mu1):

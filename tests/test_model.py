@@ -12,7 +12,9 @@ from oracles import (
     buffer_cost,
     buffer_transition_pmf,
     expected_buffer_cost,
+    feasible_action_indices,
     feasible_actions,
+    is_feasible,
     joint_transition_pmf,
     lagrangian_cost,
     power_cost,
@@ -62,7 +64,7 @@ def test_feasible_action_counts(reduced_model):
 
 
 def test_feasible_indices_are_canonically_ordered(reduced_model):
-    idx = reduced_model.feasible_action_indices(State(5, 1, PowerState.ON))
+    idx = feasible_action_indices(reduced_model, State(5, 1, PowerState.ON))
     assert np.all(np.diff(idx) > 0)
 
 
@@ -72,6 +74,7 @@ def test_state_index_round_trip(reduced_model):
     for i in range(m.n_s):
         s = m.state_of(i)
         assert m.state_index(s) == i
+        assert m.decode(i) == (s.b, s.h, int(s.x)) and m.encode(*m.decode(i)) == i
     assert m.state_index(State(2, 3, PowerState.ON)) == (2 * m.n_h + 3) * 2 + 1
 
 
@@ -81,7 +84,7 @@ def test_feasible_sa_matches_per_pair_predicate(reduced_model):
     for _ in range(200):
         i = int(rng.integers(m.n_s))
         j = int(rng.integers(m.n_a))
-        assert m.feasible_sa[i, j] == m.is_feasible(m.state_of(i), m.actions[j])
+        assert m.feasible_sa[i, j] == is_feasible(m, m.state_of(i), m.actions[j])
 
 
 def test_joint_transition_is_a_distribution(reduced_model):

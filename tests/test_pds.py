@@ -9,7 +9,6 @@ from greentx.errors import ConvergenceError, FeasibilityError, InitializationErr
 from greentx.model import State
 from greentx.pds import (
     FactoredDynamics,
-    PostDecisionState,
     init_pds_values,
     pds_value_iteration,
     policy_from_pds,
@@ -18,8 +17,10 @@ from greentx.planner import bellman_fixed_point, q_values, stage_cost, value_ite
 from greentx.power import PowerProfile, PowerState
 from greentx.queueing import ArrivalDistribution
 from oracles import (
+    PostDecisionState,
     all_states,
     dense_value_iteration,
+    feasible_action_indices,
     joint_transition_pmf,
     known_cost,
     known_pmf,
@@ -51,7 +52,7 @@ def _random_feasible_pairs(model, n, seed=0):
     states = all_states(model)
     while len(pairs) < n:
         s = states[int(rng.integers(model.n_s))]
-        feas = model.feasible_action_indices(s)
+        feas = feasible_action_indices(model, s)
         a = model.actions[int(rng.choice(feas))]
         pairs.append((s, a))
     return pairs
