@@ -18,12 +18,13 @@ takes each block's minimum, so infeasible triples are never computed.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .phy import BepLevel, ChannelState, PhyConfig, bits_per_symbol, goodput_pmf, tx_power
+from .phy import BepLevel, ChannelState, PhyConfig, bits_per_symbol, goodput_pmf, snr_for_bep
 from .power import PmAction, PowerProfile, PowerState, pm_transition_pmf
 from .queueing import ArrivalDistribution, QueueConfig, expected_overflow
 
@@ -114,8 +115,8 @@ class JointModel:
         gamma: float,
         mu: float = 0.0,
     ) -> None:
-        self.gains_db = np.asarray(gains_db, dtype=np.float64)
-        self.channel_matrix = np.asarray(channel_matrix, dtype=np.float64)
+        self.gains_db = np.array(gains_db, dtype=np.float64)
+        self.channel_matrix = np.array(channel_matrix, dtype=np.float64)
         self.arrivals = arrivals
         self.phy = phy
         self.profile = profile
@@ -127,8 +128,10 @@ class JointModel:
         self._validate()
         self._build_grids()
         self._build_tables()
+        self._build_arrival_tables()
         # derived models share the lazily built known operator (see _clone)
         self._known: dict = {}
+        self._freeze()
 
     def _validate(self) -> None:
         if self.gains_db.ndim != 1 or self.gains_db.size == 0:
@@ -188,7 +191,58 @@ class JointModel:
         self.action_bep = np.array([a.bep.bep for a in actions])
 
     def _build_tables(self) -> None:
+        """Every table that the arrivals, channel matrix and mu leave alone."""
         n_b, n_h, n_x, n_a = self.n_b, self.n_h, self.n_x, self.n_a
+
+        # per-action goodput and radio-state transitions
+        self.G_stack = np.zeros((n_a, n_b, n_b))
+        self.px_stack = np.zeros((n_a, n_x, n_x))
+        for i, a in enumerate(self.actions):
+            fp = goodput_pmf(a.z, a.bep.plr)
+            for b in range(n_b):
+                if a.z > b:
+                    self.G_stack[i, b, b] = 1.0  # masked infeasible; keep stochastic
+                else:
+                    self.G_stack[i, b, b - a.z : b + 1] = fp[::-1]
+            for x in (PowerState.OFF, PowerState.ON):
+                self.px_stack[i, int(x)] = pm_transition_pmf(
+                    x, a.y, self.profile.theta
+                )
+
+        # transmit power per (channel, action), in phy.tx_power's operation
+        # order: (snr * noise) / gain
+        noise = self.phy.noise_power_w
+        snr_noise = np.array([
+            0.0 if a.z == 0 else snr_for_bep(a.bep.bep, bits_per_symbol(a.z, self.phy)) * noise
+            for a in self.actions
+        ])
+        gain = np.array([10.0 ** (g / 10.0) for g in self.gains_db.tolist()])
+        self.tx_ha = snr_noise[None, :] / gain[:, None]
+        # power draw per (channel, radio state, action); impossible combos -> inf
+        on, off = int(PowerState.ON), int(PowerState.OFF)
+        keep_on = self.action_y == int(PmAction.S_ON)
+        self.rho_hxa = np.full((n_h, n_x, n_a), self.profile.p_tr, dtype=np.float64)
+        self.rho_hxa[:, on, keep_on] = self.profile.p_on + self.tx_ha[:, keep_on]
+        self.rho_hxa[:, off, ~keep_on] = self.profile.p_off
+        self.rho_hxa[:, off, self.action_z > 0] = np.inf
+
+        # expected holding per (buffer, action)
+        bs = np.arange(n_b, dtype=np.float64)[:, None]
+        self.hold_ba = bs - (self.action_z * (1.0 - self.action_plr))[None, :]
+
+        z_ok = self.action_z[None, None, :] <= np.arange(n_b)[:, None, None]
+        on_needed = (self.action_z[None, None, :] == 0) | (
+            np.arange(n_x)[None, :, None] == on
+        )
+        self.feasible_bxa = z_ok & on_needed
+        # same mask expanded to flat state indexing
+        self.feasible_sa = np.repeat(
+            self.feasible_bxa, n_h, axis=0
+        ).reshape(self.n_s, n_a)
+
+    def _build_arrival_tables(self) -> None:
+        """The tables that depend on the arrivals: A_clamp, o_exp, ovf_ba, g_ba."""
+        n_b = self.n_b
         cap = self.queue.capacity
 
         # arrivals with the capacity clamp, rows indexed by post-transmission level
@@ -207,59 +261,15 @@ class JointModel:
             [expected_overflow(b, self.arrivals, cap) for b in range(n_b)]
         )
 
-        # per-action goodput and radio-state transitions
-        self.G_stack = np.zeros((n_a, n_b, n_b))
-        self.px_stack = np.zeros((n_a, n_x, n_x))
-        for i, a in enumerate(self.actions):
-            fp = goodput_pmf(a.z, a.bep.plr)
-            for b in range(n_b):
-                if a.z > b:
-                    self.G_stack[i, b, b] = 1.0  # masked infeasible; keep stochastic
-                else:
-                    self.G_stack[i, b, b - a.z : b + 1] = fp[::-1]
-            for x in (PowerState.OFF, PowerState.ON):
-                self.px_stack[i, int(x)] = pm_transition_pmf(
-                    x, a.y, self.profile.theta
-                )
-
-        # power draw per (channel, radio state, action); impossible combos -> inf
-        self.tx_ha = np.zeros((n_h, n_a))
-        for h in range(n_h):
-            for i, a in enumerate(self.actions):
-                self.tx_ha[h, i] = tx_power(
-                    float(self.gains_db[h]), a.bep.bep, a.z, self.phy
-                )
-        self.rho_hxa = np.zeros((n_h, n_x, n_a))
-        for h in range(n_h):
-            for x in (PowerState.OFF, PowerState.ON):
-                for i, a in enumerate(self.actions):
-                    if a.z > 0 and x != PowerState.ON:
-                        self.rho_hxa[h, int(x), i] = np.inf
-                        continue
-                    on_and_kept = x == PowerState.ON and a.y == PmAction.S_ON
-                    if on_and_kept:
-                        p = self.profile.p_on + self.tx_ha[h, i]
-                    elif x == PowerState.OFF and a.y == PmAction.S_OFF:
-                        p = self.profile.p_off
-                    else:
-                        p = self.profile.p_tr
-                    self.rho_hxa[h, int(x), i] = p
-
-        # expected holding and drops per (buffer, action)
-        bs = np.arange(n_b, dtype=np.float64)[:, None]
-        self.hold_ba = bs - (self.action_z * (1.0 - self.action_plr))[None, :]
+        # expected drops and buffer cost per (buffer, action)
         self.ovf_ba = np.einsum("abB,B->ba", self.G_stack, self.o_exp)
         self.g_ba = self.hold_ba + self.queue.eta * self.ovf_ba
 
-        z_ok = self.action_z[None, None, :] <= np.arange(n_b)[:, None, None]
-        on_needed = (self.action_z[None, None, :] == 0) | (
-            np.arange(n_x)[None, :, None] == int(PowerState.ON)
-        )
-        self.feasible_bxa = z_ok & on_needed
-        # same mask expanded to flat state indexing
-        self.feasible_sa = np.repeat(
-            self.feasible_bxa, n_h, axis=0
-        ).reshape(self.n_s, n_a)
+    def _freeze(self) -> None:
+        """Make every table read-only: derived models share them (see _clone)."""
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def known_operator(self) -> KnownOperator:
@@ -305,30 +315,25 @@ class JointModel:
     def _clone(self, **overrides) -> "JointModel":
         """Same model with arrivals, channel matrix or mu replaced.
 
-        None of these enter the known operator, so the clone shares it.
+        A shallow copy: the clone holds its parent's read-only tables and
+        its lazily built known operator, since none of the overrides enters
+        them. Only new arrivals rebuild the four tables that depend on them
+        (``_build_arrival_tables``); a new channel matrix or mu changes no
+        table at all.
         """
-        kw = dict(
-            gains_db=self.gains_db,
-            channel_matrix=self.channel_matrix,
-            arrivals=self.arrivals,
-            phy=self.phy,
-            profile=self.profile,
-            queue=self.queue,
-            plr_grid=self.plr_grid,
-            z_max=self.z_max,
-            gamma=self.gamma,
-            mu=self.mu,
-        )
-        kw.update(overrides)
-        clone = JointModel(**kw)
-        clone._known = self._known
+        clone = copy.copy(self)
+        vars(clone).update(overrides)
+        clone._validate()
+        if "arrivals" in overrides:
+            clone._build_arrival_tables()
+        clone._freeze()
         return clone
 
     def with_arrivals(self, arrivals: ArrivalDistribution) -> "JointModel":
         return self._clone(arrivals=arrivals)
 
     def with_channel(self, channel_matrix) -> "JointModel":
-        return self._clone(channel_matrix=channel_matrix)
+        return self._clone(channel_matrix=np.array(channel_matrix, dtype=np.float64))
 
     def with_mu(self, mu: float) -> "JointModel":
-        return self._clone(mu=mu)
+        return self._clone(mu=float(mu))

@@ -14,7 +14,7 @@ pre-decision tables use the planner's flat layout when exchanged with it.
 The exact solvers and the online learner share one precomputed known-half
 operator, ``JointModel.known_operator``, which holds only the feasible
 (b, x, a) rows: the split solver runs the planner's Bellman core (minimizing
-sweeps over every row, evaluation sweeps over the greedy row of each state),
+sweeps over every row, Krylov evaluation through the greedy row of each state),
 the learner's greedy rule reads the rows of one (b, x) block, and a batch
 update takes every block's minimum at one channel.
 Only the slice methods that return a full (b, x, a) table fill the

@@ -10,13 +10,16 @@ Value iteration and the post-decision solver in ``pds`` run the same core,
 over arrivals and the channel move, then one product with the model's
 packed known operator and a minimum over each (buffer, radio) block of its
 feasible rows. Once two minimizing sweeps pick the same greedy rows, that
-policy is evaluated by sweeps through its one row per state, which cost a
-small fraction of a minimizing sweep; the solve still ends on a minimizing
-sweep, with value iteration's stopping rule. Action values are kept packed,
+policy is evaluated by solving its linear system with restarted GMRES, whose
+matvec goes through the one row per state and costs a small fraction of a
+minimizing sweep; the solve still ends on a minimizing sweep, with value
+iteration's stopping rule. Action values are kept packed,
 one entry per feasible (b, x, a); only the callers that hand out a full
 (state, action) table spread them out with +inf.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,6 +28,9 @@ from .model import JointModel
 
 # Values within this distance of the row minimum count as tied.
 TIE_TOL = 1e-9
+
+# Krylov basis length of a policy evaluation before GMRES restarts.
+RESTART = 40
 
 
 def greedy_from_q(q_sa: np.ndarray, feasible_sa: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
@@ -86,11 +92,12 @@ def bellman_fixed_point(
     Modified policy iteration (Puterman, ch. 6.5): after each minimizing
     sweep the greedy packed row of every state is found with the tie rule;
     when two sweeps in a row pick the same rows, that policy is evaluated
-    by one-row sweeps (``_evaluate_rows``) before minimizing again. Only
-    minimizing sweeps append their sup-norm step to ``residuals``, and only
-    one whose step is below tol returns, so the stopping rule and error
-    bound are value iteration's. ``max_iters`` caps minimizing and
-    evaluation sweeps together; past it, ConvergenceError is raised.
+    (``_evaluate_rows``, GMRES on its linear system) before minimizing
+    again. Only minimizing sweeps append their sup-norm step to
+    ``residuals``, and only one whose step is below tol returns, so the
+    stopping rule and error bound are value iteration's. ``max_iters`` caps
+    minimizing sweeps and evaluation matvecs together; past it,
+    ConvergenceError is raised.
     """
     n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
     op = model.known_operator
@@ -119,7 +126,7 @@ def bellman_fixed_point(
             sweeps += used
         rows = greedy
     raise ConvergenceError(
-        f"value iteration stuck at residual {resid!r} after {max_iters} sweeps"
+        f"value iteration stuck at residual {resid!r} after {max_iters} sweeps and matvecs"
     )
 
 
@@ -130,16 +137,19 @@ def _evaluate_rows(
     rows: np.ndarray,
     v: np.ndarray,
     tol: float,
-    max_sweeps: int,
+    max_matvecs: int,
 ) -> tuple[np.ndarray, int]:
-    """Iterate v <- c_pi + gamma K_pi A_clamp (P v) for the packed rows ``rows``.
+    """Solve (I - gamma K_pi A_clamp P) v = c_pi for the packed rows ``rows``.
 
     ``rows`` (h, (b, x)) picks one known-operator row per state; its
     cost is ``cost + K c_post`` and its transition the row with the arrival
-    clamp and the discount folded in, so a sweep is one channel move and one
-    (n_b n_x)-square matrix-vector product per channel.
-    Stops once a step is below tol (or is NaN) or after max_sweeps; returns
-    the (h, b, x) table and the number of sweeps taken.
+    clamp and the discount folded in, so a matvec is one channel move and
+    one (n_b n_x)-square matrix-vector product per channel. Restarted GMRES
+    from ``v`` (``_gmres``) stops once the residual's 2-norm is at most
+    tol (1 - gamma), which bounds the sup-norm error of the evaluation by
+    tol. A non-finite solution is dropped and ``v`` returned, so the
+    minimizing sweeps carry on from where they were. Returns the (h, b, x)
+    table and the number of matvecs taken.
     """
     n_h = model.n_h
     n_bx = model.n_b * model.n_x
@@ -147,19 +157,70 @@ def _evaluate_rows(
     c_pi = np.take_along_axis(cost, rows, axis=1) + k_pi @ np.broadcast_to(c_post, n_bx)
     k_pi = model.A_clamp.T @ k_pi.reshape(n_h, n_bx, model.n_b, model.n_x)
     k_pi = (model.gamma * k_pi).reshape(n_h, n_bx, n_bx)
-    c_pi = c_pi[:, :, None]
-    shape = v.shape
-    v = v.reshape(n_h, n_bx, 1)
-    sweeps = 0
-    while sweeps < max_sweeps:
-        v_new = k_pi @ (model.channel_matrix @ v[:, :, 0])[:, :, None]
-        v_new += c_pi
-        step = np.max(np.abs(v_new - v))
-        sweeps += 1
-        v = v_new
-        if not step >= tol:
+    p = model.channel_matrix
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        x = x.reshape(n_h, n_bx)
+        return (x - (k_pi @ (p @ x)[:, :, None])[:, :, 0]).ravel()
+
+    x, matvecs = _gmres(apply, c_pi.ravel(), v.ravel(), tol * (1.0 - model.gamma), max_matvecs)
+    if not np.all(np.isfinite(x)):
+        return v, matvecs
+    return x.reshape(v.shape), matvecs
+
+
+def _gmres(apply, b: np.ndarray, x: np.ndarray, tol: float, max_matvecs: int) -> tuple[np.ndarray, int]:
+    """Restarted GMRES (Saad & Schultz 1986) for apply(x) = b, starting at x.
+
+    Each cycle runs Arnoldi with modified Gram-Schmidt for at most RESTART
+    steps. Givens rotations keep the Hessenberg least-squares problem
+    triangular, so its residual norm is known after every step and its
+    solution is one back-substitution. Stops when the 2-norm of
+    b - apply(x) is at most tol, when a cycle ends no closer than the one
+    before it (the rounding floor), or after max_matvecs calls of
+    ``apply``. Returns (x, calls of ``apply``).
+    """
+    basis = np.empty((RESTART + 1, b.size))
+    hess = np.zeros((RESTART + 1, RESTART))
+    cs = np.empty(RESTART)
+    sn = np.empty(RESTART)
+    g = np.empty(RESTART + 1)
+    matvecs = 0
+    last = np.inf
+    while matvecs < max_matvecs:
+        r = b - apply(x)
+        matvecs += 1
+        beta = float(np.linalg.norm(r))
+        if not (tol < beta < last):
             break
-    return v.reshape(shape), sweeps
+        last = beta
+        basis[0] = r / beta
+        g[0] = beta
+        k = 0
+        while k < RESTART and matvecs < max_matvecs:
+            w = apply(basis[k])
+            matvecs += 1
+            col = hess[:, k]
+            for i in range(k + 1):
+                col[i] = w @ basis[i]
+                w -= col[i] * basis[i]
+            h_next = float(np.linalg.norm(w))
+            for i in range(k):
+                col[i], col[i + 1] = cs[i] * col[i] + sn[i] * col[i + 1], cs[i] * col[i + 1] - sn[i] * col[i]
+            d = math.hypot(col[k], h_next)
+            cs[k], sn[k] = col[k] / d, h_next / d
+            col[k] = d
+            g[k + 1] = -sn[k] * g[k]
+            g[k] *= cs[k]
+            k += 1
+            if not (abs(g[k]) > tol and h_next > 0.0):
+                break
+            basis[k] = w / h_next
+        y = np.empty(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - hess[i, i + 1 : k] @ y[i + 1 :]) / hess[i, i]
+        x = x + y @ basis[:k]
+    return x, matvecs
 
 
 def flat_q(model: JointModel, q_packed: np.ndarray) -> np.ndarray:
@@ -189,8 +250,8 @@ def value_iteration(
     """Solve the discounted control problem to sup-norm residual below tol.
 
     Returns (value table, greedy policy). Raises ConvergenceError if the
-    residual is still above tol after max_iters sweeps, minimizing and
-    evaluation sweeps counted together.
+    residual is still above tol after max_iters minimizing sweeps and
+    evaluation matvecs, counted together.
     """
     cost = stage_cost(model, model.mu * model.g_ba)
     v_hbx = bellman_fixed_point(model, cost, 0.0, tol, max_iters, v0, residuals)

@@ -1,11 +1,13 @@
 """Joint MDP assembly: action ordering, feasibility masks, kernels, costs."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greentx.errors import ConfigError, FeasibilityError
 from greentx.model import Action, JointModel, State
 from greentx.phy import PhyConfig, tx_power
-from greentx.power import PmAction, PowerProfile, PowerState
+from greentx.power import PmAction, PowerProfile, PowerState, required_power
 from greentx.queueing import ArrivalDistribution, QueueConfig
 from oracles import (
     all_states,
@@ -141,13 +143,21 @@ def test_transmit_power_never_infinite_when_radio_on(reduced_model):
 
 def test_tx_table_matches_phy_function(reduced_model):
     m = reduced_model
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        h = int(rng.integers(m.n_h))
-        i = int(rng.integers(m.n_a))
-        a = m.actions[i]
-        want = tx_power(float(m.gains_db[h]), a.bep.bep, a.z, m.phy)
-        assert m.tx_ha[h, i] == want
+    want = np.array([
+        [tx_power(float(g), a.bep.bep, a.z, m.phy) for a in m.actions] for g in m.gains_db
+    ])
+    assert np.all(m.tx_ha == want)
+
+
+def test_power_table_matches_the_scalar_rule(reduced_model):
+    m = reduced_model
+    for h in range(m.n_h):
+        for x in (PowerState.OFF, PowerState.ON):
+            for i, a in enumerate(m.actions):
+                if a.z > 0 and x != PowerState.ON:
+                    assert m.rho_hxa[h, int(x), i] == np.inf
+                else:
+                    assert m.rho_hxa[h, int(x), i] == required_power(x, a.y, m.tx_ha[h, i], m.profile)
 
 
 def test_expected_buffer_cost_matches_reference(reduced_model):
@@ -189,6 +199,60 @@ def test_clones_leave_the_original_untouched(reduced_model):
     assert reduced_model.arrivals.mean == pytest.approx(2.0, abs=1e-7)
     m4 = reduced_model.with_channel(np.eye(reduced_model.n_h))
     assert np.array_equal(m4.channel_matrix, np.eye(reduced_model.n_h))
+
+
+def _stochastic(draw, n_rows, n_cols):
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    a = np.array(raw).reshape(n_rows, n_cols)
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def _tables(m):
+    return {k: v for k, v in vars(m).items() if isinstance(v, np.ndarray)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_clones_equal_a_fresh_build_and_share_their_tables(reduced_model, data):
+    m = reduced_model
+    arrivals = ArrivalDistribution(_stochastic(data.draw, 1, data.draw(st.integers(1, m.n_b + 2)))[0])
+    channel = _stochastic(data.draw, m.n_h, m.n_h)
+    mu = data.draw(st.floats(0.0, 10.0))
+    clone = m.with_arrivals(arrivals).with_channel(channel).with_mu(mu)
+    fresh = JointModel(
+        gains_db=m.gains_db,
+        channel_matrix=channel,
+        arrivals=arrivals,
+        phy=m.phy,
+        profile=m.profile,
+        queue=m.queue,
+        plr_grid=m.plr_grid,
+        z_max=m.z_max,
+        gamma=m.gamma,
+        mu=mu,
+    )
+    assert clone.mu == fresh.mu
+    want = _tables(fresh)
+    got = _tables(clone)
+    assert got.keys() == want.keys()
+    for name, table in want.items():
+        assert np.array_equal(got[name], table), name
+    # mu and the channel matrix enter no table: both clones hold the parent's
+    by_mu = m.with_mu(mu)
+    by_channel = m.with_channel(channel)
+    for name, table in _tables(m).items():
+        assert getattr(by_mu, name) is table, name
+        if name != "channel_matrix":
+            assert getattr(by_channel, name) is table, name
+    assert by_mu.known_operator is m.known_operator
+    with pytest.raises(ValueError):
+        fresh.g_ba[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        by_mu.rho_hxa[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        by_channel.G_stack[0, 0, 0] = 0.5
+    with pytest.raises(ConfigError):
+        m.with_channel(channel * 0.5)
 
 
 def test_validation_rejects_bad_inputs():
