@@ -3,8 +3,12 @@
 Every run emits one metrics row per slot. All reported quantities are prefix
 means (cumulative sums divided by slot count), except the multiplier, which
 is averaged over a sliding 1000-slot window so its transient is visible.
+During the run each slot only records its six observations (power, realized
+buffer cost, holding, drops, off flag, price) into one preallocated array;
+the rows are formed from it once, when the run ends (``MetricsAccumulator``).
 Runs are deterministic given the config (seed included), and a checkpointed
 run resumed from disk reproduces the uninterrupted metric stream bit-exactly.
+A checkpoint carries the recorded observations, not the rows.
 
 The run loop drives one actor per run, with no adapter around it: the
 learners (``QLearner``, ``PdsLearner``), ``PolicyActor`` (the exact policy,
@@ -24,8 +28,9 @@ import dataclasses
 import hashlib
 import json
 import zipfile
-from collections import deque
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,11 +54,13 @@ CSV_COLUMNS = (
     "mu_window",
 )
 
+# what a slot records: the columns of MetricsAccumulator.obs, in this order
+OBSERVATIONS = ("power_w", "g_realized", "holding", "drops", "off_slot", "mu")
+
 MU_WINDOW_SLOTS = 1000
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     """Running averages as of slot n (0-indexed; divisor is n + 1)."""
 
     n: int
@@ -64,36 +71,21 @@ class MetricsRecord:
     theta_off: float
     mu_window: float
 
-    def astuple(self) -> tuple:
-        return (
-            self.n,
-            self.cum_cost,
-            self.cum_power_w,
-            self.cum_holding,
-            self.cum_overflow,
-            self.theta_off,
-            self.mu_window,
-        )
-
 
 class MetricsAccumulator:
-    """Prefix sums of per-slot observations.
+    """Per-slot observations in a float64 array preallocated to the horizon.
 
-    ``snapshot`` keeps the counts and float sums as plain numbers (JSON
-    round-trips them exactly) and the multiplier window as an array.
+    ``update`` writes slot n's power, realized buffer cost, holding, drops,
+    off flag and price into row n of ``obs`` (one column per name in
+    ``OBSERVATIONS``) and does nothing else. ``history`` forms the metric
+    rows from them once, after the run. The filled rows, ``obs[:count]``,
+    are all the metric state a checkpoint carries.
     """
 
-    _SCALARS = ("count", "sum_cost", "sum_power", "sum_holding", "sum_overflow", "off_slots")
-
-    def __init__(self, mu_window: int = MU_WINDOW_SLOTS) -> None:
+    def __init__(self, horizon: int, mu_window: int = MU_WINDOW_SLOTS) -> None:
         self.count = 0
-        self.sum_cost = 0.0
-        self.sum_power = 0.0
-        self.sum_holding = 0.0
-        self.sum_overflow = 0.0
-        self.off_slots = 0
-        self._mu_hist: deque = deque(maxlen=mu_window)
-        self._mu_wsum = 0.0
+        self.mu_window = mu_window
+        self.obs = np.zeros((horizon, len(OBSERVATIONS)))
 
     def update(
         self,
@@ -104,63 +96,58 @@ class MetricsAccumulator:
         drops: float,
         off_slot: bool,
         mu: float,
-    ) -> MetricsRecord:
+    ) -> None:
+        self.obs[self.count] = (power_w, g_realized, holding, drops, off_slot, mu)
         self.count += 1
-        self.sum_cost += power_w + mu * g_realized
-        self.sum_power += power_w
-        self.sum_holding += holding
-        self.sum_overflow += drops
-        self.off_slots += int(off_slot)
-        if len(self._mu_hist) == self._mu_hist.maxlen:
-            self._mu_wsum -= self._mu_hist[0]
-        self._mu_hist.append(mu)
-        self._mu_wsum += mu
-        c = self.count
-        return MetricsRecord(
-            n=c - 1,
-            cum_cost=self.sum_cost / c,
-            cum_power_w=self.sum_power / c,
-            cum_holding=self.sum_holding / c,
-            cum_overflow=self.sum_overflow / c,
-            theta_off=self.off_slots / c,
-            # every mu is >= 0; the running sum can drift a few ulps below
-            mu_window=max(0.0, self._mu_wsum / len(self._mu_hist)),
-        )
 
-    def snapshot(self) -> dict:
-        return {
-            **{name: getattr(self, name) for name in self._SCALARS},
-            "mu_hist": np.array(self._mu_hist, dtype=np.float64),
-            "mu_wsum": self._mu_wsum,
-        }
+    def history(self) -> np.ndarray:
+        """Metric rows of the recorded slots, shape (count, len(CSV_COLUMNS)).
 
-    def restore(self, snap: dict) -> None:
-        for name in self._SCALARS:
-            setattr(self, name, snap[name])
-        self._mu_hist = deque(snap["mu_hist"].tolist(), maxlen=self._mu_hist.maxlen)
-        self._mu_wsum = snap["mu_wsum"]
+        Each prefix mean is a sequential ``np.cumsum`` over the slot count,
+        bit for bit the running sum a slot-by-slot accumulator keeps. The
+        multiplier's window mean replays that accumulator's recurrence in
+        slot order (subtract the price leaving the window, then add the new
+        one), since a windowed difference of prefix sums rounds differently.
+        """
+        n, w = self.count, self.mu_window
+        power, g, holding, drops, off, mu = self.obs[:n].T
+        counts = np.arange(1, n + 1, dtype=np.float64)
+        rows = np.empty((n, len(CSV_COLUMNS)))
+        rows[:, 0] = np.arange(n)
+        for j, terms in enumerate((power + mu * g, power, holding, drops, off), start=1):
+            rows[:, j] = np.cumsum(terms) / counts
+        # 8-byte floats throughout: a list of Python floats holds 32 bytes each
+        prices = memoryview(np.ascontiguousarray(mu))
+        means = array("d")
+        wsum = 0.0
+        # every mu is >= 0; the running sum can drift a few ulps below
+        for i, new in enumerate(prices[:w], start=1):
+            wsum += new
+            means.append(max(0.0, wsum / i))
+        for old, new in zip(prices, prices[w:]):
+            wsum -= old
+            wsum += new
+            means.append(max(0.0, wsum / w))
+        rows[:, 6] = means
+        return rows
 
 
-def _row_values(rec) -> tuple:
-    if isinstance(rec, MetricsRecord):
-        return rec.astuple()
-    return tuple(rec)
+def _csv_lines(history):
+    """Locale-independent decimal lines; floats printed shortest-round-trip."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for row in np.asarray(history, dtype=np.float64):
+        n, *vals = row.tolist()
+        yield ",".join([str(int(n))] + [repr(v) for v in vals]) + "\n"
 
 
 def metrics_csv_text(history) -> str:
-    """Locale-independent decimal text; floats printed shortest-round-trip."""
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in history:
-        vals = _row_values(rec)
-        lines.append(
-            ",".join([str(int(vals[0]))] + [repr(float(v)) for v in vals[1:]])
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_lines(history))
 
 
 def emit_metrics_csv(history, path) -> None:
+    """Writes the CSV line by line, never holding the whole text."""
     with open(path, "w", newline="") as fh:
-        fh.write(metrics_csv_text(history))
+        fh.writelines(_csv_lines(history))
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +455,8 @@ class RunResult:
     mu_final: float
 
     def record_at(self, n: int) -> MetricsRecord:
-        row = self.history[n]
-        return MetricsRecord(int(row[0]), *(float(v) for v in row[1:]))
+        n_slot, *vals = self.history[n].tolist()
+        return MetricsRecord(int(n_slot), *vals)
 
     @property
     def final(self) -> MetricsRecord:
@@ -480,6 +467,40 @@ class RunResult:
 
     def csv_text(self) -> str:
         return metrics_csv_text(self.history)
+
+
+_CHECKPOINT_ENTRIES = ("config", "slot", "observations", "env", "actor")
+
+
+def _resume(payload, cfg: ExperimentConfig, model: JointModel, acc, env, actor) -> int:
+    """Restore a run from a checkpoint payload; returns the slot it continues at.
+
+    A payload that lacks an entry, stops outside ``[0, horizon]``, holds
+    observations of another shape than ``(slot, len(OBSERVATIONS))``, or
+    puts the environment off the model's (b, h, x) grid is refused with
+    ``TableFormatError``; one from another config with ``ConfigError``.
+    """
+    if not isinstance(payload, dict) or not set(_CHECKPOINT_ENTRIES) <= set(payload):
+        raise TableFormatError(f"checkpoint lacks one of the entries {_CHECKPOINT_ENTRIES}")
+    # compared as canonical JSON: the config's tuples come back as lists
+    if fingerprint_digest(payload["config"]) != fingerprint_digest(cfg.to_dict()):
+        raise ConfigError("checkpoint was produced by a different config")
+    slot, obs, env_snap = payload["slot"], payload["observations"], payload["env"]
+    if type(slot) is not int or not 0 <= slot <= cfg.horizon:
+        raise TableFormatError(f"checkpoint slot {slot!r} outside [0, {cfg.horizon}]")
+    shape = (slot, len(OBSERVATIONS))
+    if not isinstance(obs, np.ndarray) or obs.dtype != np.float64 or obs.shape != shape:
+        raise TableFormatError(f"checkpoint observations are not a float64 {shape} array")
+    state = env_snap.get("state") if isinstance(env_snap, dict) else None
+    grid = (model.n_b, model.n_h, model.n_x)
+    on_grid = isinstance(state, list) and len(state) == len(grid)
+    if not (on_grid and all(type(v) is int and 0 <= v < k for v, k in zip(state, grid))):
+        raise TableFormatError(f"checkpoint state {state!r} is off the (b, h, x) grid {grid}")
+    acc.obs[:slot] = obs
+    acc.count = slot
+    env.restore(env_snap)
+    actor.restore(payload["actor"])
+    return slot
 
 
 def run_experiment(
@@ -512,19 +533,10 @@ def run_experiment(
     else:
         multiplier = dataclasses.replace(cfg.multiplier(), fixed=fixed_mu)
         actor = _build_actor(cfg, model, env, multiplier, true_stats=true_stats)
-    acc = MetricsAccumulator()
-    history = np.empty((cfg.horizon, len(CSV_COLUMNS)), dtype=np.float64)
+    acc = MetricsAccumulator(cfg.horizon)
     start = 0
     if resume_from is not None:
-        payload = load_checkpoint(resume_from)
-        # compared as canonical JSON: the config's tuples come back as lists
-        if fingerprint_digest(payload["config"]) != fingerprint_digest(cfg.to_dict()):
-            raise ConfigError("checkpoint was produced by a different config")
-        start = payload["slot"]
-        history[:start] = payload["history"]
-        acc.restore(payload["acc"])
-        env.restore(payload["env"])
-        actor.restore(payload["actor"])
+        start = _resume(load_checkpoint(resume_from), cfg, model, acc, env, actor)
 
     # a slot is spent off when the radio is off and told to stay off
     stays_off = (model.action_y == int(PmAction.S_OFF)).tolist()
@@ -535,7 +547,7 @@ def run_experiment(
         mu_n = actor.mu  # price in effect while this slot runs
         out = env.step(a)
         actor.learn(out)
-        rec = acc.update(
+        acc.update(
             power_w=out.power_w,
             g_realized=out.g_realized,
             holding=out.holding,
@@ -543,7 +555,6 @@ def run_experiment(
             off_slot=(model.decode(s)[2] == x_off and stays_off[a]),
             mu=mu_n,
         )
-        history[n] = rec.astuple()
         if (
             checkpoint_path is not None
             and checkpoint_every is not None
@@ -554,16 +565,17 @@ def run_experiment(
                 {
                     "config": cfg.to_dict(),
                     "slot": n + 1,
-                    "history": history[: n + 1],
-                    "acc": acc.snapshot(),
+                    "observations": acc.obs[: n + 1],
                     "env": env.snapshot(),
                     "actor": actor.snapshot(),
                 },
             )
 
-    result = RunResult(config=cfg, history=history, tables=actor.tables(), mu_final=actor.mu)
+    result = RunResult(
+        config=cfg, history=acc.history(), tables=actor.tables(), mu_final=actor.mu
+    )
     if out_csv is not None:
-        emit_metrics_csv(history, out_csv)
+        emit_metrics_csv(result.history, out_csv)
     if tables_out is not None:
         serialize_tables(
             result.tables, tables_out, kind=cfg.algorithm, fingerprint=cfg.model_fingerprint()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .phy import BepLevel, ChannelState, PhyConfig, bits_per_symbol, goodput_pmf, snr_for_bep
+from .phy import BepLevel, PhyConfig, bits_per_symbol, goodput_pmf, snr_for_bep
 from .power import PmAction, PowerProfile, PowerState, pm_transition_pmf
 from .queueing import ArrivalDistribution, QueueConfig, expected_overflow
 
@@ -168,9 +168,6 @@ class JointModel:
         self.n_h = self.gains_db.size
         self.n_x = 2
         self.n_s = self.n_b * self.n_h * self.n_x
-        self.channel_states = tuple(
-            ChannelState(i, float(g)) for i, g in enumerate(self.gains_db)
-        )
         self.bep_levels = tuple(
             BepLevel.from_plr(p, self.phy.packet_bits) for p in self.plr_grid
         )
@@ -188,7 +185,6 @@ class JointModel:
         self.action_z = np.array([a.z for a in actions], dtype=np.int64)
         self.action_y = np.array([int(a.y) for a in actions], dtype=np.int64)
         self.action_plr = np.array([a.bep.plr for a in actions])
-        self.action_bep = np.array([a.bep.bep for a in actions])
 
     def _build_tables(self) -> None:
         """Every table that the arrivals, channel matrix and mu leave alone."""
@@ -209,8 +205,8 @@ class JointModel:
                     x, a.y, self.profile.theta
                 )
 
-        # transmit power per (channel, action), in phy.tx_power's operation
-        # order: (snr * noise) / gain
+        # transmit power per (channel, action) as (snr * noise) / gain, in
+        # that order, so that it equals the scalar rule bit for bit
         noise = self.phy.noise_power_w
         snr_noise = np.array([
             0.0 if a.z == 0 else snr_for_bep(a.bep.bep, bits_per_symbol(a.z, self.phy)) * noise

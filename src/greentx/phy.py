@@ -50,19 +50,6 @@ class PhyConfig:
 
 
 @dataclass(frozen=True)
-class ChannelState:
-    """One level of the quantized fading process."""
-
-    index: int
-    gain_db: float
-
-    @property
-    def gain(self) -> float:
-        """Linear power gain."""
-        return 10.0 ** (self.gain_db / 10.0)
-
-
-@dataclass(frozen=True)
 class BepLevel:
     """A point on the transmission-quality grid, stored both ways."""
 
@@ -78,10 +65,6 @@ class BepLevel:
     @classmethod
     def from_plr(cls, plr: float, packet_bits: int) -> "BepLevel":
         return cls(bep=bep_of_plr(plr, packet_bits), plr=plr)
-
-    @classmethod
-    def from_bep(cls, bep: float, packet_bits: int) -> "BepLevel":
-        return cls(bep=bep, plr=plr_of_bep(bep, packet_bits))
 
 
 def bits_per_symbol(z: int, cfg: PhyConfig) -> int:
@@ -103,42 +86,17 @@ def bits_per_symbol(z: int, cfg: PhyConfig) -> int:
     return int(rounded)
 
 
-def bep_of_snr(snr: float, beta: int) -> float:
-    """Bit error probability at a given SNR and modulation order beta."""
-    if beta < 1:
-        raise ConfigError(f"beta={beta} must be >= 1")
-    value = BEP_COEF * math.exp(-SNR_SLOPE * snr / (2.0**beta - 1.0))
-    return min(value, BEP_MAX)
-
-
 def snr_for_bep(bep: float, beta: int) -> float:
-    """SNR required to hit a target bit error probability (inverse of bep_of_snr)."""
+    """SNR required to hit a target bit error probability.
+
+    Inverts BEP(snr) = BEP_COEF * exp(-SNR_SLOPE * snr / (2^beta - 1)).
+    """
     if not (0.0 < bep <= BEP_MAX):
         raise ConfigError(f"bep {bep} outside (0, {BEP_MAX}]")
     if beta < 1:
         raise ConfigError(f"beta={beta} must be >= 1")
     # Targets looser than the snr=0 value need no power at all.
     return max(0.0, (2.0**beta - 1.0) * math.log(BEP_COEF / bep) / SNR_SLOPE)
-
-
-def tx_power(gain_db: float, bep: float, z: int, cfg: PhyConfig) -> float:
-    """Transmit power in watts to send z packets at the target BEP.
-
-    The receiver sees snr = gain * P / (N0 * W), so the power compensates the
-    channel: worse gain or tighter BEP costs more, and z=0 costs nothing.
-    """
-    if z == 0:
-        return 0.0
-    beta = bits_per_symbol(z, cfg)
-    snr_req = snr_for_bep(bep, beta)
-    gain = 10.0 ** (gain_db / 10.0)
-    return snr_req * cfg.noise_power_w / gain
-
-
-def plr_of_bep(bep: float, packet_bits: int) -> float:
-    """Packet loss ratio when every bit of the packet must survive."""
-    # 1 - (1 - bep)^L, written to stay accurate for tiny bep.
-    return -math.expm1(packet_bits * math.log1p(-bep))
 
 
 def bep_of_plr(plr: float, packet_bits: int) -> float:

@@ -6,7 +6,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConfigError, FeasibilityError
+from .errors import ConfigError
 
 
 class PowerState(IntEnum):
@@ -39,23 +39,6 @@ class PowerProfile:
             raise ConfigError("need p_tr >= p_on")
         if not (0.0 < self.theta <= 1.0):
             raise ConfigError("theta must lie in (0, 1]")
-
-
-def required_power(
-    x: PowerState, y: PmAction, tx_power_w: float, profile: PowerProfile
-) -> float:
-    """Total power drawn this slot given the radio state and the command.
-
-    Transmission is only possible while the radio is on and told to stay on;
-    any slot that changes state burns the transition power instead.
-    """
-    if tx_power_w > 0.0 and not (x == PowerState.ON and y == PmAction.S_ON):
-        raise FeasibilityError("transmitting requires the radio on and kept on")
-    if x == PowerState.ON and y == PmAction.S_ON:
-        return profile.p_on + tx_power_w
-    if x == PowerState.OFF and y == PmAction.S_OFF:
-        return profile.p_off
-    return profile.p_tr
 
 
 def pm_transition_pmf(x: PowerState, y: PmAction, theta: float) -> np.ndarray:

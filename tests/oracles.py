@@ -5,6 +5,9 @@ operator. The functions here compute the same quantities by other routes,
 one state or one (state, action) pair at a time, so the package can be
 checked against them:
 
+- scalar link-layer and power rules: ``bep_of_snr``, ``plr_of_bep``,
+  ``bep_level_from_bep``, ``tx_power`` and ``required_power``, one number at
+  a time, which the model's ``tx_ha`` and ``rho_hxa`` tables must match;
 - buffer primitives: ``next_buffer``, ``buffer_transition_pmf`` and
   ``buffer_cost``, by enumerating deliveries and arrivals;
 - the joint model pair by pair: ``all_states``, ``is_feasible`` (the
@@ -20,27 +23,92 @@ checked against them:
 - solvers: ``action_value`` through the joint pmf, ``policy_evaluate`` (a
   per-state evaluation loop) and ``dense_value_iteration`` (dense tabular
   value iteration);
-- ``per_step_suboptimal``: the re-planning reference as a run.
+- runs: ``RunningSumMetrics``, the metric rows kept by running sums slot by
+  slot, and ``per_step_suboptimal``, the re-planning reference as a run.
 
 Functions on the model or the factored dynamics take it first.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from greentx.config import ExperimentConfig
 from greentx.errors import ConfigError, ConvergenceError, FeasibilityError
-from greentx.harness import RunResult, run_experiment
+from greentx.harness import MU_WINDOW_SLOTS, MetricsRecord, RunResult, run_experiment
 from greentx.learners import LearningSchedule
 from greentx.model import Action, JointModel, State
 from greentx.pds import FactoredDynamics
-from greentx.phy import goodput_pmf
+from greentx.phy import (
+    BEP_COEF,
+    BEP_MAX,
+    SNR_SLOPE,
+    BepLevel,
+    PhyConfig,
+    bits_per_symbol,
+    goodput_pmf,
+    snr_for_bep,
+)
 from greentx.planner import greedy_from_q
-from greentx.power import PmAction, PowerState, pm_transition_pmf
+from greentx.power import PmAction, PowerProfile, PowerState, pm_transition_pmf
 from greentx.queueing import ArrivalDistribution, expected_overflow
+
+# ---- scalar link-layer and power rules ------------------------------------------
+
+
+def bep_of_snr(snr: float, beta: int) -> float:
+    """Bit error probability at a given SNR and modulation order beta."""
+    if beta < 1:
+        raise ConfigError(f"beta={beta} must be >= 1")
+    value = BEP_COEF * math.exp(-SNR_SLOPE * snr / (2.0**beta - 1.0))
+    return min(value, BEP_MAX)
+
+
+def plr_of_bep(bep: float, packet_bits: int) -> float:
+    """Packet loss ratio when every bit of the packet must survive."""
+    # 1 - (1 - bep)^L, written to stay accurate for tiny bep.
+    return -math.expm1(packet_bits * math.log1p(-bep))
+
+
+def bep_level_from_bep(bep: float, packet_bits: int) -> BepLevel:
+    """The grid point of a bit error probability (``BepLevel.from_plr``'s inverse)."""
+    return BepLevel(bep=bep, plr=plr_of_bep(bep, packet_bits))
+
+
+def tx_power(gain_db: float, bep: float, z: int, cfg: PhyConfig) -> float:
+    """Transmit power in watts to send z packets at the target BEP.
+
+    The receiver sees snr = gain * P / (N0 * W), so the power compensates the
+    channel: worse gain or tighter BEP costs more, and z=0 costs nothing.
+    """
+    if z == 0:
+        return 0.0
+    beta = bits_per_symbol(z, cfg)
+    snr_req = snr_for_bep(bep, beta)
+    gain = 10.0 ** (gain_db / 10.0)
+    return snr_req * cfg.noise_power_w / gain
+
+
+def required_power(
+    x: PowerState, y: PmAction, tx_power_w: float, profile: PowerProfile
+) -> float:
+    """Total power drawn this slot given the radio state and the command.
+
+    Transmission is only possible while the radio is on and told to stay on;
+    any slot that changes state burns the transition power instead.
+    """
+    if tx_power_w > 0.0 and not (x == PowerState.ON and y == PmAction.S_ON):
+        raise FeasibilityError("transmitting requires the radio on and kept on")
+    if x == PowerState.ON and y == PmAction.S_ON:
+        return profile.p_on + tx_power_w
+    if x == PowerState.OFF and y == PmAction.S_OFF:
+        return profile.p_off
+    return profile.p_tr
+
 
 # ---- buffer primitives ---------------------------------------------------------
 
@@ -356,6 +424,47 @@ def dense_value_iteration(
         if resid < tol:
             return v, q, greedy_from_q(q, feasible)
     raise ConvergenceError(f"dense value iteration stuck at residual {resid!r}")
+
+
+class RunningSumMetrics:
+    """Metric rows kept slot by slot: running sums and a window of prices.
+
+    ``update`` returns slot n's ``MetricsRecord`` from five running sums and
+    a running window sum over a ``deque``, the sequential arithmetic that
+    ``MetricsAccumulator.history`` must reproduce bit for bit.
+    """
+
+    def __init__(self, mu_window: int = MU_WINDOW_SLOTS) -> None:
+        self.count = 0
+        self.sum_cost = 0.0
+        self.sum_power = 0.0
+        self.sum_holding = 0.0
+        self.sum_overflow = 0.0
+        self.off_slots = 0
+        self._mu_hist: deque = deque(maxlen=mu_window)
+        self._mu_wsum = 0.0
+
+    def update(self, *, power_w, g_realized, holding, drops, off_slot, mu) -> MetricsRecord:
+        self.count += 1
+        self.sum_cost += power_w + mu * g_realized
+        self.sum_power += power_w
+        self.sum_holding += holding
+        self.sum_overflow += drops
+        self.off_slots += int(off_slot)
+        if len(self._mu_hist) == self._mu_hist.maxlen:
+            self._mu_wsum -= self._mu_hist[0]
+        self._mu_hist.append(mu)
+        self._mu_wsum += mu
+        c = self.count
+        return MetricsRecord(
+            n=c - 1,
+            cum_cost=self.sum_cost / c,
+            cum_power_w=self.sum_power / c,
+            cum_holding=self.sum_holding / c,
+            cum_overflow=self.sum_overflow / c,
+            theta_off=self.off_slots / c,
+            mu_window=max(0.0, self._mu_wsum / len(self._mu_hist)),
+        )
 
 
 def per_step_suboptimal(cfg: ExperimentConfig, **kwargs) -> RunResult:

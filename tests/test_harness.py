@@ -10,6 +10,7 @@ from greentx.config import reduced_profile
 from greentx.errors import ConfigError, TableFormatError
 from greentx.harness import (
     CSV_COLUMNS,
+    OBSERVATIONS,
     MetricsAccumulator,
     MetricsRecord,
     PolicyActor,
@@ -23,10 +24,25 @@ from greentx.harness import (
     solve_tables,
 )
 from greentx.planner import value_iteration
-from oracles import per_step_suboptimal
+from oracles import RunningSumMetrics, per_step_suboptimal
 
 
 # ---- metrics accounting ------------------------------------------------------
+
+
+def _record(acc, power, g, holding, drops, off, mu):
+    """Feeds the slots to an accumulator; returns its update calls' results."""
+    return [
+        acc.update(
+            power_w=float(power[i]),
+            g_realized=float(g[i]),
+            holding=float(holding[i]),
+            drops=float(drops[i]),
+            off_slot=bool(off[i]),
+            mu=float(mu[i]),
+        )
+        for i in range(len(mu))
+    ]
 
 
 def test_accumulator_matches_vectorized_recompute():
@@ -38,43 +54,36 @@ def test_accumulator_matches_vectorized_recompute():
     drops = rng.integers(0, 3, n).astype(float)
     off = rng.random(n) < 0.3
     mu = rng.uniform(0.0, 5.0, n)
+    obs = (power, g, holding, drops, off, mu)
 
-    acc = MetricsAccumulator(mu_window=7)
-    rows = np.array(
-        [
-            acc.update(
-                power_w=power[i],
-                g_realized=g[i],
-                holding=holding[i],
-                drops=drops[i],
-                off_slot=bool(off[i]),
-                mu=mu[i],
-            ).astuple()
-            for i in range(n)
-        ]
-    )
-    counts = np.arange(1, n + 1, dtype=float)
-    assert np.array_equal(rows[:, 0], np.arange(n))
-    assert np.array_equal(rows[:, 1], np.cumsum(power + mu * g) / counts)
-    assert np.array_equal(rows[:, 2], np.cumsum(power) / counts)
-    assert np.array_equal(rows[:, 3], np.cumsum(holding) / counts)
-    assert np.array_equal(rows[:, 4], np.cumsum(drops) / counts)
-    assert np.array_equal(rows[:, 5], np.cumsum(off) / counts)
-    window = np.array([mu[max(0, i - 6) : i + 1].mean() for i in range(n)])
-    assert np.allclose(rows[:, 6], window, rtol=1e-12)
+    for w in (1, 7, n + 13):
+        acc = MetricsAccumulator(n, mu_window=w)
+        _record(acc, *obs)
+        rows = acc.history()
+        reference = np.array(_record(RunningSumMetrics(mu_window=w), *obs))
+        assert rows.shape == reference.shape == (n, len(CSV_COLUMNS))
+        for j in range(len(CSV_COLUMNS)):
+            assert np.array_equal(rows[:, j], reference[:, j]), (w, CSV_COLUMNS[j])
+        counts = np.arange(1, n + 1, dtype=float)
+        assert np.array_equal(rows[:, 0], np.arange(n))
+        assert np.array_equal(rows[:, 1], np.cumsum(power + mu * g) / counts)
+        assert np.array_equal(rows[:, 2], np.cumsum(power) / counts)
+        assert np.array_equal(rows[:, 3], np.cumsum(holding) / counts)
+        assert np.array_equal(rows[:, 4], np.cumsum(drops) / counts)
+        assert np.array_equal(rows[:, 5], np.cumsum(off) / counts)
+        window = np.array([mu[max(0, i - w + 1) : i + 1].mean() for i in range(n)])
+        assert np.allclose(rows[:, 6], window, rtol=1e-12)
 
 
 def test_window_mean_stays_nonnegative_when_the_running_sum_drifts():
     # 0.3 + 0.6 rounds below 0.9, so once both leave the window the running
     # sum sits at -1.1e-16 although every mu in it is zero
-    acc = MetricsAccumulator(mu_window=2)
-    rows = [
-        acc.update(
-            power_w=0.0, g_realized=0.0, holding=0.0, drops=0.0, off_slot=False, mu=mu
-        )
-        for mu in (0.3, 0.6, 0.0, 0.0)
-    ]
-    assert acc._mu_wsum < 0.0
+    assert 0.3 + 0.6 - 0.3 - 0.6 < 0.0
+    mus = (0.3, 0.6, 0.0, 0.0)
+    acc = MetricsAccumulator(len(mus), mu_window=2)
+    zeros = [0.0] * len(mus)
+    _record(acc, zeros, zeros, zeros, zeros, zeros, mus)
+    rows = [MetricsRecord(int(r[0]), *r[1:]) for r in acc.history().tolist()]
     assert rows[-1].mu_window == 0.0
     assert all(r.mu_window >= 0.0 for r in rows)
 
@@ -177,14 +186,18 @@ def test_rerun_is_byte_deterministic():
 def test_resume_reproduces_uninterrupted_run(tmp_path, algorithm):
     cfg = reduced_profile(algorithm=algorithm, horizon=400, seed=2)
     ck = tmp_path / "run.ckpt"
-    full = run_experiment(cfg, checkpoint_path=ck, checkpoint_every=150)
-    resumed = run_experiment(cfg, resume_from=ck)  # continues from slot 300
-    assert np.array_equal(resumed.history, full.history)
-    assert resumed.csv_text() == full.csv_text()
-    assert resumed.mu_final == full.mu_final
-    assert resumed.tables.keys() == full.tables.keys()
-    for name, table in full.tables.items():
-        assert np.array_equal(resumed.tables[name], table)
+    # the last checkpoint lands on slot 300, then on the horizon itself,
+    # which leaves the resumed run no slot to run
+    for every in (150, 200):
+        full = run_experiment(cfg, checkpoint_path=ck, checkpoint_every=every)
+        assert load_checkpoint(ck)["slot"] == cfg.horizon // every * every
+        resumed = run_experiment(cfg, resume_from=ck)
+        assert np.array_equal(resumed.history, full.history)
+        assert resumed.csv_text() == full.csv_text()
+        assert resumed.mu_final == full.mu_final
+        assert resumed.tables.keys() == full.tables.keys()
+        for name, table in full.tables.items():
+            assert np.array_equal(resumed.tables[name], table)
 
 
 def test_pds_tables_count_every_written_entry():
@@ -202,6 +215,44 @@ def test_resume_rejects_a_different_config(tmp_path):
     run_experiment(cfg, checkpoint_path=ck, checkpoint_every=100)
     with pytest.raises(ConfigError):
         run_experiment(replace(cfg, seed=3), resume_from=ck)
+
+
+def test_resume_refuses_malformed_checkpoints(tmp_path):
+    cfg = reduced_profile(algorithm="q", horizon=200, seed=2)
+    ck = tmp_path / "run.ckpt"
+    full = run_experiment(cfg, checkpoint_path=ck, checkpoint_every=100)
+    good = load_checkpoint(ck)
+    assert good["slot"] == 200 and set(good) == {"config", "slot", "observations", "env", "actor"}
+
+    def with_columns(slot, size):
+        obs = np.resize(good["observations"], (size, len(OBSERVATIONS)))
+        return {**good, "slot": slot, "observations": obs}
+
+    def without(key):
+        return {k: v for k, v in good.items() if k != key}
+
+    def at_state(state):
+        return {**good, "env": {**good["env"], "state": state}}
+
+    bad = [
+        with_columns(201, 201),  # past the horizon, with columns to match
+        with_columns(-1, 0),
+        with_columns(100, 200),
+        with_columns(200, 199),
+        *(without(key) for key in good),
+        at_state([0, 5, 0]),  # h = 5 on a 4-level channel grid
+        at_state([11, 0, 0]),
+        at_state([0, 0, 2]),
+        at_state([0, 0]),
+        {**good, "observations": good["observations"].astype(np.float32)},
+    ]
+    for i, payload in enumerate(bad):
+        path = tmp_path / f"bad{i}.ckpt"
+        save_checkpoint(path, payload)
+        with pytest.raises(TableFormatError):
+            run_experiment(cfg, resume_from=path)
+    save_checkpoint(tmp_path / "again.ckpt", good)
+    assert run_experiment(cfg, resume_from=tmp_path / "again.ckpt").csv_text() == full.csv_text()
 
 
 def test_fixed_policy_override_controls_the_run(reduced_cfg):

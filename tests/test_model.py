@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from greentx.errors import ConfigError, FeasibilityError
 from greentx.model import Action, JointModel, State
-from greentx.phy import PhyConfig, tx_power
-from greentx.power import PmAction, PowerProfile, PowerState, required_power
+from greentx.phy import PhyConfig
+from greentx.power import PmAction, PowerProfile, PowerState
 from greentx.queueing import ArrivalDistribution, QueueConfig
 from oracles import (
     all_states,
@@ -20,6 +20,8 @@ from oracles import (
     joint_transition_pmf,
     lagrangian_cost,
     power_cost,
+    required_power,
+    tx_power,
 )
 
 TX_BEST_GAIN_Z1_PLR1 = 0.00012385257154998638  # -2.08 dB, one packet, 1% PLR

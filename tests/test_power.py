@@ -10,8 +10,8 @@ from greentx.power import (
     PowerProfile,
     PowerState,
     pm_transition_pmf,
-    required_power,
 )
+from oracles import required_power
 
 
 def test_state_and_command_encodings():
