@@ -18,7 +18,7 @@ header (kind and model fingerprint) included.
 
 Usage (from the root of a checkout):
     PYTHONPATH=src python scripts/gate_digests.py > digests.txt
-    PYTHONPATH=src python scripts/gate_digests.py --max-horizon 200   # smoke run
+    PYTHONPATH=src python scripts/gate_digests.py --max-horizon 1000  # smoke run
 """
 import argparse
 import hashlib

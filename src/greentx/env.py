@@ -3,15 +3,30 @@
 Each random quantity draws from its own seeded substream so runs are
 reproducible and resumable, and so changing one sampler never shifts the
 draws of another.
+
+The streams that draw nothing but one uniform per slot (the radio's ``pm``
+stream always, the ``arrival`` and ``channel`` streams in their stationary
+modes) take their uniforms in blocks (``BlockUniforms``): on PCG64,
+``rng.random(n)`` returns exactly the values of n scalar ``rng.random()``
+calls, so a block hands out the same numbers, and an outcome is read off
+Python lists with ``bisect``, with no numpy call in the slot. Before the
+environment is snapshot or restored, each block is rewound: its generator
+goes back to the block's start state and ``bit_generator.advance`` moves
+it past the values used, which leaves it exactly where the scalar draws
+would have, so snapshots hold plain generator states. MMPP arrivals, the
+perturbed channel and the delivered-packet binomial mix kinds of draws on
+one stream and keep scalar draws.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import length_hint
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, FeasibilityError
+from .errors import ConfigError, FeasibilityError, TableFormatError, check_snapshot
 from .model import Action, JointModel, State
 from .power import PmAction, PowerState
 from .queueing import ArrivalDistribution
@@ -43,12 +58,65 @@ class RngStreams:
             getattr(self, name).bit_generator.state = state
 
 
+class BlockUniforms:
+    """Uniform draws of one generator, drawn in blocks and handed out one by one.
+
+    Blocks start at ``FIRST_BLOCK`` values and double up to ``MAX_BLOCK``, so
+    a short run draws little ahead and a long one refills rarely. The
+    generator must draw nothing else: ``rewind`` relies on every value being
+    one 64-bit step of PCG64 (``advance`` also clears the buffered 32-bit
+    value, which double draws never set).
+    """
+
+    FIRST_BLOCK = 8
+    MAX_BLOCK = 256
+
+    __slots__ = ("rng", "size", "block", "left", "start")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.size = self.FIRST_BLOCK
+        self.block: list = []
+        self.left = iter(self.block)
+        self.start = None
+
+    def random(self) -> float:
+        """The next value ``rng.random()`` would return."""
+        try:
+            return next(self.left)
+        except StopIteration:
+            self.start = self.rng.bit_generator.state
+            self.block = self.rng.random(self.size).tolist()
+            self.size = min(2 * self.size, self.MAX_BLOCK)
+            self.left = iter(self.block)
+            return next(self.left)
+
+    def rewind(self) -> None:
+        """Put the generator where scalar draws would have left it; drop the block."""
+        unused = length_hint(self.left)
+        if unused:
+            bg = self.rng.bit_generator
+            bg.state = self.start
+            bg.advance(len(self.block) - unused)
+        self.block = []
+        self.left = iter(self.block)
+
+
 _OFF, _ON = int(PowerState.OFF), int(PowerState.ON)
 
 
-def _sample_pmf(pmf_cumsum: np.ndarray, rng: np.random.Generator) -> int:
-    idx = int(np.searchsorted(pmf_cumsum, rng.random(), side="right"))
-    return min(idx, pmf_cumsum.size - 1)
+def _cum_head(pmf) -> list:
+    """Cumulative sums of a pmf (along its last axis) short of the last, as lists.
+
+    ``bisect_right(head, u)`` then equals ``np.searchsorted(np.cumsum(pmf), u,
+    side="right")`` clamped to the last outcome: a u at or above the last
+    sum (a cumsum can end a rounding below 1) lands on the last outcome.
+    """
+    return np.cumsum(pmf, axis=-1)[..., :-1].tolist()
+
+
+def _sample_pmf(cum_head: list, rng: np.random.Generator | BlockUniforms) -> int:
+    return bisect_right(cum_head, rng.random())
 
 
 def birth_death_matrix(n: int, stay: float = 0.6, step: float = 0.2) -> np.ndarray:
@@ -107,13 +175,14 @@ class ChannelModel:
             raise ConfigError(f"unknown channel mode {mode!r}")
         self.mode = mode
         self.perturb_magnitude = float(perturb_magnitude)
-        self._cum = np.cumsum(self.matrix, axis=1)
+        self.cum_head = _cum_head(self.matrix)  # [h] -> row h, see _cum_head
 
-    def step(self, h: int, rng: np.random.Generator) -> int:
+    def step(self, h: int, rng: np.random.Generator | BlockUniforms) -> int:
+        """Next channel state; stationary mode draws one uniform, so ``rng`` may be a block."""
         if self.mode == "stationary":
-            return _sample_pmf(self._cum[h], rng)
+            return bisect_right(self.cum_head[h], rng.random())
         per = perturb_channel(self.matrix, self.perturb_magnitude, rng)
-        return _sample_pmf(np.cumsum(per[h]), rng)
+        return _sample_pmf(_cum_head(per[h]), rng)
 
 
 MMPP_RATES = (0.0, 100.0, 200.0, 300.0, 400.0)
@@ -134,8 +203,7 @@ def mmpp_step(
     """
     if rng.random() < stay_prob:
         return state
-    cum = np.cumsum(np.asarray(stationary, dtype=np.float64))
-    return _sample_pmf(cum, rng)
+    return _sample_pmf(_cum_head(np.asarray(stationary, dtype=np.float64)), rng)
 
 
 class ArrivalModel:
@@ -161,7 +229,7 @@ class ArrivalModel:
             if pmf is None:
                 raise ConfigError("stationary arrivals need an explicit pmf")
             self.pmf = pmf
-            self._cum = np.cumsum(pmf.pmf)
+            self.cum_head = _cum_head(pmf.pmf)
         else:
             self.rates = np.asarray(mmpp_rates, dtype=np.float64)
             self.stationary = np.asarray(mmpp_stationary, dtype=np.float64)
@@ -181,9 +249,10 @@ class ArrivalModel:
             mix[-1] += 1.0 - mix.sum()
             self.pmf = ArrivalDistribution(mix)
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: np.random.Generator | BlockUniforms) -> int:
+        """Arrivals of one slot; stationary mode draws one uniform, so ``rng`` may be a block."""
         if self.mode == "stationary":
-            return _sample_pmf(self._cum, rng)
+            return bisect_right(self.cum_head, rng.random())
         rate = float(self.rates[self.chain_state])
         self.chain_state = mmpp_step(self.chain_state, rng, self.stay, self.stationary)
         return int(rng.poisson(rate * self.slot_seconds))
@@ -192,8 +261,13 @@ class ArrivalModel:
         return {"chain_state": getattr(self, "chain_state", None)}
 
     def restore(self, snap: dict) -> None:
-        if snap.get("chain_state") is not None:
-            self.chain_state = snap["chain_state"]
+        """Reinstate a snapshot; one of another layout or chain state is refused."""
+        check_snapshot(snap, self.snapshot(), "arrivals")
+        state = snap["chain_state"]
+        if state is not None:
+            if not 0 <= state < self.rates.size:
+                raise TableFormatError(f"mmpp chain state {state} outside [0, {self.rates.size})")
+            self.chain_state = state
 
 
 class SlotOutcome(NamedTuple):
@@ -221,7 +295,8 @@ class Environment:
 
     ``s`` is the flat index of the current state; ``step`` takes a global
     action index. The per-action numbers a slot reads are copied out of the
-    model once, into Python lists.
+    model once, into Python lists, and the single-uniform streams are drawn
+    in blocks (see the module docstring).
     """
 
     def __init__(
@@ -237,34 +312,51 @@ class Environment:
         self.arrivals = arrivals
         self.streams = streams
         self.s = model.state_index(s0)
+        self._n_h, self._n_x, self._n_a = model.n_h, model.n_x, model.n_a
+        self._feasible = model.feasible_bxa.tobytes()  # [(b * n_x + x) * n_a + a]
         self._z = model.action_z.tolist()
         self._p_deliver = [1.0 - plr for plr in model.action_plr.tolist()]
         self._p_off = model.px_stack[:, :, int(PowerState.OFF)].tolist()  # [a][x]
         self._rho = model.rho_hxa.tolist()  # [h][x][a]
+        # the models draw from a block wherever they draw one uniform per slot
+        self._pm = BlockUniforms(streams.pm)
+        self._arrival_rng = (
+            BlockUniforms(streams.arrival) if arrivals.mode == "stationary" else streams.arrival
+        )
+        self._channel_rng = (
+            BlockUniforms(streams.channel) if channel.mode == "stationary" else streams.channel
+        )
+        self._blocks = [
+            r for r in (self._pm, self._arrival_rng, self._channel_rng)
+            if isinstance(r, BlockUniforms)
+        ]
 
     def step(self, a: int) -> SlotOutcome:
-        m = self.model
         s = self.s
-        if not m.feasible_sa[s, a]:
+        bh, x = divmod(s, self._n_x)
+        b, h = divmod(bh, self._n_h)
+        if not self._feasible[(b * self._n_x + x) * self._n_a + a]:
+            m = self.model
             raise FeasibilityError(f"action {m.actions[a]} infeasible in state {m.state_of(s)}")
-        b, h, x = m.decode(s)
-        streams = self.streams
         z = self._z[a]
-        f = int(streams.goodput.binomial(z, self._p_deliver[a])) if z > 0 else 0
-        x_next = _OFF if streams.pm.random() < self._p_off[a][x] else _ON
-        l = self.arrivals.sample(streams.arrival)
-        h_next = self.channel.step(h, streams.channel)
+        f = int(self.streams.goodput.binomial(z, self._p_deliver[a])) if z > 0 else 0
+        x_next = _OFF if self._pm.random() < self._p_off[a][x] else _ON
+        l = self.arrivals.sample(self._arrival_rng)
+        h_next = self.channel.step(h, self._channel_rng)
 
-        cap = m.queue.capacity
+        queue = self.model.queue
+        cap = queue.capacity
         holding = b - f
         drops = max(holding + l - cap, 0)
-        self.s = m.encode(min(holding + l, cap), h_next, x_next)
+        self.s = ((min(holding + l, cap) * self._n_h) + h_next) * self._n_x + x_next
         return SlotOutcome(
             s, a, f, l, self.s, self._rho[h][x][a], holding, drops,
-            holding + m.queue.eta * drops,
+            holding + queue.eta * drops,
         )
 
     def snapshot(self) -> dict:
+        for block in self._blocks:
+            block.rewind()
         return {
             "state": self.model.decode(self.s),
             "streams": self.streams.snapshot(),
@@ -272,9 +364,23 @@ class Environment:
         }
 
     def restore(self, snap: dict) -> None:
-        self.s = self.model.encode(*snap["state"])
-        self.streams.restore(snap["streams"])
+        """Reinstate a snapshot; refuses one of another layout or off the state grid.
+
+        Raises ``TableFormatError`` when an entry is missing or of another
+        type, the (b, h, x) state lies off the model's grid, or a generator
+        state is not one PCG64 accepts.
+        """
+        m = self.model
+        check_snapshot(snap, self.snapshot(), "env")  # snapshot() also drops the blocks
+        state, grid = snap["state"], (m.n_b, m.n_h, m.n_x)
+        if not all(0 <= v < k for v, k in zip(state, grid)):
+            raise TableFormatError(f"state {state!r} is off the (b, h, x) grid {grid}")
+        try:
+            self.streams.restore(snap["streams"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TableFormatError(f"unusable generator state: {exc}") from exc
         self.arrivals.restore(snap["arrivals"])
+        self.s = m.encode(*state)
 
 
 def threshold_k_action(

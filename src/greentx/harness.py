@@ -28,7 +28,6 @@ import dataclasses
 import hashlib
 import json
 import zipfile
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .env import Environment, threshold_k_action
-from .errors import ConfigError, TableFormatError
+from .errors import ConfigError, TableFormatError, check_snapshot
 from .learners import MultiplierState, PdsLearner, QLearner, mu_update
 from .model import JointModel
 from .pds import FactoredDynamics, init_pds_values
@@ -105,9 +104,10 @@ class MetricsAccumulator:
 
         Each prefix mean is a sequential ``np.cumsum`` over the slot count,
         bit for bit the running sum a slot-by-slot accumulator keeps. The
-        multiplier's window mean replays that accumulator's recurrence in
-        slot order (subtract the price leaving the window, then add the new
-        one), since a windowed difference of prefix sums rounds differently.
+        multiplier's window mean is bit for bit that accumulator's window
+        recurrence (start at 0.0, add each price, and from slot w on first
+        subtract the price leaving the window), since a windowed difference
+        of prefix sums rounds differently.
         """
         n, w = self.count, self.mu_window
         power, g, holding, drops, off, mu = self.obs[:n].T
@@ -116,19 +116,24 @@ class MetricsAccumulator:
         rows[:, 0] = np.arange(n)
         for j, terms in enumerate((power + mu * g, power, holding, drops, off), start=1):
             rows[:, j] = np.cumsum(terms) / counts
-        # 8-byte floats throughout: a list of Python floats holds 32 bytes each
-        prices = memoryview(np.ascontiguousarray(mu))
-        means = array("d")
-        wsum = 0.0
-        # every mu is >= 0; the running sum can drift a few ulps below
-        for i, new in enumerate(prices[:w], start=1):
-            wsum += new
-            means.append(max(0.0, wsum / i))
-        for old, new in zip(prices, prices[w:]):
-            wsum -= old
-            wsum += new
-            means.append(max(0.0, wsum / w))
-        rows[:, 6] = means
+        # The recurrence is one sequential cumsum over the interleaved terms
+        # 0.0, p_0 .. p_{w-1}, -p_0, p_w, -p_1, p_{w+1}, ...: a - b equals
+        # a + (-b) in IEEE arithmetic, so each subtraction is that addition.
+        # The leading 0.0 is the recurrence's start: cumsum copies its first
+        # term, so without it a first price of -0.0 would stay -0.0 where
+        # 0.0 + (-0.0) gives 0.0.
+        full = min(n, w)  # slots summed before the window starts to slide
+        sums = np.zeros(1 + 2 * n - full)
+        sums[1 : full + 1] = mu[:full]
+        sums[full + 1 :: 2] = -mu[: n - full]
+        sums[full + 2 :: 2] = mu[full:]
+        np.cumsum(sums, out=sums)
+        means = rows[:, 6]
+        np.divide(sums[1 : full + 1], counts[:full], out=means[:full])
+        np.divide(sums[full + 2 :: 2], w, out=means[full:])
+        # every mu is >= 0, but the running sum can drift a few ulps below;
+        # this is max(0.0, mean) per slot, which also maps -0.0 to 0.0
+        means[~(means > 0.0)] = 0.0
         return rows
 
 
@@ -309,7 +314,7 @@ class PolicyActor:
         return {}
 
     def restore(self, snap: dict) -> None:
-        pass
+        check_snapshot(snap, {}, "actor")
 
 
 class SuboptimalActor:
@@ -400,6 +405,8 @@ class SuboptimalActor:
         }
 
     def restore(self, snap: dict) -> None:
+        """Reinstate a snapshot; one of another layout raises ``TableFormatError``."""
+        check_snapshot(snap, self.snapshot(), "actor")
         self.arrival_counts[...] = snap["arrival_counts"]
         self.channel_counts[...] = snap["channel_counts"]
         self.n = snap["n"]
@@ -472,33 +479,30 @@ class RunResult:
 _CHECKPOINT_ENTRIES = ("config", "slot", "observations", "env", "actor")
 
 
-def _resume(payload, cfg: ExperimentConfig, model: JointModel, acc, env, actor) -> int:
+def _resume(payload, cfg: ExperimentConfig, acc, env, actor) -> int:
     """Restore a run from a checkpoint payload; returns the slot it continues at.
 
-    A payload that lacks an entry, stops outside ``[0, horizon]``, holds
-    observations of another shape than ``(slot, len(OBSERVATIONS))``, or
-    puts the environment off the model's (b, h, x) grid is refused with
-    ``TableFormatError``; one from another config with ``ConfigError``.
+    A payload that lacks an entry, stops outside ``[0, horizon]`` or holds
+    observations of another shape than ``(slot, len(OBSERVATIONS))`` is
+    refused with ``TableFormatError``, as is an environment or actor entry
+    that its ``restore`` refuses; one from another config with ``ConfigError``.
     """
     if not isinstance(payload, dict) or not set(_CHECKPOINT_ENTRIES) <= set(payload):
         raise TableFormatError(f"checkpoint lacks one of the entries {_CHECKPOINT_ENTRIES}")
+    if not isinstance(payload["config"], dict):
+        raise TableFormatError("checkpoint config is not a mapping")
     # compared as canonical JSON: the config's tuples come back as lists
     if fingerprint_digest(payload["config"]) != fingerprint_digest(cfg.to_dict()):
         raise ConfigError("checkpoint was produced by a different config")
-    slot, obs, env_snap = payload["slot"], payload["observations"], payload["env"]
+    slot, obs = payload["slot"], payload["observations"]
     if type(slot) is not int or not 0 <= slot <= cfg.horizon:
         raise TableFormatError(f"checkpoint slot {slot!r} outside [0, {cfg.horizon}]")
     shape = (slot, len(OBSERVATIONS))
     if not isinstance(obs, np.ndarray) or obs.dtype != np.float64 or obs.shape != shape:
         raise TableFormatError(f"checkpoint observations are not a float64 {shape} array")
-    state = env_snap.get("state") if isinstance(env_snap, dict) else None
-    grid = (model.n_b, model.n_h, model.n_x)
-    on_grid = isinstance(state, list) and len(state) == len(grid)
-    if not (on_grid and all(type(v) is int and 0 <= v < k for v, k in zip(state, grid))):
-        raise TableFormatError(f"checkpoint state {state!r} is off the (b, h, x) grid {grid}")
     acc.obs[:slot] = obs
     acc.count = slot
-    env.restore(env_snap)
+    env.restore(payload["env"])
     actor.restore(payload["actor"])
     return slot
 
@@ -536,11 +540,11 @@ def run_experiment(
     acc = MetricsAccumulator(cfg.horizon)
     start = 0
     if resume_from is not None:
-        start = _resume(load_checkpoint(resume_from), cfg, model, acc, env, actor)
+        start = _resume(load_checkpoint(resume_from), cfg, acc, env, actor)
 
     # a slot is spent off when the radio is off and told to stay off
     stays_off = (model.action_y == int(PmAction.S_OFF)).tolist()
-    x_off = int(PowerState.OFF)
+    x_off, n_x = int(PowerState.OFF), model.n_x
     for n in range(start, cfg.horizon):
         s = env.s
         a = actor.act(s)
@@ -552,7 +556,7 @@ def run_experiment(
             g_realized=out.g_realized,
             holding=out.holding,
             drops=out.drops,
-            off_slot=(model.decode(s)[2] == x_off and stays_off[a]),
+            off_slot=(s % n_x == x_off and stays_off[a]),
             mu=mu_n,
         )
         if (

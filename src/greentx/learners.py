@@ -18,15 +18,24 @@ reads the slot's ``SlotOutcome``; besides these they report the price in
 effect (``mu``), their tables, and a snapshot that ``restore`` reinstates
 for checkpoints.
 A run that pins the price hands them a ``MultiplierState`` with ``fixed``
-set, so the pin lives in ``mu_update`` alone.
+set, so the pin lives in ``mu_update`` alone. ``restore`` refuses a
+snapshot whose layout differs from the learner's own with
+``TableFormatError``.
+
+The Q-learner's slot makes no numpy call on a table row: feasibility does
+not depend on the channel, so it keeps, per (buffer, radio) block of
+states, the list of feasible action indices (for ``act``) and the boolean
+feasibility row as bytes (for the backup), built once from
+``model.feasible_bxa``, and reads the Q row it needs with ``tolist``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_snapshot
 from .model import JointModel
 from .pds import FactoredDynamics
 from .planner import TIE_TOL
@@ -74,6 +83,7 @@ class MultiplierState:
     fixed: bool = False
 
     def __post_init__(self) -> None:
+        self.mu = float(self.mu)  # the price is a float from the start, as in snapshots
         if self.mu_max <= 0:
             raise ConfigError("mu_max must be positive")
         if not 0.0 <= self.mu <= self.mu_max:
@@ -105,28 +115,39 @@ def q_update(
     s_next_idx: int,
     alpha: float,
     gamma: float,
-    feasible_sa: np.ndarray,
+    feasible_sa,
 ) -> float:
-    """One tabular backup toward cost plus the best feasible continuation."""
-    row = q[s_next_idx]
-    best_next = float(row[feasible_sa[s_next_idx]].min())
-    q[s_idx, a_idx] = (1.0 - alpha) * q[s_idx, a_idx] + alpha * (
-        cost + gamma * best_next
-    )
-    return float(q[s_idx, a_idx])
+    """One tabular backup toward cost plus the best feasible continuation.
+
+    ``feasible_sa[s]`` is state s's feasibility row: a bool array, or any
+    sequence of truth values such as ``bytes``.
+    """
+    best_next = min(compress(q[s_next_idx].tolist(), feasible_sa[s_next_idx]))
+    new = (1.0 - alpha) * q.item(s_idx, a_idx) + alpha * (cost + gamma * best_next)
+    q[s_idx, a_idx] = new
+    return new
 
 
 def epsilon_greedy(
     q_row: np.ndarray,
-    feasible_idx: np.ndarray,
+    feasible_idx,
     eps: float,
     rng: np.random.Generator,
 ) -> int:
-    """Greedy feasible action, replaced by a uniform feasible draw w.p. eps."""
+    """Greedy feasible action, replaced by a uniform feasible draw w.p. eps.
+
+    The greedy action is the first of ``feasible_idx`` (an array or a list)
+    within ``TIE_TOL`` of the feasible minimum.
+    """
     if rng.random() < eps:
-        return int(feasible_idx[rng.integers(feasible_idx.size)])
-    sub = q_row[feasible_idx]
-    return int(feasible_idx[np.argmax(sub <= sub.min() + TIE_TOL)])
+        return int(feasible_idx[rng.integers(len(feasible_idx))])
+    row = q_row.tolist()
+    vals = [row[a] for a in feasible_idx]
+    tie = min(vals) + TIE_TOL
+    for a, v in zip(feasible_idx, vals):
+        if v <= tie:
+            return int(a)
+    return int(feasible_idx[0])  # only NaN entries can leave the tie window empty
 
 
 class QLearner:
@@ -146,19 +167,34 @@ class QLearner:
         self.q = np.zeros((model.n_s, model.n_a))
         self.visits = np.zeros((model.n_s, model.n_a), dtype=np.int64)
         self.n = 0
+        # feasibility does not depend on h: the n_h states of a (b, x) block
+        # share its list of feasible action indices and its row as bytes
+        n_x, n_a = model.n_x, model.n_a
+        blocks = model.feasible_bxa.reshape(-1, n_a)  # row b * n_x + x
+        actions = np.nonzero(blocks)[1].tolist()
+        bounds = [0, *np.cumsum(blocks.sum(axis=1)).tolist()]
+        raw = blocks.tobytes()
+        self._feasible, self._feasible_rows = [], []
+        for b in range(model.n_b):
+            ks = range(b * n_x, (b + 1) * n_x)
+            self._feasible += [actions[bounds[k] : bounds[k + 1]] for k in ks] * model.n_h
+            self._feasible_rows += [raw[k * n_a : (k + 1) * n_a] for k in ks] * model.n_h
 
     def act(self, s: int) -> int:
-        feas = np.flatnonzero(self.model.feasible_sa[s])
-        return epsilon_greedy(self.q[s], feas, self.schedules.epsilon(self.n), self.rng)
+        return epsilon_greedy(
+            self.q[s], self._feasible[s], self.schedules.epsilon(self.n), self.rng
+        )
 
     def learn(self, outcome) -> None:
         s, a = outcome.s, outcome.a
         cost = outcome.power_w + self.multiplier.mu * outcome.g_realized
         # per-pair step size: rarely visited pairs keep large corrections
-        alpha = self.schedules.alpha(int(self.visits[s, a]))
-        self.visits[s, a] += 1
-        m = self.model
-        q_update(self.q, s, a, cost, outcome.s_next, alpha, m.gamma, m.feasible_sa)
+        n_sa = self.visits.item(s, a)
+        self.visits[s, a] = n_sa + 1
+        q_update(
+            self.q, s, a, cost, outcome.s_next, self.schedules.alpha(n_sa),
+            self.model.gamma, self._feasible_rows,
+        )
         mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
         self.n += 1
 
@@ -173,6 +209,7 @@ class QLearner:
         return {**self.tables(), "n": self.n, "mu": self.multiplier.mu}
 
     def restore(self, snap: dict) -> None:
+        check_snapshot(snap, self.snapshot(), "actor")
         self.q[...] = snap["q"]
         self.visits[...] = snap["visits"]
         self.n = snap["n"]
@@ -298,6 +335,7 @@ class PdsLearner:
         return {**self.tables(), "n": self.n, "mu": self.multiplier.mu}
 
     def restore(self, snap: dict) -> None:
+        check_snapshot(snap, self.snapshot(), "actor")
         self.v_tilde[...] = snap["v_tilde"]
         self.visits[...] = snap["visits"]
         self.n = snap["n"]

@@ -24,7 +24,10 @@ checked against them:
   per-state evaluation loop) and ``dense_value_iteration`` (dense tabular
   value iteration);
 - runs: ``RunningSumMetrics``, the metric rows kept by running sums slot by
-  slot, and ``per_step_suboptimal``, the re-planning reference as a run.
+  slot, and ``per_step_suboptimal``, the re-planning reference as a run;
+- the plant: ``ScalarDrawEnv``, a slot with one scalar draw per random
+  quantity and ``np.searchsorted`` sampling, which the block-drawn
+  ``Environment.step`` must match outcome for outcome and stream for stream.
 
 Functions on the model or the factored dynamics take it first.
 """
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from greentx.config import ExperimentConfig
+from greentx.env import Environment, SlotOutcome, perturb_channel
 from greentx.errors import ConfigError, ConvergenceError, FeasibilityError
 from greentx.harness import MU_WINDOW_SLOTS, MetricsRecord, RunResult, run_experiment
 from greentx.learners import LearningSchedule
@@ -470,3 +474,64 @@ class RunningSumMetrics:
 def per_step_suboptimal(cfg: ExperimentConfig, **kwargs) -> RunResult:
     """The re-planning reference as a first-class run."""
     return run_experiment(dataclasses.replace(cfg, algorithm="suboptimal"), **kwargs)
+
+
+# ---- the plant, one scalar draw at a time ------------------------------------------
+
+
+def _searchsorted_draw(pmf, u: float) -> int:
+    cum = np.cumsum(pmf)
+    return min(int(np.searchsorted(cum, u, side="right")), cum.size - 1)
+
+
+class ScalarDrawEnv:
+    """``Environment.step`` with one scalar ``rng.random()`` per uniform.
+
+    Runs the slot on the parts of ``env`` (model, channel, arrivals, seeded
+    streams, start state) without calling its ``step``: every uniform is a
+    scalar draw on its stream and every outcome an ``np.searchsorted`` on
+    the pmf's cumulative sums. ``env`` must not be stepped by anyone else.
+    """
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self.s = env.s
+
+    def step(self, a: int) -> SlotOutcome:
+        env, m = self.env, self.env.model
+        streams, arrivals, channel = env.streams, env.arrivals, env.channel
+        if not m.feasible_sa[self.s, a]:
+            raise FeasibilityError(f"action {a} infeasible in state {self.s}")
+        b, h, x = m.decode(self.s)
+        z = int(m.action_z[a])
+        f = int(streams.goodput.binomial(z, 1.0 - m.action_plr[a])) if z > 0 else 0
+        p_off = m.px_stack[a, x, int(PowerState.OFF)]
+        x_next = int(PowerState.OFF) if streams.pm.random() < p_off else int(PowerState.ON)
+        if arrivals.mode == "stationary":
+            l = _searchsorted_draw(arrivals.pmf.pmf, streams.arrival.random())
+        else:
+            rate = float(arrivals.rates[arrivals.chain_state])
+            if not streams.arrival.random() < arrivals.stay:
+                arrivals.chain_state = _searchsorted_draw(arrivals.stationary, streams.arrival.random())
+            l = int(streams.arrival.poisson(rate * arrivals.slot_seconds))
+        if channel.mode == "stationary":
+            h_next = _searchsorted_draw(channel.matrix[h], streams.channel.random())
+        else:
+            per = perturb_channel(channel.matrix, channel.perturb_magnitude, streams.channel)
+            h_next = _searchsorted_draw(per[h], streams.channel.random())
+        cap = m.queue.capacity
+        holding = b - f
+        drops = max(holding + l - cap, 0)
+        s, self.s = self.s, m.encode(min(holding + l, cap), h_next, x_next)
+        return SlotOutcome(
+            s, a, f, l, self.s, float(m.rho_hxa[h, x, a]), holding, drops,
+            holding + m.queue.eta * drops,
+        )
+
+    def snapshot(self) -> dict:
+        """What ``Environment.snapshot`` must return after the same slots."""
+        return {
+            "state": self.env.model.decode(self.s),
+            "streams": self.env.streams.snapshot(),
+            "arrivals": self.env.arrivals.snapshot(),
+        }

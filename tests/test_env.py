@@ -10,6 +10,7 @@ from greentx.env import (
     MMPP_RATES,
     MMPP_STATIONARY,
     ArrivalModel,
+    BlockUniforms,
     ChannelModel,
     Environment,
     RngStreams,
@@ -22,7 +23,7 @@ from greentx.errors import ConfigError, FeasibilityError
 from greentx.model import State
 from greentx.power import PmAction, PowerState
 from greentx.queueing import ArrivalDistribution
-from oracles import joint_transition_pmf, power_cost
+from oracles import ScalarDrawEnv, joint_transition_pmf, power_cost
 
 MMPP_MEAN_PKTS_PER_S = 211.95000000000002  # stationary @ rates, frozen
 
@@ -264,6 +265,62 @@ def test_environment_snapshot_replays_identically(reduced_cfg, reduced_model):
     env.restore(snap)
     replay = [env.step(1) for _ in range(30)]
     assert probe == replay
+
+
+def _block_ends(count):
+    """Slots at which the first ``count`` blocks of an unrewound stream run out."""
+    ends, size, total = [], BlockUniforms.FIRST_BLOCK, 0
+    for _ in range(count):
+        total += size
+        ends.append(total)
+        size = min(2 * size, BlockUniforms.MAX_BLOCK)
+    return ends
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 24, 100, 505, 1000])
+def test_block_uniforms_are_the_scalar_draws(n):
+    blocks, scalar = RngStreams.from_seed(4).pm, RngStreams.from_seed(4).pm
+    draws = BlockUniforms(blocks)
+    assert [draws.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
+    draws.rewind()
+    assert blocks.bit_generator.state == scalar.bit_generator.state
+    assert draws.random() == scalar.random()  # draws on from the rewound state
+
+
+# around the ends of the first block, of the first doubled block and of the
+# first block at the cap, counted on an unrewound stream (so exact for a
+# run's first cut; a snapshot rewinds and later blocks start from there)
+_FIRST, _SECOND, *_, _CAPPED = _block_ends(6)
+_CUTS = sorted({1, *(e + d for e in (_FIRST, _SECOND, _CAPPED) for d in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        {},
+        {"arrival_mode": "mmpp"},
+        {"channel_mode": "perturbed", "perturb_magnitude": 0.05},
+    ],
+    ids=["stationary", "mmpp", "perturbed"],
+)
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    policy_seed=st.integers(0, 2**31 - 1),
+    cuts=st.sets(st.sampled_from(_CUTS), min_size=1),
+)
+def test_block_draws_equal_scalar_draws(reduced_cfg, kind, seed, policy_seed, cuts):
+    cfg = replace(reduced_cfg, seed=seed, **kind)
+    model = cfg.build_model()
+    env, ref = cfg.build_env(model), ScalarDrawEnv(cfg.build_env(model))
+    policy = np.random.default_rng(policy_seed)
+    for n in range(1, max(cuts) + 1):
+        feas = np.flatnonzero(model.feasible_sa[env.s])
+        a = int(feas[policy.integers(feas.size)])
+        assert env.step(a) == ref.step(a), n
+        if n in cuts:
+            # a snapshot rewinds the blocks; the run then draws on from there
+            assert env.snapshot() == ref.snapshot(), n
 
 
 def test_environment_is_wired_from_config(reduced_cfg):

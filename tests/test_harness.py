@@ -88,6 +88,25 @@ def test_window_mean_stays_nonnegative_when_the_running_sum_drifts():
     assert all(r.mu_window >= 0.0 for r in rows)
 
 
+def test_window_mean_is_the_running_sum_bit_for_bit():
+    # signed zeros, the 0.3/0.6 drift pattern and random prices, compared as
+    # bytes so that a -0.0 where the running sum gives 0.0 also fails
+    rng = np.random.default_rng(3)
+    patterns = (
+        [-0.0, -0.0, 0.0, 2.0, -0.0],
+        [0.3, 0.6] * 20 + [0.0] * 10,
+        rng.uniform(0.0, 5.0, 300).tolist(),
+    )
+    for mus in patterns:
+        zeros = [0.0] * len(mus)
+        for w in (1, 2, 7, len(mus), len(mus) + 3):
+            acc = MetricsAccumulator(len(mus), mu_window=w)
+            _record(acc, zeros, zeros, zeros, zeros, zeros, mus)
+            got = acc.history()[:, CSV_COLUMNS.index("mu_window")]
+            rows = _record(RunningSumMetrics(mu_window=w), zeros, zeros, zeros, zeros, zeros, mus)
+            assert got.tobytes() == np.array([r.mu_window for r in rows]).tobytes(), w
+
+
 def test_csv_text_is_exact_and_round_trips():
     rec = MetricsRecord(0, 0.1 + 0.2, 0.32, 3.0, 0.0, 0.5, 1.0)
     text = metrics_csv_text([rec])
@@ -253,6 +272,53 @@ def test_resume_refuses_malformed_checkpoints(tmp_path):
             run_experiment(cfg, resume_from=path)
     save_checkpoint(tmp_path / "again.ckpt", good)
     assert run_experiment(cfg, resume_from=tmp_path / "again.ckpt").csv_text() == full.csv_text()
+
+
+def _mid_run_checkpoint(tmp_path, algorithm):
+    cfg = reduced_profile(algorithm=algorithm, horizon=50, seed=2)
+    ck = tmp_path / "run.ckpt"
+    run_experiment(cfg, checkpoint_path=ck, checkpoint_every=20)
+    good = load_checkpoint(ck)
+    assert good["slot"] == 40
+    return cfg, good
+
+
+def _assert_refused(tmp_path, cfg, payload):
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, payload)
+    with pytest.raises(TableFormatError):
+        run_experiment(cfg, resume_from=path)
+
+
+def test_resume_refuses_an_env_without_streams(tmp_path):
+    cfg, good = _mid_run_checkpoint(tmp_path, "q")
+    env = {k: v for k, v in good["env"].items() if k != "streams"}
+    _assert_refused(tmp_path, cfg, {**good, "env": env})
+
+
+def test_resume_refuses_streams_that_are_not_generator_states(tmp_path):
+    cfg, good = _mid_run_checkpoint(tmp_path, "q")
+    _assert_refused(tmp_path, cfg, {**good, "env": {**good["env"], "streams": 5}})
+    pm = good["env"]["streams"]["pm"]
+    negative = {**pm, "state": {**pm["state"], "state": -1}}
+    streams = {**good["env"]["streams"], "pm": negative}
+    _assert_refused(tmp_path, cfg, {**good, "env": {**good["env"], "streams": streams}})
+
+
+def test_resume_refuses_a_pds_actor_without_its_table(tmp_path):
+    cfg, good = _mid_run_checkpoint(tmp_path, "pds_ve")
+    actor = {k: v for k, v in good["actor"].items() if k != "v_tilde"}
+    _assert_refused(tmp_path, cfg, {**good, "actor": actor})
+
+
+def test_resume_refuses_a_q_table_of_another_shape(tmp_path):
+    cfg, good = _mid_run_checkpoint(tmp_path, "q")
+    _assert_refused(tmp_path, cfg, {**good, "actor": {**good["actor"], "q": np.zeros(3)}})
+
+
+def test_resume_refuses_a_config_that_is_not_a_mapping(tmp_path):
+    cfg, good = _mid_run_checkpoint(tmp_path, "q")
+    _assert_refused(tmp_path, cfg, {**good, "config": np.zeros(3)})
 
 
 def test_fixed_policy_override_controls_the_run(reduced_cfg):

@@ -1,0 +1,60 @@
+"""The benchmark's tracer still finds the run loop's per-slot names.
+
+``perfbench/tracer.py`` wraps package functions by name and reports a name
+it cannot resolve as absent, so that its per-layer metric reads 0 instead
+of failing. These tests read the tracer's target list and change nothing
+in ``perfbench/``.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from greentx.config import reduced_profile
+from greentx.harness import run_experiment
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# the per-slot names of the environment, the Q-learner and the metrics
+SLOT_NAMES = (
+    "Environment.step",
+    "QLearner.act",
+    "QLearner.learn",
+    "q_update",
+    "MetricsAccumulator.update",
+)
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache in perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    yield module
+    del sys.modules[spec.name]
+
+
+def test_slot_names_resolve_to_callables(tracer):
+    targets = [t for t in tracer.TARGETS if t.qualname in SLOT_NAMES]
+    assert sorted(t.qualname for t in targets) == sorted(SLOT_NAMES)
+    tr = tracer.Tracer(targets)
+    tr.install()
+    try:
+        assert tr.absent == []
+    finally:
+        tr.restore()
+
+
+def test_q_run_counts_one_backup_per_slot(tracer):
+    cfg = reduced_profile(algorithm="q", horizon=40, seed=1)
+    with tracer.Tracer() as tr:
+        run_experiment(cfg)
+    assert tr.entries == cfg.horizon
+    names = {row[0] for row in tr.spans}
+    assert {"env.step", "learners.act", "learners.learn", "harness.metrics"} <= names
