@@ -6,8 +6,16 @@ import dataclasses
 import sys
 
 from .config import ExperimentConfig, table_profile
-from .errors import ConfigError, TableFormatError
+from .errors import (
+    ConfigError, ConvergenceError, FeasibilityError, InitializationError, TableFormatError,
+)
 from .harness import load_tables, run_experiment, serialize_tables, solve_tables
+
+# the package's own errors, and files it cannot read or write, end a command
+# with one "error: ..." line and status 2 instead of a traceback
+REPORTED = (
+    ConfigError, TableFormatError, FeasibilityError, InitializationError, ConvergenceError, OSError,
+)
 
 
 def _add_common(p: argparse.ArgumentParser, out_help: str) -> None:
@@ -126,7 +134,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TableFormatError, OSError) as exc:
+    except REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

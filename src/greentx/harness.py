@@ -210,16 +210,20 @@ def serialize_tables(tables: dict, path, *, kind: str, fingerprint: dict) -> Non
 
 
 def load_tables(path, *, expect_kind: str | None = None, fingerprint: dict | None = None):
-    """Read tables back; refuses kind, shape, or fingerprint mismatches."""
+    """Read tables back; refuses kind, shape, dtype, or fingerprint mismatches."""
     header, tables = _read_npz(path)
     if header.get("format_version") != TABLE_FORMAT_VERSION:
         raise TableFormatError(f"unsupported format version {header.get('format_version')!r}")
     if expect_kind is not None and header.get("kind") != expect_kind:
         raise TableFormatError(f"expected kind {expect_kind!r}, found {header.get('kind')!r}")
-    dims = header.get("dims", {})
+    dims, dtypes = header.get("dims"), header.get("dtypes")
+    if not isinstance(dims, dict) or not isinstance(dtypes, dict):
+        raise TableFormatError("header dims and dtypes must be mappings")
     for name, a in tables.items():
         if list(a.shape) != dims.get(name):
             raise TableFormatError(f"table {name!r} shape {list(a.shape)} != header {dims.get(name)}")
+        if str(a.dtype) != dtypes.get(name):
+            raise TableFormatError(f"table {name!r} dtype {a.dtype} != header {dtypes.get(name)}")
     if fingerprint is not None:
         want = fingerprint_digest(fingerprint)
         if header.get("fingerprint_sha256") != want:
@@ -286,13 +290,26 @@ def load_checkpoint(path) -> dict:
 
 
 class PolicyActor:
-    """Follows a fixed flat policy; reports a fixed multiplier in metrics."""
+    """Follows a fixed flat policy; reports a fixed multiplier in metrics.
+
+    A policy that is not integer-typed, names an action outside the model's
+    list or picks an infeasible action anywhere is refused with
+    ``TableFormatError`` before the run starts.
+    """
 
     def __init__(self, model: JointModel, policy, mu: float, extra_tables: dict | None = None):
         self.model = model
-        self.policy = np.asarray(policy, dtype=np.int64)
-        if self.policy.shape != (model.n_s,):
+        policy = np.asarray(policy)
+        if policy.shape != (model.n_s,):
             raise ConfigError(f"policy must have shape ({model.n_s},)")
+        if not np.issubdtype(policy.dtype, np.integer):
+            raise TableFormatError(f"policy must hold integer action indices, not {policy.dtype}")
+        if policy.min() < 0 or policy.max() >= model.n_a:
+            raise TableFormatError(f"policy names actions outside [0, {model.n_a})")
+        self.policy = policy.astype(np.int64, copy=False)
+        s = np.arange(model.n_s)  # flat (b, h, x) order: b = s // (n_h n_x), x = s % n_x
+        if not model.feasible_bxa[s // (model.n_h * model.n_x), s % model.n_x, self.policy].all():
+            raise TableFormatError("policy picks an infeasible action")
         self._actions = self.policy.tolist()
         self._mu = float(mu)
         self._extra = dict(extra_tables or {})

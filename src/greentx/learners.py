@@ -18,15 +18,30 @@ reads the slot's ``SlotOutcome``; besides these they report the price in
 effect (``mu``), their tables, and a snapshot that ``restore`` reinstates
 for checkpoints.
 A run that pins the price hands them a ``MultiplierState`` with ``fixed``
-set, so the pin lives in ``mu_update`` alone. ``restore`` refuses a
-snapshot whose layout differs from the learner's own with
-``TableFormatError``.
+set, so the pin lives in ``mu_update`` alone. ``restore`` refuses with
+``TableFormatError`` a snapshot whose layout differs from the learner's
+own, or whose values no run reaches: a negative visit or slot count, a
+price outside [0, mu_max], a value table that is not finite.
 
 The Q-learner's slot makes no numpy call on a table row: feasibility does
 not depend on the channel, so it keeps, per (buffer, radio) block of
 states, the list of feasible action indices (for ``act``) and the boolean
 feasibility row as bytes (for the backup), built once from
 ``model.feasible_bxa``, and reads the Q row it needs with ``tolist``.
+
+The PDS learner's slot makes few numpy calls, and each on a contiguous
+array. It stores its table and visit counts channel-major, (n_h, n_b, n_x),
+behind (n_b, n_h, n_x) views, so the slice at one channel is contiguous.
+A greedy row (``act``, and ``pds_update``) reads its (buffer, radio)
+block's cost rows and matrix columns from views that ``FactoredDynamics``
+builds on first use, and takes the tie rule on ``tolist``. A batch slot
+reads where the observed arrivals land, and what they drop, from a table
+cached per arrival count (``FactoredDynamics.landing``). Its step sizes
+come from a table of alpha on arrays, grown by doubling. It writes the
+column and the counts in place. Every output equals the whole-array
+formulas bit for bit. numpy's alpha on an array may differ by an ulp from
+alpha on one count, so the table serves only the batch slot, which takes
+alpha on an array; a single-entry slot computes alpha of its one count.
 """
 from __future__ import annotations
 
@@ -35,10 +50,12 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import ConfigError, check_snapshot
+from .errors import ConfigError, TableFormatError, check_snapshot
 from .model import JointModel
 from .pds import FactoredDynamics
 from .planner import TIE_TOL
+
+ALPHA_TABLE_START = 256  # entries of the PDS learner's step-size table at first
 
 
 @dataclass
@@ -100,6 +117,21 @@ def mu_update(state: MultiplierState, g_realized: float, beta_n: float) -> float
             min(max(state.mu + beta_n * (g_realized - state.target), 0.0), state.mu_max)
         )
     return state.mu
+
+
+def _check_values(snap: dict, table: str, mu_max: float) -> None:
+    """Refuse a learner snapshot whose values no run can reach.
+
+    Visit and slot counts must be nonnegative, the price must lie in
+    [0, mu_max] and the value table ``snap[table]`` must be finite; anything
+    else raises ``TableFormatError``. Call it after the layout check.
+    """
+    if snap["n"] < 0 or (snap["visits"] < 0).any():
+        raise TableFormatError("actor: negative slot or visit count")
+    if not 0.0 <= snap["mu"] <= mu_max:
+        raise TableFormatError(f"actor.mu: {snap['mu']!r} lies outside [0, {mu_max}]")
+    if not np.isfinite(snap[table]).all():
+        raise TableFormatError(f"actor.{table}: non-finite entries")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +242,7 @@ class QLearner:
 
     def restore(self, snap: dict) -> None:
         check_snapshot(snap, self.snapshot(), "actor")
+        _check_values(snap, "q", self.multiplier.mu_max)
         self.q[...] = snap["q"]
         self.visits[...] = snap["visits"]
         self.n = snap["n"]
@@ -243,8 +276,9 @@ def pds_update(
     drops = max(b + l - cap, 0)
     val, _ = factored.greedy_row(min(b + l, cap), h_next, x, v_tilde, mu)
     target = mu * (m.queue.eta * drops) + m.gamma * val
-    v_tilde[b, h, x] = (1.0 - alpha) * v_tilde[b, h, x] + alpha * target
-    return float(v_tilde[b, h, x])
+    new = (1.0 - alpha) * v_tilde.item(b, h, x) + alpha * target
+    v_tilde[b, h, x] = new
+    return new
 
 
 def ve_batch_update(
@@ -265,13 +299,18 @@ def ve_batch_update(
     of entries written.
     """
     m = factored.model
-    cap = m.queue.capacity
     vals = factored.slice_minima(h_next, v_tilde, mu)
-    b = np.arange(m.n_b)
-    b_next = np.minimum(b + l, cap)
-    drops = np.maximum(b + l - cap, 0)
-    targets = mu * m.queue.eta * drops[:, None] + m.gamma * vals[b_next, :]
-    v_tilde[:, h, :] = (1.0 - alpha) * v_tilde[:, h, :] + alpha * targets
+    landing, drops = factored.landing(l)
+    # targets = mu * eta * drops + gamma * vals[b_next, x], and the column
+    # becomes (1 - alpha) * column + alpha * targets: the same products and
+    # sums, with the operands of each swapped where that saves a copy
+    targets = vals.take(landing)
+    targets *= m.gamma
+    targets += drops * (mu * m.queue.eta)
+    targets *= alpha
+    column = v_tilde[:, h, :]
+    column *= 1.0 - alpha
+    column += targets
     return m.n_b * m.n_x
 
 
@@ -294,13 +333,18 @@ class PdsLearner:
         if ve_period is not None and ve_period < 1:
             raise ConfigError("ve_period must be at least 1")
         self.factored = factored
-        self.v_tilde = np.array(v_tilde0, dtype=np.float64, copy=True)
-        self.visits = np.zeros(self.v_tilde.shape, dtype=np.int64)
+        # both tables are stored channel-major, (n_h, n_b, n_x), and seen
+        # through (n_b, n_h, n_x) views: the slice at one channel, which
+        # every slot reads and a batch slot writes, is then contiguous
+        channel_major = np.asarray(v_tilde0, dtype=np.float64).transpose(1, 0, 2).copy()
+        self.v_tilde = channel_major.transpose(1, 0, 2)
+        self.visits = np.zeros(channel_major.shape, dtype=np.int64).transpose(1, 0, 2)
         self.schedules = schedules
         self.multiplier = multiplier
         self.ve_period = ve_period
         self.n = 0
         self._decode = factored.model.decode
+        self._alpha = self.schedules.alpha(np.arange(ALPHA_TABLE_START))
 
     def act(self, s: int) -> int:
         b, h, x = self._decode(s)
@@ -311,18 +355,35 @@ class PdsLearner:
         _, h, _ = self._decode(outcome.s)
         _, h_next, x = self._decode(outcome.s_next)
         mu = self.multiplier.mu
-        batch = self.ve_period is not None and self.n % self.ve_period == 0
-        written = (slice(None), h, slice(None)) if batch else (outcome.holding, h, x)
-        alpha = self.schedules.alpha(self.visits[written])
-        if batch:
+        if self.ve_period is not None and self.n % self.ve_period == 0:
+            counts = self.visits[:, h, :]
+            alpha = self._batch_alpha(counts)
             ve_batch_update(self.v_tilde, h, h_next, outcome.l, alpha, mu, self.factored)
+            counts += 1
         else:
-            pds_update(
-                self.v_tilde, outcome.holding, h, x, h_next, outcome.l, alpha, mu, self.factored
-            )
-        self.visits[written] += 1
+            b = outcome.holding
+            n_bhx = self.visits.item(b, h, x)
+            alpha = self.schedules.alpha(n_bhx)
+            pds_update(self.v_tilde, b, h, x, h_next, outcome.l, alpha, mu, self.factored)
+            self.visits[b, h, x] = n_bhx + 1
         mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
         self.n += 1
+
+    def _batch_alpha(self, counts: np.ndarray) -> np.ndarray:
+        """``schedules.alpha(counts)`` read from a table of alpha on arrays.
+
+        The table holds alpha of 0, 1, ... computed as one array, which
+        equals alpha on any array of counts byte for byte; it doubles
+        whenever a count runs past its end.
+        """
+        try:
+            return self._alpha.take(counts)
+        except IndexError:
+            size = len(self._alpha)
+            while size <= counts.max():
+                size *= 2
+            self._alpha = self.schedules.alpha(np.arange(size))
+            return self._alpha.take(counts)
 
     @property
     def mu(self) -> float:
@@ -336,6 +397,7 @@ class PdsLearner:
 
     def restore(self, snap: dict) -> None:
         check_snapshot(snap, self.snapshot(), "actor")
+        _check_values(snap, "v_tilde", self.multiplier.mu_max)
         self.v_tilde[...] = snap["v_tilde"]
         self.visits[...] = snap["visits"]
         self.n = snap["n"]

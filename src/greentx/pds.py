@@ -46,6 +46,7 @@ class FactoredDynamics:
 
     def __init__(self, model: JointModel) -> None:
         self.model = model
+        self._landing: dict = {}  # arrival count -> landing(l)
 
     # ---- lookahead through the known operator ------------------------------
 
@@ -58,6 +59,43 @@ class FactoredDynamics:
         hold = op.pack(np.broadcast_to(m.hold_ba[:, None, :], op.shape))
         return rho, hold
 
+    @cached_property
+    def _blocks(self) -> list:
+        """Per (b, x) block k = b * n_x + x, views of what its greedy rule reads.
+
+        Each entry holds the block's power rows (n_h, rows), its holding
+        row, its columns of the known operator's matrix, and its global
+        action indices as a list. Built on the first greedy row, so the
+        exact solvers never pay for it.
+        """
+        op = self.model.known_operator
+        rho, hold = self._packed_costs
+        bounds = op.bounds.tolist()
+        return [
+            (rho[:, lo:hi], hold[lo:hi], op.matrix[:, lo:hi], op.action[lo:hi].tolist())
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+    def landing(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where ``l`` arrivals take every post-decision (b, x), and what they drop.
+
+        Returns two (n_b, n_x) arrays, cached per arrival count: the flat
+        index min(b + l, capacity) * n_x + x of the pre-decision (buffer,
+        radio) pair reached, and the packets dropped, max(b + l - capacity,
+        0), as floats.
+        """
+        got = self._landing.get(l)
+        if got is None:
+            m = self.model
+            cap = m.queue.capacity
+            b = np.arange(m.n_b)[:, None]
+            flat = np.minimum(b + l, cap) * m.n_x + np.arange(m.n_x)
+            drops = np.broadcast_to(np.maximum(b + l - cap, 0), flat.shape).astype(np.float64)
+            for arr in (flat, drops):
+                arr.flags.writeable = False
+            got = self._landing[l] = (flat, drops)
+        return got
+
     def packed_values(
         self, h: int, v_tilde: np.ndarray, mu: float | None = None
     ) -> np.ndarray:
@@ -67,8 +105,12 @@ class FactoredDynamics:
         """
         mu_v = self.model.mu if mu is None else mu
         rho, hold = self._packed_costs
-        ev = v_tilde[:, h, :].ravel() @ self.model.known_operator.matrix
-        return rho[h] + mu_v * hold + ev
+        # (rho + mu * hold) + ev in place: a + b and a * b are b + a and b * a
+        # bit for bit, so swapping operands to write into q changes nothing
+        q = hold * mu_v
+        q += rho[h]
+        q += v_tilde[:, h, :].ravel() @ self.model.known_operator.matrix
+        return q
 
     def action_values_slice(
         self, h: int, v_tilde: np.ndarray, mu: float | None = None
@@ -102,19 +144,20 @@ class FactoredDynamics:
         """Greedy value and action index at the single state (b, h, x).
 
         The same lookahead as the slice, through only the feasible rows of
-        the known operator that leave (b, x); the tie rule's winner maps
-        back to its global action index.
+        the known operator that leave (b, x). The greedy action is the first
+        of the block within ``TIE_TOL`` of its minimum, read off the row as
+        a list.
         """
         m = self.model
-        op = m.known_operator
-        mu_v = m.mu if mu is None else mu
-        rho, hold = self._packed_costs
-        k = b * m.n_x + x
-        lo, hi = op.bounds[k], op.bounds[k + 1]
-        ev = v_tilde[:, h, :].ravel() @ op.matrix[:, lo:hi]
-        q = rho[h, lo:hi] + mu_v * hold[lo:hi] + ev
-        val = q.min()
-        return float(val), int(op.action[lo + np.argmax(q <= val + TIE_TOL)])
+        rho, hold, cols, actions = self._blocks[b * m.n_x + x]
+        ev = v_tilde[:, h, :].ravel() @ cols
+        q = (rho[h] + (m.mu if mu is None else mu) * hold + ev).tolist()
+        val = min(q)
+        tie = val + TIE_TOL
+        for a, v in zip(actions, q):
+            if v <= tie:
+                return val, a
+        return val, actions[0]  # only NaN entries can leave the tie window empty
 
 
 def pds_value_iteration(

@@ -20,6 +20,9 @@ checked against them:
 - the learners' references: ``default_schedules``, the experience record
   ``PdsExperienceTuple`` and ``virtual_tuples`` (one observed slot replayed
   at every buffer level and radio state, which a batch update must match);
+- the PDS slot as whole-array formulas: ``alpha_by_power``,
+  ``greedy_row_by_argmax`` and ``ve_batch_by_fancy_index``, which the
+  learner's cached views and in-place writes must match byte for byte;
 - solvers: ``action_value`` through the joint pmf, ``policy_evaluate`` (a
   per-state evaluation loop) and ``dense_value_iteration`` (dense tabular
   value iteration);
@@ -57,7 +60,7 @@ from greentx.phy import (
     goodput_pmf,
     snr_for_bep,
 )
-from greentx.planner import greedy_from_q
+from greentx.planner import TIE_TOL, greedy_from_q
 from greentx.power import PmAction, PowerProfile, PowerState, pm_transition_pmf
 from greentx.queueing import ArrivalDistribution, expected_overflow
 
@@ -341,6 +344,56 @@ def virtual_tuples(model: JointModel, tup: PdsExperienceTuple) -> list[PdsExperi
                 )
             )
     return out
+
+
+# ---- the PDS slot as whole-array numpy formulas ------------------------------------
+# The learner's slot reads per-block views, per-arrival-count index tables and
+# a step-size table, and writes in place; these are the formulas it replaced,
+# which it must match byte for byte.
+
+
+def alpha_by_power(n, power: float):
+    """Step size (1 / (1 + n)) ** power of a visit count or an array of them."""
+    return (1.0 / (1.0 + n)) ** power
+
+
+def _lookahead_by_slices(
+    factored: FactoredDynamics, h: int, v_tilde: np.ndarray, mu: float, lo: int, hi: int
+) -> np.ndarray:
+    """Lookahead cost of the known operator's rows lo:hi at channel h."""
+    m = factored.model
+    op = m.known_operator
+    rho = op.pack(np.broadcast_to(m.rho_hxa[:, None], (m.n_h,) + op.shape))
+    hold = op.pack(np.broadcast_to(m.hold_ba[:, None, :], op.shape))
+    ev = v_tilde[:, h, :].ravel() @ op.matrix[:, lo:hi]
+    return rho[h, lo:hi] + mu * hold[lo:hi] + ev
+
+
+def greedy_row_by_argmax(
+    factored: FactoredDynamics, b: int, h: int, x: int, v_tilde: np.ndarray, mu: float
+) -> tuple[float, int]:
+    """Greedy value and action at (b, h, x): one block's rows, numpy tie rule."""
+    op = factored.model.known_operator
+    k = b * factored.model.n_x + x
+    lo, hi = op.bounds[k], op.bounds[k + 1]
+    q = _lookahead_by_slices(factored, h, v_tilde, mu, lo, hi)
+    val = q.min()
+    return float(val), int(op.action[lo + np.argmax(q <= val + TIE_TOL)])
+
+
+def ve_batch_by_fancy_index(
+    v_tilde: np.ndarray, h: int, h_next: int, l: int, alpha, mu: float, factored: FactoredDynamics
+) -> None:
+    """Batch update of the column at channel h, with index arrays built on the spot."""
+    m = factored.model
+    cap = m.queue.capacity
+    q = _lookahead_by_slices(factored, h_next, v_tilde, mu, None, None)
+    vals = m.known_operator.block_min(q).reshape(m.n_b, m.n_x)
+    b = np.arange(m.n_b)
+    b_next = np.minimum(b + l, cap)
+    drops = np.maximum(b + l - cap, 0)
+    targets = mu * m.queue.eta * drops[:, None] + m.gamma * vals[b_next, :]
+    v_tilde[:, h, :] = (1.0 - alpha) * v_tilde[:, h, :] + alpha * targets
 
 
 # ---- solvers and runs ------------------------------------------------------------

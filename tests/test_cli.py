@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+import greentx.cli
 from greentx.cli import main
 from greentx.config import reduced_profile
+from greentx.errors import ConvergenceError, FeasibilityError, InitializationError
 from greentx.harness import load_tables
 
 
@@ -108,3 +110,15 @@ def test_missing_config_file_reports_cleanly(tmp_path, capsys):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [FeasibilityError, InitializationError, ConvergenceError])
+def test_package_errors_end_a_command_with_status_2(tmp_path, cfg_file, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("no way through")
+
+    monkeypatch.setattr(greentx.cli, "run_experiment", fail)
+    rc = main(["learn", "--algorithm", "pds", "--config", cfg_file, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: no way through\n"

@@ -14,6 +14,8 @@ from greentx.harness import (
     MetricsAccumulator,
     MetricsRecord,
     PolicyActor,
+    _header_blob,
+    _read_npz,
     emit_metrics_csv,
     load_checkpoint,
     load_tables,
@@ -155,6 +157,24 @@ def test_tables_reject_non_finite_and_headerless(tmp_path):
     np.savez(bare, v=np.ones(3))
     with pytest.raises(TableFormatError):
         load_tables(bare)
+
+
+def test_tables_refuse_headers_whose_dims_or_dtypes_do_not_describe_them(tmp_path, reduced_cfg):
+    path = tmp_path / "tables.npz"
+    serialize_tables({"v": np.ones(4)}, path, kind="vi", fingerprint=reduced_cfg.model_fingerprint())
+    header, arrays = _read_npz(path)
+    bad = [
+        {**header, "dims": [[4]]},
+        {**header, "dims": None},
+        {**header, "dtypes": "float64"},
+        {k: v for k, v in header.items() if k != "dtypes"},
+        {**header, "dtypes": {"v": "int64"}},
+    ]
+    for i, h in enumerate(bad):
+        other = tmp_path / f"bad{i}.npz"
+        np.savez(other, __header__=_header_blob(h), **arrays)
+        with pytest.raises(TableFormatError):
+            load_tables(other)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -321,6 +341,33 @@ def test_resume_refuses_a_config_that_is_not_a_mapping(tmp_path):
     _assert_refused(tmp_path, cfg, {**good, "config": np.zeros(3)})
 
 
+def _bad_learner_values(good, table):
+    """Actor snapshots of the right layout whose values no run reaches."""
+    actor = good["actor"]
+    nan_table = actor[table].copy()
+    nan_table[0, 0] = np.nan
+    return [
+        {**actor, "visits": actor["visits"] - 10**6},
+        {**actor, "n": -1},
+        *({**actor, "mu": mu} for mu in (np.nan, np.inf, -0.5, 1e9)),
+        {**actor, table: nan_table},
+        {**actor, table: np.full_like(actor[table], np.inf)},
+    ]
+
+
+@pytest.mark.parametrize("algorithm", ["pds_ve", "pds"])
+def test_resume_refuses_pds_values_no_run_reaches(tmp_path, algorithm):
+    cfg, good = _mid_run_checkpoint(tmp_path, algorithm)
+    for actor in _bad_learner_values(good, "v_tilde"):
+        _assert_refused(tmp_path, cfg, {**good, "actor": actor})
+
+
+def test_resume_refuses_q_values_no_run_reaches(tmp_path):
+    cfg, good = _mid_run_checkpoint(tmp_path, "q")
+    for actor in _bad_learner_values(good, "q"):
+        _assert_refused(tmp_path, cfg, {**good, "actor": actor})
+
+
 def test_fixed_policy_override_controls_the_run(reduced_cfg):
     cfg = replace(reduced_cfg, horizon=400, mu=0.0)
     model = cfg.build_model()
@@ -338,6 +385,26 @@ def test_fixed_policy_override_controls_the_run(reduced_cfg):
 def test_policy_actor_validates_shape(reduced_model):
     with pytest.raises(ConfigError):
         PolicyActor(reduced_model, np.zeros(5, dtype=np.int64), 0.0)
+
+
+def test_policy_actor_refuses_policies_it_cannot_follow(reduced_model):
+    m = reduced_model
+    stay_off = np.zeros(m.n_s, dtype=np.int64)  # z = 0: feasible everywhere
+    PolicyActor(m, stay_off, 0.0)
+    send_one = int(np.flatnonzero(m.action_z == 1)[0])
+    empty_on = m.encode(0, 0, 1)  # nothing to send
+    full_off = m.encode(m.n_b - 1, 0, 0)  # cannot send while off
+    bad = [
+        stay_off + 0.7,  # floats, which int64 would truncate to 0
+        np.where(np.arange(m.n_s) == 3, m.n_a, stay_off),
+        np.where(np.arange(m.n_s) == 3, -1, stay_off),
+        np.full(m.n_s, 9999),
+        np.where(np.arange(m.n_s) == empty_on, send_one, stay_off),
+        np.where(np.arange(m.n_s) == full_off, send_one, stay_off),
+    ]
+    for policy in bad:
+        with pytest.raises(TableFormatError):
+            PolicyActor(m, policy, 0.0)
 
 
 def test_exact_policy_runner_reports_its_tables():

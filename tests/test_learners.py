@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 from greentx.env import SlotOutcome
 from greentx.errors import ConfigError
 from greentx.learners import (
+    ALPHA_TABLE_START,
     LearningSchedule,
     MultiplierState,
     PdsLearner,
@@ -20,7 +21,15 @@ from greentx.learners import (
 from greentx.model import State
 from greentx.pds import FactoredDynamics
 from greentx.power import PowerState
-from oracles import PdsExperienceTuple, PostDecisionState, default_schedules, virtual_tuples
+from oracles import (
+    PdsExperienceTuple,
+    PostDecisionState,
+    alpha_by_power,
+    default_schedules,
+    greedy_row_by_argmax,
+    ve_batch_by_fancy_index,
+    virtual_tuples,
+)
 
 
 def _outcome(model, s, a, *, f=0, l=0, x_next=PowerState.ON, h_next=None):
@@ -409,3 +418,73 @@ def test_pds_learner_rejects_a_nonpositive_period(reduced_model_mu1):
             MultiplierState(),
             ve_period=0,
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data())
+def test_pds_slot_equals_the_array_formulas_byte_for_byte(reduced_model, data):
+    """Greedy rows, batch and single updates, step sizes and counts, as bytes.
+
+    Random tables, prices and visit counts; arrivals up to and beyond the
+    buffer capacity; the batch learner's step-size table has to grow during
+    its second slot, since one count there lies past its first size.
+    """
+    m = reduced_model
+    f = FactoredDynamics(m)
+    cap = m.queue.capacity
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+    power = data.draw(hst.floats(0.51, 0.99), label="alpha_power")
+    sched = LearningSchedule(alpha_power=power, beta_power=1.0)
+    mu_max = 50.0
+    mu = data.draw(hst.floats(0.0, mu_max), label="mu")
+    v0 = rng.uniform(-5.0, 60.0, size=(m.n_b, m.n_h, m.n_x))
+    visits0 = rng.integers(0, ALPHA_TABLE_START, size=v0.shape)
+
+    for b in range(m.n_b):
+        for x in range(m.n_x):
+            h = int(rng.integers(m.n_h))
+            got = f.greedy_row(b, h, x, v0, mu)
+            want = greedy_row_by_argmax(f, b, h, x, v0, mu)
+            assert got[1] == want[1]
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+    def outcome(h, h_next, x, holding, l):
+        drops = max(holding + l - cap, 0)
+        return SlotOutcome(
+            s=m.encode(holding, h, x), a=0, f=0, l=l,
+            s_next=m.encode(min(holding + l, cap), h_next, x), power_w=0.0,
+            holding=holding, drops=drops, g_realized=holding + m.queue.eta * drops,
+        )
+
+    for period in (1, None):
+        price = MultiplierState(mu=mu, target=4.0, mu_max=mu_max)
+        learner = PdsLearner(f, v0, sched, price, ve_period=period)
+        learner.visits[...] = visits0
+        v, visits = v0.copy(), visits0.copy()
+        ref_price = MultiplierState(mu=mu, target=4.0, mu_max=mu_max)
+        for slot in range(3):
+            h, h_next, x = (int(i) for i in rng.integers((m.n_h, m.n_h, m.n_x)))
+            holding = int(rng.integers(cap + 1))
+            l = data.draw(hst.integers(0, cap + 4), label="l")
+            if slot == 1:  # a count past the table's first size
+                big = data.draw(hst.integers(ALPHA_TABLE_START, 8 * ALPHA_TABLE_START), label="big")
+                learner.visits[holding, h, x] = visits[holding, h, x] = big
+            out = outcome(h, h_next, x, holding, l)
+            s = m.encode(holding, h, x)
+            assert learner.act(s) == greedy_row_by_argmax(f, holding, h, x, v, ref_price.mu)[1]
+            learner.learn(out)
+            if period == 1:
+                alpha = alpha_by_power(visits[:, h, :], power)
+                ve_batch_by_fancy_index(v, h, h_next, l, alpha, ref_price.mu, f)
+                visits[:, h, :] += 1
+            else:
+                n = visits[holding, h, x]
+                alpha = alpha_by_power(n, power)
+                val, _ = greedy_row_by_argmax(f, min(holding + l, cap), h_next, x, v, ref_price.mu)
+                target = ref_price.mu * (m.queue.eta * out.drops) + m.gamma * val
+                v[holding, h, x] = (1.0 - alpha) * v[holding, h, x] + alpha * target
+                visits[holding, h, x] += 1
+            mu_update(ref_price, out.g_realized, sched.beta(slot))
+            assert learner.v_tilde.tobytes() == v.tobytes()
+            assert learner.visits.tobytes() == visits.tobytes()
+            assert learner.multiplier.mu == ref_price.mu

@@ -16,12 +16,18 @@ from greentx.harness import run_experiment
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# the per-slot names of the environment, the Q-learner and the metrics
+# the per-slot names of the environment, both learners and the metrics, and
+# the PDS slice that the offline start table reads
 SLOT_NAMES = (
     "Environment.step",
     "QLearner.act",
     "QLearner.learn",
     "q_update",
+    "PdsLearner.act",
+    "PdsLearner.learn",
+    "ve_batch_update",
+    "pds_update",
+    "FactoredDynamics.state_values_slice",
     "MetricsAccumulator.update",
 )
 
@@ -56,5 +62,19 @@ def test_q_run_counts_one_backup_per_slot(tracer):
     with tracer.Tracer() as tr:
         run_experiment(cfg)
     assert tr.entries == cfg.horizon
+    names = {row[0] for row in tr.spans}
+    assert {"env.step", "learners.act", "learners.learn", "harness.metrics"} <= names
+
+
+@pytest.mark.parametrize("algorithm", ["pds_ve", "pds"])
+def test_pds_run_counts_the_entries_each_slot_writes(tracer, algorithm):
+    # ve_period 1: every slot is a batch slot and writes all n_b * n_x entries
+    cfg = reduced_profile(algorithm=algorithm, ve_period=1, horizon=40, seed=1)
+    model = cfg.build_model()
+    with tracer.Tracer() as tr:
+        run_experiment(cfg)
+    assert tr.absent == []
+    per_slot = model.n_b * model.n_x if algorithm == "pds_ve" else 1
+    assert tr.entries == cfg.horizon * per_slot
     names = {row[0] for row in tr.spans}
     assert {"env.step", "learners.act", "learners.learn", "harness.metrics"} <= names
