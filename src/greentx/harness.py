@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .env import Environment, threshold_k_action
-from .errors import ConfigError, TableFormatError, check_snapshot
+from .errors import ConfigError, TableFormatError, check_snapshot, check_values
 from .learners import MultiplierState, PdsLearner, QLearner, mu_update
 from .model import JointModel
 from .pds import FactoredDynamics, init_pds_values
@@ -289,12 +289,25 @@ def load_checkpoint(path) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_policy(model: JointModel, policy: np.ndarray) -> None:
+    """Raise ``TableFormatError`` unless the flat ``policy`` can drive a run.
+
+    It must be integer-typed, name actions in [0, n_a) and pick a feasible
+    action at every state.
+    """
+    if not np.issubdtype(policy.dtype, np.integer):
+        raise TableFormatError(f"policy must hold integer action indices, not {policy.dtype}")
+    if policy.min() < 0 or policy.max() >= model.n_a:
+        raise TableFormatError(f"policy names actions outside [0, {model.n_a})")
+    s = np.arange(model.n_s)  # flat (b, h, x) order: b = s // (n_h n_x), x = s % n_x
+    if not model.feasible_bxa[s // (model.n_h * model.n_x), s % model.n_x, policy].all():
+        raise TableFormatError("policy picks an infeasible action")
+
+
 class PolicyActor:
     """Follows a fixed flat policy; reports a fixed multiplier in metrics.
 
-    A policy that is not integer-typed, names an action outside the model's
-    list or picks an infeasible action anywhere is refused with
-    ``TableFormatError`` before the run starts.
+    A policy that ``_check_policy`` refuses is refused before the run starts.
     """
 
     def __init__(self, model: JointModel, policy, mu: float, extra_tables: dict | None = None):
@@ -302,14 +315,8 @@ class PolicyActor:
         policy = np.asarray(policy)
         if policy.shape != (model.n_s,):
             raise ConfigError(f"policy must have shape ({model.n_s},)")
-        if not np.issubdtype(policy.dtype, np.integer):
-            raise TableFormatError(f"policy must hold integer action indices, not {policy.dtype}")
-        if policy.min() < 0 or policy.max() >= model.n_a:
-            raise TableFormatError(f"policy names actions outside [0, {model.n_a})")
+        _check_policy(model, policy)
         self.policy = policy.astype(np.int64, copy=False)
-        s = np.arange(model.n_s)  # flat (b, h, x) order: b = s // (n_h n_x), x = s % n_x
-        if not model.feasible_bxa[s // (model.n_h * model.n_x), s % model.n_x, self.policy].all():
-            raise TableFormatError("policy picks an infeasible action")
         self._actions = self.policy.tolist()
         self._mu = float(mu)
         self._extra = dict(extra_tables or {})
@@ -422,8 +429,13 @@ class SuboptimalActor:
         }
 
     def restore(self, snap: dict) -> None:
-        """Reinstate a snapshot; one of another layout raises ``TableFormatError``."""
+        """Reinstate a snapshot. ``TableFormatError`` refuses another layout, a
+        negative count, a price outside [0, mu_max], a value table or solved
+        price that is not finite, and a policy that ``PolicyActor`` refuses."""
         check_snapshot(snap, self.snapshot(), "actor")
+        counts = ("arrival_counts", "channel_counts")
+        check_values(snap, self.multiplier.mu_max, counts, ("v", "solved_mu"))
+        _check_policy(self.model, snap["policy"])
         self.arrival_counts[...] = snap["arrival_counts"]
         self.channel_counts[...] = snap["channel_counts"]
         self.n = snap["n"]

@@ -50,7 +50,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import ConfigError, TableFormatError, check_snapshot
+from .errors import ConfigError, check_snapshot, check_values
 from .model import JointModel
 from .pds import FactoredDynamics
 from .planner import TIE_TOL
@@ -117,21 +117,6 @@ def mu_update(state: MultiplierState, g_realized: float, beta_n: float) -> float
             min(max(state.mu + beta_n * (g_realized - state.target), 0.0), state.mu_max)
         )
     return state.mu
-
-
-def _check_values(snap: dict, table: str, mu_max: float) -> None:
-    """Refuse a learner snapshot whose values no run can reach.
-
-    Visit and slot counts must be nonnegative, the price must lie in
-    [0, mu_max] and the value table ``snap[table]`` must be finite; anything
-    else raises ``TableFormatError``. Call it after the layout check.
-    """
-    if snap["n"] < 0 or (snap["visits"] < 0).any():
-        raise TableFormatError("actor: negative slot or visit count")
-    if not 0.0 <= snap["mu"] <= mu_max:
-        raise TableFormatError(f"actor.mu: {snap['mu']!r} lies outside [0, {mu_max}]")
-    if not np.isfinite(snap[table]).all():
-        raise TableFormatError(f"actor.{table}: non-finite entries")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +227,7 @@ class QLearner:
 
     def restore(self, snap: dict) -> None:
         check_snapshot(snap, self.snapshot(), "actor")
-        _check_values(snap, "q", self.multiplier.mu_max)
+        check_values(snap, self.multiplier.mu_max, ("visits",), ("q",))
         self.q[...] = snap["q"]
         self.visits[...] = snap["visits"]
         self.n = snap["n"]
@@ -397,7 +382,7 @@ class PdsLearner:
 
     def restore(self, snap: dict) -> None:
         check_snapshot(snap, self.snapshot(), "actor")
-        _check_values(snap, "v_tilde", self.multiplier.mu_max)
+        check_values(snap, self.multiplier.mu_max, ("visits",), ("v_tilde",))
         self.v_tilde[...] = snap["v_tilde"]
         self.visits[...] = snap["visits"]
         self.n = snap["n"]

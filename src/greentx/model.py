@@ -75,12 +75,6 @@ class KnownOperator:
         """The feasible entries of a (..., n_b, n_x, n_a) table, in row order."""
         return table.reshape(table.shape[:-3] + (-1,))[..., self.index]
 
-    def unpack(self, q: np.ndarray) -> np.ndarray:
-        """(..., n_rows) back to (..., n_b, n_x, n_a), +inf at infeasible entries."""
-        full = np.full(q.shape[:-1] + (int(np.prod(self.shape)),), np.inf)
-        full[..., self.index] = q
-        return full.reshape(q.shape[:-1] + self.shape)
-
     def block_min(self, q: np.ndarray) -> np.ndarray:
         """Minimum over each (b, x) block of the last axis: (..., n_b * n_x)."""
         return np.minimum.reduceat(q, self.bounds[:-1], axis=-1)
@@ -187,23 +181,31 @@ class JointModel:
         self.action_plr = np.array([a.bep.plr for a in actions])
 
     def _build_tables(self) -> None:
-        """Every table that the arrivals, channel matrix and mu leave alone."""
+        """Every table that the arrivals, channel matrix and mu leave alone.
+
+        ``G_stack[a, b, b - f]``, the chance that action a delivers f of its
+        packets from buffer b, is written one subdiagonal f at a time from a
+        (n_a, z_max + 1) table of ``goodput_pmf`` rows; an action sending more
+        than b packets keeps the buffer (masked infeasible, kept stochastic).
+        ``px_stack`` picks each action's radio law from the two command laws.
+        """
         n_b, n_h, n_x, n_a = self.n_b, self.n_h, self.n_x, self.n_a
 
-        # per-action goodput and radio-state transitions
+        goodput = np.zeros((n_a, self.z_max + 1))
+        for i, (z, plr) in enumerate(zip(self.action_z.tolist(), self.action_plr.tolist())):
+            goodput[i, : z + 1] = goodput_pmf(z, plr)
         self.G_stack = np.zeros((n_a, n_b, n_b))
-        self.px_stack = np.zeros((n_a, n_x, n_x))
-        for i, a in enumerate(self.actions):
-            fp = goodput_pmf(a.z, a.bep.plr)
-            for b in range(n_b):
-                if a.z > b:
-                    self.G_stack[i, b, b] = 1.0  # masked infeasible; keep stochastic
-                else:
-                    self.G_stack[i, b, b - a.z : b + 1] = fp[::-1]
-            for x in (PowerState.OFF, PowerState.ON):
-                self.px_stack[i, int(x)] = pm_transition_pmf(
-                    x, a.y, self.profile.theta
-                )
+        diagonals = self.G_stack.reshape(n_a, n_b * n_b)  # (b, b - f) at f * n_b + (b - f) * (n_b + 1)
+        for f in range(self.z_max + 1):
+            b = np.arange(f, n_b)
+            diagonals[:, f * n_b :: n_b + 1] = np.where(
+                b >= self.action_z[:, None], goodput[:, f, None], 1.0 if f == 0 else 0.0
+            )
+        laws = np.array([
+            [pm_transition_pmf(x, y, self.profile.theta) for x in (PowerState.OFF, PowerState.ON)]
+            for y in (PmAction.S_OFF, PmAction.S_ON)
+        ])
+        self.px_stack = laws[self.action_y]
 
         # transmit power per (channel, action) as (snr * noise) / gain, in
         # that order, so that it equals the scalar rule bit for bit
@@ -231,27 +233,21 @@ class JointModel:
             np.arange(n_x)[None, :, None] == on
         )
         self.feasible_bxa = z_ok & on_needed
-        # same mask expanded to flat state indexing
-        self.feasible_sa = np.repeat(
-            self.feasible_bxa, n_h, axis=0
-        ).reshape(self.n_s, n_a)
 
     def _build_arrival_tables(self) -> None:
         """The tables that depend on the arrivals: A_clamp, o_exp, ovf_ba, g_ba."""
         n_b = self.n_b
         cap = self.queue.capacity
 
-        # arrivals with the capacity clamp, rows indexed by post-transmission level
-        self.A_clamp = np.zeros((n_b, n_b))
-        for b_post in range(n_b):
-            hi = min(cap - 1 - b_post, self.arrivals.l_max)
-            if hi >= 0:
-                self.A_clamp[b_post, b_post : b_post + hi + 1] = self.arrivals.pmf[
-                    : hi + 1
-                ]
-            self.A_clamp[b_post, cap] += self.arrivals.pmf[
-                max(cap - b_post, 0) :
-            ].sum()
+        # arrivals with the capacity clamp, rows indexed by post-transmission
+        # level b: l arrivals land on column b + l, and the cap column holds
+        # the tail from l = cap - b on, summed row by row (numpy's pairwise
+        # sum, which a cumulative sum would not reproduce)
+        pmf = self.arrivals.pmf
+        l = np.arange(n_b)[None, :] - np.arange(n_b)[:, None]
+        band = (l >= 0) & (l <= self.arrivals.l_max)
+        self.A_clamp = np.where(band, pmf[np.clip(l, 0, self.arrivals.l_max)], 0.0)
+        self.A_clamp[:, cap] = [pmf[cap - b :].sum() for b in range(n_b)]
 
         self.o_exp = np.array(
             [expected_overflow(b, self.arrivals, cap) for b in range(n_b)]

@@ -16,9 +16,10 @@ operator, ``JointModel.known_operator``, which holds only the feasible
 (b, x, a) rows: the split solver runs the planner's Bellman core (minimizing
 sweeps over every row, Krylov evaluation through the greedy row of each state),
 the learner's greedy rule reads the rows of one (b, x) block, and a batch
-update takes every block's minimum at one channel.
-Only the slice methods that return a full (b, x, a) table fill the
-infeasible entries with +inf.
+update takes every block's minimum at one channel. Greedy actions over many
+blocks (``state_values_slice``, ``policy_from_pds``) come from the known
+operator's block minimum and its first row within ``TIE_TOL``; no method
+forms a full (b, x, a) table.
 """
 from __future__ import annotations
 
@@ -32,8 +33,7 @@ from .planner import (
     TIE_TOL,
     action_free_values,
     bellman_fixed_point,
-    flat_q,
-    greedy_from_q,
+    greedy_policy,
     known_lookahead,
     stage_cost,
 )
@@ -112,23 +112,17 @@ class FactoredDynamics:
         q += v_tilde[:, h, :].ravel() @ self.model.known_operator.matrix
         return q
 
-    def action_values_slice(
-        self, h: int, v_tilde: np.ndarray, mu: float | None = None
-    ) -> np.ndarray:
-        """Lookahead cost of every action from every (b, x) at channel h.
-
-        Returns (n_b, n_x, n_a) with +inf at infeasible entries.
-        """
-        return self.model.known_operator.unpack(self.packed_values(h, v_tilde, mu))
-
     def state_values_slice(
         self, h: int, v_tilde: np.ndarray, mu: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy value and action index for every (b, x) at channel h."""
-        q = self.action_values_slice(h, v_tilde, mu)
-        vals = q.min(axis=2)
-        greedy = np.argmax(q <= vals[:, :, None] + TIE_TOL, axis=2)
-        return vals, greedy
+        """Greedy value and action index for every (b, x) at channel h, (n_b, n_x) each:
+        each block's minimum, and its first action within ``TIE_TOL`` of it."""
+        m = self.model
+        op = m.known_operator
+        q = self.packed_values(h, v_tilde, mu)
+        vals = op.block_min(q)
+        greedy = op.action[op.block_argmin(q, vals, TIE_TOL)]
+        return vals.reshape(m.n_b, m.n_x), greedy.reshape(m.n_b, m.n_x)
 
     def slice_minima(
         self, h: int, v_tilde: np.ndarray, mu: float | None = None
@@ -196,8 +190,7 @@ def policy_from_pds(
     m = factored.model
     mu_v = m.mu if mu is None else mu
     w = v_tilde.transpose(1, 0, 2).reshape(m.n_h, m.n_b * m.n_x)
-    q = known_lookahead(m, stage_cost(m, mu_v * m.hold_ba), w)
-    return greedy_from_q(flat_q(m, q), m.feasible_sa)
+    return greedy_policy(m, known_lookahead(m, stage_cost(m, mu_v * m.hold_ba), w))
 
 
 def init_pds_values(

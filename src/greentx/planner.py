@@ -13,9 +13,10 @@ feasible rows. Once two minimizing sweeps pick the same greedy rows, that
 policy is evaluated by solving its linear system with restarted GMRES, whose
 matvec goes through the one row per state and costs a small fraction of a
 minimizing sweep; the solve still ends on a minimizing sweep, with value
-iteration's stopping rule. Action values are kept packed,
-one entry per feasible (b, x, a); only the callers that hand out a full
-(state, action) table spread them out with +inf.
+iteration's stopping rule. Action values are kept packed, one entry per
+feasible (b, x, a), and every greedy policy is read off them with the
+known operator's block minimum and first-row-within-TIE_TOL rule
+(``greedy_policy``); no full (state, action) table is ever formed.
 """
 from __future__ import annotations
 
@@ -31,13 +32,6 @@ TIE_TOL = 1e-9
 
 # Krylov basis length of a policy evaluation before GMRES restarts.
 RESTART = 40
-
-
-def greedy_from_q(q_sa: np.ndarray, feasible_sa: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
-    """First feasible action within tie_tol of each row's minimum."""
-    q = np.where(feasible_sa, q_sa, np.inf)
-    qmin = q.min(axis=1, keepdims=True)
-    return np.argmax(q <= qmin + tie_tol, axis=1)
 
 
 def stage_cost(model: JointModel, buffer_cost_ba: np.ndarray) -> np.ndarray:
@@ -223,21 +217,16 @@ def _gmres(apply, b: np.ndarray, x: np.ndarray, tol: float, max_matvecs: int) ->
     return x, matvecs
 
 
-def flat_q(model: JointModel, q_packed: np.ndarray) -> np.ndarray:
-    """(h, row) action values as (state, action) rows in the flat layout.
+def greedy_policy(model: JointModel, q: np.ndarray) -> np.ndarray:
+    """Flat policy from (h, row) action values: per state, the first feasible
+    action within TIE_TOL of its block's minimum.
 
-    Infeasible actions get +inf.
+    Packed rows keep canonical action order inside each (b, x) block, so
+    this is the earliest such action of the whole action list.
     """
-    q = model.known_operator.unpack(q_packed)  # (h, b, x, a)
-    return q.transpose(1, 0, 2, 3).reshape(model.n_s, model.n_a)
-
-
-def q_values(model: JointModel, v: np.ndarray, mu: float | None = None) -> np.ndarray:
-    """One-step lookahead values for every (state, action); infeasible -> +inf."""
-    m = model.mu if mu is None else mu
-    v_hbx = v.reshape(model.n_b, model.n_h, model.n_x).transpose(1, 0, 2)
-    v_tilde = model.gamma * action_free_values(model, v_hbx)
-    return flat_q(model, known_lookahead(model, stage_cost(model, m * model.g_ba), v_tilde))
+    op = model.known_operator
+    policy = op.action[op.block_argmin(q, op.block_min(q), TIE_TOL)]
+    return policy.reshape(model.n_h, model.n_b, model.n_x).transpose(1, 0, 2).reshape(model.n_s)
 
 
 def value_iteration(
@@ -256,4 +245,5 @@ def value_iteration(
     cost = stage_cost(model, model.mu * model.g_ba)
     v_hbx = bellman_fixed_point(model, cost, 0.0, tol, max_iters, v0, residuals)
     v = v_hbx.transpose(1, 0, 2).reshape(model.n_s)
-    return v, greedy_from_q(q_values(model, v), model.feasible_sa)
+    q = known_lookahead(model, cost, model.gamma * action_free_values(model, v_hbx))
+    return v, greedy_policy(model, q)

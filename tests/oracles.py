@@ -14,6 +14,12 @@ checked against them:
   feasibility rule the model's masks encode), ``feasible_action_indices``,
   ``feasible_actions``, ``joint_transition_pmf``, ``power_cost``,
   ``expected_buffer_cost`` and ``lagrangian_cost``;
+- the model build slice by slice: ``tables_by_slices``, the goodput, radio
+  and clamped-arrival tables one (action, buffer level) slice and one radio
+  law at a time, which the model's diagonal writes must match byte for byte;
+- full (state, action) tables and the greedy rule over them: ``feasible_sa``,
+  ``unpack``, ``flat_q``, ``q_values``, ``action_values_slice`` and
+  ``greedy_from_q``, the route the packed block rule must agree with;
 - the post-decision split pair by pair: ``PostDecisionState``, ``pds_of``,
   ``known_pmf``, ``known_cost``, ``unknown_pmf``, ``unknown_cost`` and
   ``realized_unknown_cost``;
@@ -48,7 +54,7 @@ from greentx.env import Environment, SlotOutcome, perturb_channel
 from greentx.errors import ConfigError, ConvergenceError, FeasibilityError
 from greentx.harness import MU_WINDOW_SLOTS, MetricsRecord, RunResult, run_experiment
 from greentx.learners import LearningSchedule
-from greentx.model import Action, JointModel, State
+from greentx.model import Action, JointModel, KnownOperator, State
 from greentx.pds import FactoredDynamics
 from greentx.phy import (
     BEP_COEF,
@@ -60,7 +66,7 @@ from greentx.phy import (
     goodput_pmf,
     snr_for_bep,
 )
-from greentx.planner import TIE_TOL, greedy_from_q
+from greentx.planner import TIE_TOL, action_free_values, known_lookahead, stage_cost
 from greentx.power import PmAction, PowerProfile, PowerState, pm_transition_pmf
 from greentx.queueing import ArrivalDistribution, expected_overflow
 
@@ -229,6 +235,76 @@ def lagrangian_cost(model: JointModel, s: State, a: Action, mu: float | None = N
     """Power plus mu-weighted buffer cost for one slot."""
     m = model.mu if mu is None else mu
     return power_cost(model, s, a) + m * expected_buffer_cost(model, s, a)
+
+
+# ---- the model build slice by slice ------------------------------------------------
+
+
+def tables_by_slices(model: JointModel) -> dict:
+    """``G_stack``, ``px_stack`` and ``A_clamp`` one slice and one scalar law at a time."""
+    cap = model.queue.capacity
+    pmf = model.arrivals.pmf
+    g_stack = np.zeros((model.n_a, model.n_b, model.n_b))
+    px_stack = np.zeros((model.n_a, model.n_x, model.n_x))
+    for i, a in enumerate(model.actions):
+        fp = goodput_pmf(a.z, a.bep.plr)
+        for b in range(model.n_b):
+            if a.z > b:
+                g_stack[i, b, b] = 1.0  # masked infeasible; keep stochastic
+            else:
+                g_stack[i, b, b - a.z : b + 1] = fp[::-1]
+        for x in (PowerState.OFF, PowerState.ON):
+            px_stack[i, int(x)] = pm_transition_pmf(x, a.y, model.profile.theta)
+    a_clamp = np.zeros((model.n_b, model.n_b))
+    for b_post in range(model.n_b):
+        hi = min(cap - 1 - b_post, model.arrivals.l_max)
+        if hi >= 0:
+            a_clamp[b_post, b_post : b_post + hi + 1] = pmf[: hi + 1]
+        a_clamp[b_post, cap] += pmf[max(cap - b_post, 0) :].sum()
+    return {"G_stack": g_stack, "px_stack": px_stack, "A_clamp": a_clamp}
+
+
+# ---- full (state, action) tables and the greedy rule over them ----------------------
+
+
+def feasible_sa(model: JointModel) -> np.ndarray:
+    """``feasible_bxa`` expanded to the flat state layout, (n_s, n_a)."""
+    return np.repeat(model.feasible_bxa, model.n_h, axis=0).reshape(model.n_s, model.n_a)
+
+
+def unpack(op: KnownOperator, q: np.ndarray) -> np.ndarray:
+    """(..., n_rows) back to (..., n_b, n_x, n_a), +inf at infeasible entries."""
+    full = np.full(q.shape[:-1] + (int(np.prod(op.shape)),), np.inf)
+    full[..., op.index] = q
+    return full.reshape(q.shape[:-1] + op.shape)
+
+
+def greedy_from_q(q_sa: np.ndarray, feasible: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
+    """First feasible action within tie_tol of each row's minimum."""
+    q = np.where(feasible, q_sa, np.inf)
+    qmin = q.min(axis=1, keepdims=True)
+    return np.argmax(q <= qmin + tie_tol, axis=1)
+
+
+def flat_q(model: JointModel, q_packed: np.ndarray) -> np.ndarray:
+    """(h, row) action values as (state, action) rows in the flat layout, +inf where infeasible."""
+    q = unpack(model.known_operator, q_packed)  # (h, b, x, a)
+    return q.transpose(1, 0, 2, 3).reshape(model.n_s, model.n_a)
+
+
+def q_values(model: JointModel, v: np.ndarray, mu: float | None = None) -> np.ndarray:
+    """One-step lookahead values for every (state, action); infeasible -> +inf."""
+    m = model.mu if mu is None else mu
+    v_hbx = v.reshape(model.n_b, model.n_h, model.n_x).transpose(1, 0, 2)
+    v_tilde = model.gamma * action_free_values(model, v_hbx)
+    return flat_q(model, known_lookahead(model, stage_cost(model, m * model.g_ba), v_tilde))
+
+
+def action_values_slice(
+    factored: FactoredDynamics, h: int, v_tilde: np.ndarray, mu: float | None = None
+) -> np.ndarray:
+    """Lookahead cost of every action from every (b, x) at channel h, +inf where infeasible."""
+    return unpack(factored.model.known_operator, factored.packed_values(h, v_tilde, mu))
 
 
 # ---- the post-decision split, one pair at a time -------------------------------
@@ -426,7 +502,7 @@ def policy_evaluate(
     g_sel = np.empty(n_s)
     for i, s in enumerate(states):
         a = int(policy[i])
-        if not model.feasible_sa[i, a]:
+        if not model.feasible_bxa[s.b, int(s.x), a]:
             raise ConvergenceError(f"policy picks infeasible action {a} in state {s}")
         pb_sel[i] = pb_stack[a, s.b]
         ph_sel[i] = model.channel_matrix[s.h]
@@ -553,7 +629,7 @@ class ScalarDrawEnv:
     def step(self, a: int) -> SlotOutcome:
         env, m = self.env, self.env.model
         streams, arrivals, channel = env.streams, env.arrivals, env.channel
-        if not m.feasible_sa[self.s, a]:
+        if not feasible_sa(m)[self.s, a]:
             raise FeasibilityError(f"action {a} infeasible in state {self.s}")
         b, h, x = m.decode(self.s)
         z = int(m.action_z[a])

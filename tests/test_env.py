@@ -23,7 +23,7 @@ from greentx.errors import ConfigError, FeasibilityError
 from greentx.model import State
 from greentx.power import PmAction, PowerState
 from greentx.queueing import ArrivalDistribution
-from oracles import ScalarDrawEnv, joint_transition_pmf, power_cost
+from oracles import ScalarDrawEnv, feasible_sa, joint_transition_pmf, power_cost
 
 MMPP_MEAN_PKTS_PER_S = 211.95000000000002  # stationary @ rates, frozen
 
@@ -239,7 +239,7 @@ def test_env_step_transmission_bookkeeping(reduced_model):
 def test_env_step_lands_where_the_joint_model_allows(reduced_cfg, reduced_model, si, pick, seed):
     m = reduced_model
     s = si % m.n_s
-    feas = np.flatnonzero(m.feasible_sa[s])
+    feas = np.flatnonzero(feasible_sa(m)[s])
     a = int(feas[pick % feas.size])
     env = replace(reduced_cfg, seed=seed).build_env(m)
     env.s = s
@@ -255,7 +255,7 @@ def test_environment_snapshot_replays_identically(reduced_cfg, reduced_model):
     pol_rng = np.random.default_rng(0)
 
     def random_action(s):
-        feas = np.flatnonzero(reduced_model.feasible_sa[s])
+        feas = np.flatnonzero(feasible_sa(reduced_model)[s])
         return int(feas[pol_rng.integers(feas.size)])
 
     for _ in range(50):
@@ -315,7 +315,7 @@ def test_block_draws_equal_scalar_draws(reduced_cfg, kind, seed, policy_seed, cu
     env, ref = cfg.build_env(model), ScalarDrawEnv(cfg.build_env(model))
     policy = np.random.default_rng(policy_seed)
     for n in range(1, max(cuts) + 1):
-        feas = np.flatnonzero(model.feasible_sa[env.s])
+        feas = np.flatnonzero(feasible_sa(model)[env.s])
         a = int(feas[policy.integers(feas.size)])
         assert env.step(a) == ref.step(a), n
         if n in cuts:

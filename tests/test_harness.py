@@ -368,6 +368,43 @@ def test_resume_refuses_q_values_no_run_reaches(tmp_path):
         _assert_refused(tmp_path, cfg, {**good, "actor": actor})
 
 
+def _bad_suboptimal_values(actor, gap):
+    """Suboptimal-actor snapshots of the right layout that no run reaches, per gap."""
+    if gap == "counts":
+        arrivals = actor["arrival_counts"].copy()
+        arrivals[0] = -1
+        return [
+            {**actor, "arrival_counts": actor["arrival_counts"] - 10**6},
+            {**actor, "arrival_counts": arrivals},
+            {**actor, "channel_counts": actor["channel_counts"] - 1},
+            {**actor, "n": -1},
+        ]
+    if gap == "mu":
+        return [{**actor, "mu": mu} for mu in (np.nan, np.inf, -0.5, 1e9)]
+    if gap == "tables":
+        nan_v = actor["v"].copy()
+        nan_v[3] = np.nan
+        return [
+            {**actor, "v": nan_v},
+            {**actor, "v": np.full_like(actor["v"], -np.inf)},
+            *({**actor, "solved_mu": mu} for mu in (np.nan, np.inf)),
+        ]
+    policy = actor["policy"]
+    return [
+        {**actor, "policy": np.full_like(policy, 9999)},
+        {**actor, "policy": np.where(np.arange(policy.size) == 5, -1, policy)},
+        {**actor, "policy": np.full_like(policy, 2)},  # one packet everywhere, empty buffers too
+        {**actor, "policy": policy.astype(np.float64)},
+    ]
+
+
+@pytest.mark.parametrize("gap", ["counts", "mu", "tables", "policy"])
+def test_resume_refuses_suboptimal_values_no_run_reaches(tmp_path, gap):
+    cfg, good = _mid_run_checkpoint(tmp_path, "suboptimal")
+    for actor in _bad_suboptimal_values(good["actor"], gap):
+        _assert_refused(tmp_path, cfg, {**good, "actor": actor})
+
+
 def test_fixed_policy_override_controls_the_run(reduced_cfg):
     cfg = replace(reduced_cfg, horizon=400, mu=0.0)
     model = cfg.build_model()

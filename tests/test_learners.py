@@ -22,10 +22,12 @@ from greentx.model import State
 from greentx.pds import FactoredDynamics
 from greentx.power import PowerState
 from oracles import (
+    action_values_slice,
     PdsExperienceTuple,
     PostDecisionState,
     alpha_by_power,
     default_schedules,
+    feasible_sa,
     greedy_row_by_argmax,
     ve_batch_by_fancy_index,
     virtual_tuples,
@@ -189,7 +191,7 @@ def test_q_learner_second_visit_uses_per_pair_rate(reduced_model):
     q_old = learner.q[si, ai]
     mu_before = learner.multiplier.mu
     sn = out.s_next
-    best_next = learner.q[sn][m.feasible_sa[sn]].min()
+    best_next = learner.q[sn][feasible_sa(m)[sn]].min()
     learner.learn(out)
     alpha = sched.alpha(1)  # second visit of this pair
     want = (1.0 - alpha) * q_old + alpha * (
@@ -209,7 +211,7 @@ def test_pds_greedy_is_deterministic_and_canonical(reduced_model_mu1):
     _, a1 = f.greedy_row(s.b, s.h, int(s.x), v, mu=1.0)
     _, a2 = f.greedy_row(s.b, s.h, int(s.x), v, mu=1.0)
     assert a1 == a2
-    q = f.action_values_slice(s.h, v, 1.0)[s.b, int(s.x)]
+    q = action_values_slice(f, s.h, v, 1.0)[s.b, int(s.x)]
     assert a1 == int(np.argmin(np.where(np.isinf(q), np.inf, q)))
 
 

@@ -16,11 +16,13 @@ from oracles import (
     expected_buffer_cost,
     feasible_action_indices,
     feasible_actions,
+    feasible_sa,
     is_feasible,
     joint_transition_pmf,
     lagrangian_cost,
     power_cost,
     required_power,
+    tables_by_slices,
     tx_power,
 )
 
@@ -88,7 +90,7 @@ def test_feasible_sa_matches_per_pair_predicate(reduced_model):
     for _ in range(200):
         i = int(rng.integers(m.n_s))
         j = int(rng.integers(m.n_a))
-        assert m.feasible_sa[i, j] == is_feasible(m, m.state_of(i), m.actions[j])
+        assert feasible_sa(m)[i, j] == is_feasible(m, m.state_of(i), m.actions[j])
 
 
 def test_joint_transition_is_a_distribution(reduced_model):
@@ -255,6 +257,29 @@ def test_clones_equal_a_fresh_build_and_share_their_tables(reduced_model, data):
         by_channel.G_stack[0, 0, 0] = 0.5
     with pytest.raises(ConfigError):
         m.with_channel(channel * 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_diagonal_build_equals_the_slice_by_slice_build(data):
+    capacity = data.draw(st.integers(1, 30))
+    n_plr = data.draw(st.integers(1, 5))
+    plrs = data.draw(st.lists(st.floats(1e-6, 0.5), min_size=n_plr, max_size=n_plr, unique=True))
+    m = JointModel(
+        gains_db=(-5.0, 0.0, 5.0),
+        channel_matrix=np.full((3, 3), 1.0 / 3.0),
+        arrivals=ArrivalDistribution(_stochastic(data.draw, 1, data.draw(st.integers(1, capacity + 4)))[0]),
+        phy=PhyConfig(),
+        profile=PowerProfile(p_on=0.32, theta=data.draw(st.floats(0.0, 1.0, exclude_min=True))),
+        queue=QueueConfig(capacity=capacity, eta=1.0),
+        plr_grid=sorted(plrs),
+        z_max=data.draw(st.integers(1, min(capacity, 10))),
+        gamma=0.9,
+    )
+    for name, want in tables_by_slices(m).items():
+        got = getattr(m, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_validation_rejects_bad_inputs():

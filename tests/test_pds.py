@@ -13,19 +13,30 @@ from greentx.pds import (
     pds_value_iteration,
     policy_from_pds,
 )
-from greentx.planner import bellman_fixed_point, q_values, stage_cost, value_iteration
+from greentx.planner import (
+    bellman_fixed_point,
+    greedy_policy,
+    known_lookahead,
+    stage_cost,
+    value_iteration,
+)
 from greentx.power import PowerProfile, PowerState
 from greentx.queueing import ArrivalDistribution
 from oracles import (
     PostDecisionState,
+    action_values_slice,
     all_states,
     dense_value_iteration,
     feasible_action_indices,
+    feasible_sa,
+    flat_q,
+    greedy_from_q,
     joint_transition_pmf,
     known_cost,
     known_pmf,
     lagrangian_cost,
     pds_of,
+    q_values,
     realized_unknown_cost,
     unknown_cost,
     unknown_pmf,
@@ -138,7 +149,7 @@ def test_split_solver_q_agrees_across_routes(reduced_model_mu1):
     v_tilde, v_pre = pds_value_iteration(f)
     q_direct = q_values(m, v_pre.reshape(m.n_s))
     for h in range(m.n_h):
-        q_slice = f.action_values_slice(h, v_tilde)  # (n_b, n_x, n_a)
+        q_slice = action_values_slice(f, h, v_tilde)  # (n_b, n_x, n_a)
         for b in range(m.n_b):
             for x in range(m.n_x):
                 i = (b * m.n_h + h) * m.n_x + x
@@ -288,7 +299,7 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m):
     f = FactoredDynamics(m)
     v_tilde, v = pds_value_iteration(f)
     for h in range(m.n_h):
-        q = f.action_values_slice(h, v_tilde)
+        q = action_values_slice(f, h, v_tilde)
         np.testing.assert_allclose(q, _einsum_slice(m, h, v_tilde, m.mu), rtol=0, atol=1e-12)
         vals, greedy = f.state_values_slice(h, v_tilde)
         # the batch slot's block minima are the full slice's minima, bit for bit
@@ -317,7 +328,7 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m):
 def test_both_solvers_match_the_dense_oracle_on_random_models(m):
     costs, trans = _dense_problem(m)
     v_ref, _, pol_ref = dense_value_iteration(
-        costs, trans, m.gamma, tol=1e-12, feasible=m.feasible_sa
+        costs, trans, m.gamma, tol=1e-12, feasible=feasible_sa(m)
     )
     bound = 1e-9
     v, pol = value_iteration(m)
@@ -327,3 +338,31 @@ def test_both_solvers_match_the_dense_oracle_on_random_models(m):
     assert np.array_equal(policy_from_pds(v_tilde, f), pol_ref)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
     np.testing.assert_allclose(v_pds.reshape(m.n_s), v_ref, rtol=0, atol=bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(), st.integers(0, 2**32 - 1))
+def test_packed_greedy_rule_equals_the_full_table_rule_on_random_models(m, seed):
+    feasible = feasible_sa(m)
+    # at the fixed points, for value iteration and the split solver
+    v, pol = value_iteration(m)
+    assert np.array_equal(pol, greedy_from_q(q_values(m, v), feasible))
+    f = FactoredDynamics(m)
+    v_tilde, _ = pds_value_iteration(f)
+    w = v_tilde.transpose(1, 0, 2).reshape(m.n_h, m.n_b * m.n_x)
+    q = known_lookahead(m, stage_cost(m, m.mu * m.hold_ba), w)
+    assert np.array_equal(policy_from_pds(v_tilde, f), greedy_from_q(flat_q(m, q), feasible))
+    # off them, on values with exact ties, gaps just inside and outside TIE_TOL and NaN rows
+    rng = np.random.default_rng(seed)
+    n_rows = m.known_operator.index.size
+    q = rng.integers(0, 3, (m.n_h, n_rows)) + rng.choice([0.0, 0.5e-9, 2e-9], (m.n_h, n_rows))
+    q[0, : rng.integers(0, n_rows)] = np.nan
+    assert np.array_equal(greedy_policy(m, q), greedy_from_q(flat_q(m, q), feasible))
+    v_tilde = rng.integers(0, 2, v_tilde.shape) + rng.choice([0.0, 0.5e-9], v_tilde.shape)
+    mu = float(rng.integers(0, 3))
+    for h in range(m.n_h):
+        q = action_values_slice(f, h, v_tilde, mu)
+        vals, greedy = f.state_values_slice(h, v_tilde, mu)
+        assert np.array_equal(vals, q.min(axis=2))
+        want = greedy_from_q(q.reshape(-1, m.n_a), m.feasible_bxa.reshape(-1, m.n_a))
+        assert np.array_equal(greedy.ravel(), want)

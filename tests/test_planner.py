@@ -5,16 +5,19 @@ import pytest
 from greentx.errors import ConvergenceError
 from greentx.model import State
 from greentx.power import PowerState
-from greentx.planner import TIE_TOL, greedy_from_q, q_values, value_iteration
+from greentx.planner import TIE_TOL, value_iteration
 from oracles import (
     action_value,
     all_states,
     dense_value_iteration,
     feasible_action_indices,
+    feasible_sa,
+    greedy_from_q,
     joint_transition_pmf,
     lagrangian_cost,
     policy_evaluate,
     power_cost,
+    q_values,
 )
 
 
@@ -64,7 +67,7 @@ def _dense_problem(model):
     trans = np.zeros((model.n_s, model.n_a, model.n_s))
     for i, s in enumerate(all_states(model)):
         for j, a in enumerate(model.actions):
-            if model.feasible_sa[i, j]:
+            if feasible_sa(model)[i, j]:
                 costs[i, j] = lagrangian_cost(model, s, a)
                 trans[i, j] = joint_transition_pmf(model, s, a)
             else:
@@ -77,7 +80,7 @@ def test_vi_agrees_with_dense_reference(reduced_model_mu1):
     v, pol = value_iteration(m)
     costs, trans = _dense_problem(m)
     v_ref, _, pol_ref = dense_value_iteration(
-        costs, trans, m.gamma, feasible=m.feasible_sa
+        costs, trans, m.gamma, feasible=feasible_sa(m)
     )
     assert np.allclose(v, v_ref, atol=1e-6)
     assert np.array_equal(pol, pol_ref)
@@ -116,7 +119,7 @@ def test_action_value_matches_q_table(reduced_model_mu1):
         assert action_value(s, m.actions[j], v, m) == pytest.approx(
             q[i, j], rel=1e-10
         )
-    assert np.all(np.isinf(q[~m.feasible_sa]))
+    assert np.all(np.isinf(q[~feasible_sa(m)]))
 
 
 def test_q_values_mu_override(reduced_model_mu1):

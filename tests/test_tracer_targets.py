@@ -16,8 +16,8 @@ from greentx.harness import run_experiment
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# the per-slot names of the environment, both learners and the metrics, and
-# the PDS slice that the offline start table reads
+# the per-slot names of the environment, the learners, the re-planning
+# reference and the metrics, and the PDS slice that the offline start table reads
 SLOT_NAMES = (
     "Environment.step",
     "QLearner.act",
@@ -25,10 +25,20 @@ SLOT_NAMES = (
     "q_update",
     "PdsLearner.act",
     "PdsLearner.learn",
+    "SuboptimalActor.act",
+    "SuboptimalActor.learn",
     "ve_batch_update",
     "pds_update",
     "FactoredDynamics.state_values_slice",
     "MetricsAccumulator.update",
+)
+
+# the set-up names: the model build and the exact solves
+SETUP_NAMES = (
+    "JointModel.__init__",
+    "value_iteration",
+    "pds_value_iteration",
+    "init_pds_values",
 )
 
 
@@ -46,15 +56,23 @@ def tracer():
     del sys.modules[spec.name]
 
 
-def test_slot_names_resolve_to_callables(tracer):
-    targets = [t for t in tracer.TARGETS if t.qualname in SLOT_NAMES]
-    assert sorted(t.qualname for t in targets) == sorted(SLOT_NAMES)
+def _assert_resolved(tracer, names):
+    targets = [t for t in tracer.TARGETS if t.qualname in names]
+    assert sorted(t.qualname for t in targets) == sorted(names)
     tr = tracer.Tracer(targets)
     tr.install()
     try:
         assert tr.absent == []
     finally:
         tr.restore()
+
+
+def test_slot_names_resolve_to_callables(tracer):
+    _assert_resolved(tracer, SLOT_NAMES)
+
+
+def test_setup_names_resolve_to_callables(tracer):
+    _assert_resolved(tracer, SETUP_NAMES)
 
 
 def test_q_run_counts_one_backup_per_slot(tracer):
@@ -78,3 +96,19 @@ def test_pds_run_counts_the_entries_each_slot_writes(tracer, algorithm):
     assert tr.entries == cfg.horizon * per_slot
     names = {row[0] for row in tr.spans}
     assert {"env.step", "learners.act", "learners.learn", "harness.metrics"} <= names
+    # the start table: one offline solve, then one slice per channel
+    spans = [row[0] for row in tr.spans]
+    assert spans.count("pds.init") == 1 and spans.count("pds.fp") == 1
+    assert spans.count("pds.slice") == model.n_h
+
+
+def test_suboptimal_run_traces_each_slot_and_each_solve(tracer):
+    cfg = reduced_profile(algorithm="suboptimal", epoch_slots=15, horizon=40, seed=1)
+    with tracer.Tracer() as tr:
+        run_experiment(cfg)
+    assert tr.absent == []
+    spans = [row[0] for row in tr.spans]
+    assert spans.count("learners.act") == spans.count("learners.learn") == cfg.horizon
+    # one build; the solve at start and one per epoch run on clones of it
+    assert spans.count("model.build") == 1
+    assert spans.count("planner.vi") == 1 + cfg.horizon // cfg.epoch_slots
