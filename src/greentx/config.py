@@ -146,7 +146,6 @@ class ExperimentConfig:
 
     def build_channel_model(self) -> ChannelModel:
         return ChannelModel(
-            self.gains_db,
             self.resolved_channel_matrix(),
             mode=self.channel_mode,
             perturb_magnitude=self.perturb_magnitude,

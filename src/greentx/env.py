@@ -164,12 +164,10 @@ class ChannelModel:
 
     def __init__(
         self,
-        gains_db,
         matrix,
         mode: str = "stationary",
         perturb_magnitude: float = 0.0,
     ) -> None:
-        self.gains_db = np.asarray(gains_db, dtype=np.float64)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         if mode not in ("stationary", "perturbed"):
             raise ConfigError(f"unknown channel mode {mode!r}")
@@ -224,7 +222,6 @@ class ArrivalModel:
             raise ConfigError(f"unknown arrival mode {mode!r}")
         self.mode = mode
         self.slot_seconds = slot_seconds
-        self.truncation_tail = truncation_tail
         if mode == "stationary":
             if pmf is None:
                 raise ConfigError("stationary arrivals need an explicit pmf")

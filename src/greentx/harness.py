@@ -38,26 +38,10 @@ from .env import Environment, threshold_k_action
 from .errors import ConfigError, TableFormatError, check_snapshot, check_values
 from .learners import MultiplierState, PdsLearner, QLearner, mu_update
 from .model import JointModel
-from .pds import FactoredDynamics, init_pds_values
+from .pds import FactoredDynamics, init_pds_values, pds_value_iteration, policy_from_pds
 from .planner import value_iteration
 from .power import PmAction, PowerState
 from .queueing import ArrivalDistribution
-
-CSV_COLUMNS = (
-    "n",
-    "cum_cost",
-    "cum_power_w",
-    "cum_holding",
-    "cum_overflow",
-    "theta_off",
-    "mu_window",
-)
-
-# what a slot records: the columns of MetricsAccumulator.obs, in this order
-OBSERVATIONS = ("power_w", "g_realized", "holding", "drops", "off_slot", "mu")
-
-MU_WINDOW_SLOTS = 1000
-
 
 class MetricsRecord(NamedTuple):
     """Running averages as of slot n (0-indexed; divisor is n + 1)."""
@@ -69,6 +53,14 @@ class MetricsRecord(NamedTuple):
     cum_overflow: float
     theta_off: float
     mu_window: float
+
+
+CSV_COLUMNS = MetricsRecord._fields
+
+# what a slot records: the columns of MetricsAccumulator.obs, in this order
+OBSERVATIONS = ("power_w", "g_realized", "holding", "drops", "off_slot", "mu")
+
+MU_WINDOW_SLOTS = 1000
 
 
 class MetricsAccumulator:
@@ -341,6 +333,11 @@ class PolicyActor:
         check_snapshot(snap, {}, "actor")
 
 
+# tolerance of the re-planning reference's solves on estimated statistics;
+# a solve on the true statistics runs to 1e-9
+SOLVE_TOL = 1e-6
+
+
 class SuboptimalActor:
     """Reference that re-plans on empirical statistics every epoch.
 
@@ -357,14 +354,12 @@ class SuboptimalActor:
         multiplier: MultiplierState,
         *,
         true_stats: bool = False,
-        solve_tol: float = 1e-6,
     ) -> None:
         self.model = model
         self.epoch = cfg.epoch_slots
         self.schedules = cfg.schedules()
         self.multiplier = multiplier
         self.true_stats = true_stats
-        self.solve_tol = solve_tol
         self.n = 0
         self.support = model.arrivals.pmf.size
         self.arrival_counts = np.zeros(self.support, dtype=np.int64)
@@ -394,10 +389,10 @@ class SuboptimalActor:
             if self._solved_mu == mu:
                 return
             m = self.model.with_mu(mu)
-            tol = min(self.solve_tol, 1e-9)
+            tol = 1e-9
         else:
             m = self._estimated_model()
-            tol = self.solve_tol
+            tol = SOLVE_TOL
         self._v, self.policy = value_iteration(m, tol=tol, v0=self._v)
         self._solved_mu = mu
 
@@ -467,10 +462,9 @@ def _build_actor(
     if alg == "q":
         return QLearner(model, cfg.schedules(), multiplier, env.streams.exploration)
     if alg in ("pds", "pds_ve"):
-        factored = FactoredDynamics(model)
-        v0 = init_pds_values(factored, cfg.init_arrivals(), mu_init=cfg.init_mu)
+        v0 = init_pds_values(model, cfg.init_arrivals(), mu_init=cfg.init_mu)
         period = cfg.ve_period if alg == "pds_ve" else None
-        return PdsLearner(factored, v0, cfg.schedules(), multiplier, period)
+        return PdsLearner(FactoredDynamics(model), v0, cfg.schedules(), multiplier, period)
     if alg == "suboptimal":
         return SuboptimalActor(cfg, model, multiplier, true_stats=true_stats)
     raise ConfigError(f"unknown algorithm {alg!r}")
@@ -505,16 +499,18 @@ class RunResult:
         return metrics_csv_text(self.history)
 
 
-_CHECKPOINT_ENTRIES = ("config", "slot", "observations", "env", "actor")
+_CHECKPOINT_ENTRIES = ("config", "options", "slot", "observations", "env", "actor")
 
 
-def _resume(payload, cfg: ExperimentConfig, acc, env, actor) -> int:
+def _resume(payload, cfg: ExperimentConfig, options: dict, acc, env, actor) -> int:
     """Restore a run from a checkpoint payload; returns the slot it continues at.
 
     A payload that lacks an entry, stops outside ``[0, horizon]`` or holds
     observations of another shape than ``(slot, len(OBSERVATIONS))`` is
     refused with ``TableFormatError``, as is an environment or actor entry
-    that its ``restore`` refuses; one from another config with ``ConfigError``.
+    that its ``restore`` refuses; one from another config, or run under
+    other ``options`` (``run_experiment``'s ``fixed_mu``, ``true_stats`` and
+    policy digest), with ``ConfigError``.
     """
     if not isinstance(payload, dict) or not set(_CHECKPOINT_ENTRIES) <= set(payload):
         raise TableFormatError(f"checkpoint lacks one of the entries {_CHECKPOINT_ENTRIES}")
@@ -523,6 +519,10 @@ def _resume(payload, cfg: ExperimentConfig, acc, env, actor) -> int:
     # compared as canonical JSON: the config's tuples come back as lists
     if fingerprint_digest(payload["config"]) != fingerprint_digest(cfg.to_dict()):
         raise ConfigError("checkpoint was produced by a different config")
+    if payload["options"] != options:
+        raise ConfigError(
+            f"checkpoint was produced under run options {payload['options']!r}, not {options!r}"
+        )
     slot, obs = payload["slot"], payload["observations"]
     if type(slot) is not int or not 0 <= slot <= cfg.horizon:
         raise TableFormatError(f"checkpoint slot {slot!r} outside [0, {cfg.horizon}]")
@@ -555,21 +555,25 @@ def run_experiment(
     value for learners and the re-planning reference, turning off the
     constraint ascent (``MultiplierState.fixed``). ``true_stats``
     hands the re-planning reference the true statistics instead of estimates.
-    Checkpointing saves full run state every ``checkpoint_every`` slots;
-    ``resume_from`` continues such a run and reproduces its uninterrupted
-    metric stream exactly.
+    Checkpointing saves full run state every ``checkpoint_every`` slots,
+    with the three options above (the policy as the sha256 of its int64
+    bytes); ``resume_from`` continues such a run under the same config and
+    options and reproduces its uninterrupted metric stream exactly.
     """
     model = cfg.build_model()
     env = cfg.build_env(model)
     if policy is not None:
         actor = PolicyActor(model, policy, cfg.mu)
+        digest = hashlib.sha256(actor.policy.tobytes()).hexdigest()
     else:
         multiplier = dataclasses.replace(cfg.multiplier(), fixed=fixed_mu)
         actor = _build_actor(cfg, model, env, multiplier, true_stats=true_stats)
+        digest = None
+    options = {"fixed_mu": bool(fixed_mu), "true_stats": bool(true_stats), "policy_sha256": digest}
     acc = MetricsAccumulator(cfg.horizon)
     start = 0
     if resume_from is not None:
-        start = _resume(load_checkpoint(resume_from), cfg, acc, env, actor)
+        start = _resume(load_checkpoint(resume_from), cfg, options, acc, env, actor)
 
     # a slot is spent off when the radio is off and told to stay off
     stays_off = (model.action_y == int(PmAction.S_OFF)).tolist()
@@ -597,6 +601,7 @@ def run_experiment(
                 checkpoint_path,
                 {
                     "config": cfg.to_dict(),
+                    "options": options,
                     "slot": n + 1,
                     "observations": acc.obs[: n + 1],
                     "env": env.snapshot(),
@@ -623,10 +628,7 @@ def solve_tables(cfg: ExperimentConfig, method: str = "vi") -> dict:
         v, policy = value_iteration(model)
         return {"v": v, "policy": policy}
     if method == "pds":
-        from .pds import pds_value_iteration, policy_from_pds
-
-        factored = FactoredDynamics(model)
-        v_tilde, v = pds_value_iteration(factored)
-        policy = policy_from_pds(v_tilde, factored)
+        v_tilde, v = pds_value_iteration(model)
+        policy = policy_from_pds(v_tilde, model)
         return {"v_tilde": v_tilde, "v": v.reshape(model.n_s), "policy": policy}
     raise ConfigError(f"unknown solve method {method!r}")

@@ -284,7 +284,7 @@ def ve_batch_update(
     of entries written.
     """
     m = factored.model
-    vals = factored.slice_minima(h_next, v_tilde, mu)
+    vals = factored.state_values_slice(h_next, v_tilde, mu)
     landing, drops = factored.landing(l)
     # targets = mu * eta * drops + gamma * vals[b_next, x], and the column
     # becomes (1 - alpha) * column + alpha * targets: the same products and

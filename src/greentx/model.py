@@ -11,10 +11,11 @@ then z ascending, then PLR ascending. Ties in any argmin are broken toward
 the earliest action in this order.
 
 The known half of the slot dynamics (transmission goodput and the radio
-switch) is also available as one packed operator, ``known_operator``: only
-the feasible (buffer, radio, action) rows, grouped by (buffer, radio) block.
-Every solver sweep and every post-decision lookahead multiplies by it and
-takes each block's minimum, so infeasible triples are never computed.
+switch, with their power and holding costs) is also available as one packed
+operator, ``known_operator``: only the feasible (buffer, radio, action) rows,
+grouped by (buffer, radio) block. Every solver sweep and every post-decision
+lookahead multiplies by it, adds its packed costs and takes each block's
+minimum, so infeasible triples are never computed.
 """
 from __future__ import annotations
 
@@ -63,6 +64,8 @@ class KnownOperator:
     values times ``matrix`` keeps the rows on the last, contiguous axis.
     The rows leaving (b, x) are ``bounds[k]:bounds[k + 1]`` with
     k = b * n_x + x; no block is empty, since z = 0 is always feasible.
+    ``rho`` (n_h, n_rows) and ``hold`` (n_rows,) are each row's power draw
+    per channel and expected holding, the costs of the known half.
     """
 
     matrix: np.ndarray
@@ -70,6 +73,8 @@ class KnownOperator:
     action: np.ndarray
     bounds: np.ndarray
     shape: tuple  # (n_b, n_x, n_a) of the full table the rows are packed from
+    rho: np.ndarray
+    hold: np.ndarray
 
     def pack(self, table: np.ndarray) -> np.ndarray:
         """The feasible entries of a (..., n_b, n_x, n_a) table, in row order."""
@@ -267,7 +272,8 @@ class JointModel:
     def known_operator(self) -> KnownOperator:
         """The feasible rows of the known half of the slot dynamics.
 
-        Built on first use from ``G_stack`` and ``px_stack``; see KnownOperator.
+        Built on first use from ``G_stack``, ``px_stack``, ``rho_hxa`` and
+        ``hold_ba``; see KnownOperator.
         """
         op = self._known.get("K")
         if op is None:
@@ -277,9 +283,12 @@ class JointModel:
             matrix = self.G_stack[a, b].T[:, None, :] * self.px_stack[a, x].T[None, :, :]
             matrix = matrix.reshape(self.n_b * self.n_x, index.size)
             bounds = np.searchsorted(bx, np.arange(self.n_b * self.n_x + 1))
-            for arr in (matrix, index, a, bounds):
+            rho, hold = self.rho_hxa[:, x, a], self.hold_ba[b, a]
+            for arr in (matrix, index, a, bounds, rho, hold):
                 arr.flags.writeable = False
-            op = KnownOperator(matrix, index, a, bounds, (self.n_b, self.n_x, self.n_a))
+            op = KnownOperator(
+                matrix, index, a, bounds, (self.n_b, self.n_x, self.n_a), rho, hold
+            )
             self._known["K"] = op
         return op
 

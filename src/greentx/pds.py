@@ -11,15 +11,18 @@ without ever estimating those distributions.
 Post-decision value tables are kept as (n_b, n_h, n_x) cubes; the matching
 pre-decision tables use the planner's flat layout when exchanged with it.
 
-The exact solvers and the online learner share one precomputed known-half
-operator, ``JointModel.known_operator``, which holds only the feasible
-(b, x, a) rows: the split solver runs the planner's Bellman core (minimizing
-sweeps over every row, Krylov evaluation through the greedy row of each state),
-the learner's greedy rule reads the rows of one (b, x) block, and a batch
-update takes every block's minimum at one channel. Greedy actions over many
-blocks (``state_values_slice``, ``policy_from_pds``) come from the known
-operator's block minimum and its first row within ``TIE_TOL``; no method
-forms a full (b, x, a) table.
+The exact solvers and the online learner share one precomputed known half,
+``JointModel.known_operator``, which holds only the feasible (b, x, a) rows
+and their packed power and holding costs. The exact solvers take the model:
+the split solver (``pds_value_iteration``) runs the planner's Bellman core
+(minimizing sweeps over every row, Krylov evaluation through the greedy row
+of each state), ``policy_from_pds`` reads a greedy policy off a post-decision
+table with the planner's tie rule, and ``init_pds_values`` solves an assumed
+model for the learner's start table. ``FactoredDynamics`` serves the online
+learner at the price in effect, which every one of its methods takes: its
+greedy rule reads the rows of one (b, x) block (``greedy_row``), and a batch
+slot takes every block's minimum at one channel (``state_values_slice``).
+No function forms a full (b, x, a) table.
 """
 from __future__ import annotations
 
@@ -42,7 +45,11 @@ from .queueing import ArrivalDistribution
 
 
 class FactoredDynamics:
-    """Known/unknown split of the one-slot dynamics of a JointModel."""
+    """The known half of a JointModel's slot, as the online learner reads it.
+
+    Every lookahead takes the price ``mu`` in effect, which moves while the
+    learner runs; the model's own ``mu`` is not read.
+    """
 
     def __init__(self, model: JointModel) -> None:
         self.model = model
@@ -51,28 +58,17 @@ class FactoredDynamics:
     # ---- lookahead through the known operator ------------------------------
 
     @cached_property
-    def _packed_costs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Power (h, row) and holding (row,) at the known operator's rows."""
-        m = self.model
-        op = m.known_operator
-        rho = op.pack(np.broadcast_to(m.rho_hxa[:, None], (m.n_h,) + op.shape))
-        hold = op.pack(np.broadcast_to(m.hold_ba[:, None, :], op.shape))
-        return rho, hold
-
-    @cached_property
     def _blocks(self) -> list:
         """Per (b, x) block k = b * n_x + x, views of what its greedy rule reads.
 
         Each entry holds the block's power rows (n_h, rows), its holding
         row, its columns of the known operator's matrix, and its global
-        action indices as a list. Built on the first greedy row, so the
-        exact solvers never pay for it.
+        action indices as a list. Built on the first greedy row.
         """
         op = self.model.known_operator
-        rho, hold = self._packed_costs
         bounds = op.bounds.tolist()
         return [
-            (rho[:, lo:hi], hold[lo:hi], op.matrix[:, lo:hi], op.action[lo:hi].tolist())
+            (op.rho[:, lo:hi], op.hold[lo:hi], op.matrix[:, lo:hi], op.action[lo:hi].tolist())
             for lo, hi in zip(bounds, bounds[1:])
         ]
 
@@ -96,44 +92,30 @@ class FactoredDynamics:
             got = self._landing[l] = (flat, drops)
         return got
 
-    def packed_values(
-        self, h: int, v_tilde: np.ndarray, mu: float | None = None
-    ) -> np.ndarray:
+    def packed_values(self, h: int, v_tilde: np.ndarray, mu: float) -> np.ndarray:
         """Lookahead cost of every feasible (b, x, a) at channel h, in row order.
 
         Known cost plus the post-decision value of where the action lands.
         """
-        mu_v = self.model.mu if mu is None else mu
-        rho, hold = self._packed_costs
+        op = self.model.known_operator
         # (rho + mu * hold) + ev in place: a + b and a * b are b + a and b * a
         # bit for bit, so swapping operands to write into q changes nothing
-        q = hold * mu_v
-        q += rho[h]
-        q += v_tilde[:, h, :].ravel() @ self.model.known_operator.matrix
+        q = op.hold * mu
+        q += op.rho[h]
+        q += v_tilde[:, h, :].ravel() @ op.matrix
         return q
 
-    def state_values_slice(
-        self, h: int, v_tilde: np.ndarray, mu: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy value and action index for every (b, x) at channel h, (n_b, n_x) each:
-        each block's minimum, and its first action within ``TIE_TOL`` of it."""
-        m = self.model
-        op = m.known_operator
-        q = self.packed_values(h, v_tilde, mu)
-        vals = op.block_min(q)
-        greedy = op.action[op.block_argmin(q, vals, TIE_TOL)]
-        return vals.reshape(m.n_b, m.n_x), greedy.reshape(m.n_b, m.n_x)
+    def state_values_slice(self, h: int, v_tilde: np.ndarray, mu: float) -> np.ndarray:
+        """Greedy value of every (b, x) at channel h: each block's minimum, (n_b, n_x).
 
-    def slice_minima(
-        self, h: int, v_tilde: np.ndarray, mu: float | None = None
-    ) -> np.ndarray:
-        """Greedy value of every (b, x) at channel h: each block's minimum, (n_b, n_x)."""
+        The slice that a batch slot of the learner reads.
+        """
         m = self.model
         vals = m.known_operator.block_min(self.packed_values(h, v_tilde, mu))
         return vals.reshape(m.n_b, m.n_x)
 
     def greedy_row(
-        self, b: int, h: int, x: int, v_tilde: np.ndarray, mu: float | None = None
+        self, b: int, h: int, x: int, v_tilde: np.ndarray, mu: float
     ) -> tuple[float, int]:
         """Greedy value and action index at the single state (b, h, x).
 
@@ -142,10 +124,9 @@ class FactoredDynamics:
         of the block within ``TIE_TOL`` of its minimum, read off the row as
         a list.
         """
-        m = self.model
-        rho, hold, cols, actions = self._blocks[b * m.n_x + x]
+        rho, hold, cols, actions = self._blocks[b * self.model.n_x + x]
         ev = v_tilde[:, h, :].ravel() @ cols
-        q = (rho[h] + (m.mu if mu is None else mu) * hold + ev).tolist()
+        q = (rho[h] + mu * hold + ev).tolist()
         val = min(q)
         tie = val + TIE_TOL
         for a, v in zip(actions, q):
@@ -155,7 +136,7 @@ class FactoredDynamics:
 
 
 def pds_value_iteration(
-    factored: FactoredDynamics,
+    model: JointModel,
     tol: float = 1e-9,
     max_iters: int = 200_000,
     v0: np.ndarray | None = None,
@@ -166,84 +147,64 @@ def pds_value_iteration(
     Alternates the two halves until the pre-decision table stops moving:
     the post-decision table absorbs arrival/channel expectations and the
     discount, the pre-decision table minimizes known cost plus landing value.
-    Runs ``bellman_fixed_point``, which evaluates a settled greedy policy
-    between minimizing sweeps; appends each minimizing sweep's residual to
-    ``residuals`` when given.
+    Runs ``bellman_fixed_point`` at the price ``model.mu``, which evaluates a
+    settled greedy policy between minimizing sweeps; appends each minimizing
+    sweep's residual to ``residuals`` when given.
     """
-    m = factored.model
-    cost = stage_cost(m, m.mu * m.hold_ba)
-    c_u = np.repeat(m.mu * m.queue.eta * m.o_exp, m.n_x)  # per (B, X)
-    v = bellman_fixed_point(m, cost, c_u, tol, max_iters, v0, residuals)
-    v_tilde = c_u + m.gamma * action_free_values(m, v)
-    v_tilde = v_tilde.reshape(m.n_h, m.n_b, m.n_x).transpose(1, 0, 2)
+    cost = stage_cost(model, model.mu * model.hold_ba)
+    c_u = np.repeat(model.mu * model.queue.eta * model.o_exp, model.n_x)  # per (B, X)
+    v = bellman_fixed_point(model, cost, c_u, tol, max_iters, v0, residuals)
+    v_tilde = c_u + model.gamma * action_free_values(model, v)
+    v_tilde = v_tilde.reshape(model.n_h, model.n_b, model.n_x).transpose(1, 0, 2)
     return np.ascontiguousarray(v_tilde), np.ascontiguousarray(v.transpose(1, 0, 2))
 
 
-def policy_from_pds(
-    v_tilde: np.ndarray, factored: FactoredDynamics, mu: float | None = None
-) -> np.ndarray:
+def policy_from_pds(v_tilde: np.ndarray, model: JointModel) -> np.ndarray:
     """Greedy policy induced by a post-decision value table (flat layout).
 
-    Uses the same canonical tie rule as the planner, so at the respective
-    fixed points the two routes select identical actions.
+    Prices buffer cost at ``model.mu``, and uses the same canonical tie rule
+    as the planner, so at the respective fixed points the two routes select
+    identical actions.
     """
-    m = factored.model
-    mu_v = m.mu if mu is None else mu
-    w = v_tilde.transpose(1, 0, 2).reshape(m.n_h, m.n_b * m.n_x)
-    return greedy_policy(m, known_lookahead(m, stage_cost(m, mu_v * m.hold_ba), w))
+    w = v_tilde.transpose(1, 0, 2).reshape(model.n_h, model.n_b * model.n_x)
+    cost = stage_cost(model, model.mu * model.hold_ba)
+    return greedy_policy(model, known_lookahead(model, cost, w))
 
 
 def init_pds_values(
-    factored: FactoredDynamics,
+    model: JointModel,
     assumed_arrivals: ArrivalDistribution,
-    assumed_channel: np.ndarray | None = None,
     mu_init: float = 1.0,
-    tol: float = 1e-9,
 ) -> np.ndarray:
-    """Offline starting table from assumed arrival/channel statistics.
+    """Offline starting table from assumed arrival statistics and a still channel.
 
-    The assumed traffic should be heavy enough that staying off fills the
-    buffer and drops packets, otherwise the greedy start policy never turns
-    the radio on and online learning cannot leave the off state. That
-    degenerate case raises InitializationError: retry with a larger assumed
-    arrival rate or a positive mu_init.
+    Solves the model with the assumed arrivals, a channel that never moves
+    and the price ``mu_init``. The assumed traffic should be heavy enough
+    that staying off fills the buffer and drops packets, otherwise the
+    greedy start policy never turns the radio on and online learning cannot
+    leave the off state. That degenerate case raises InitializationError:
+    retry with a larger assumed arrival rate or a positive mu_init.
     """
-    m = factored.model
-    channel = np.eye(m.n_h) if assumed_channel is None else assumed_channel
-    assumed = FactoredDynamics(
-        m.with_arrivals(assumed_arrivals).with_channel(channel).with_mu(mu_init)
-    )
-    v_tilde, _ = pds_value_iteration(assumed, tol=tol)
-    greedy_y_off = np.empty((m.n_h, m.n_b), dtype=np.int64)
-    for h in range(m.n_h):
-        _, greedy = assumed.state_values_slice(h, v_tilde, mu_init)
-        greedy_y_off[h] = m.action_y[greedy[:, int(PowerState.OFF)]]
-    # Walk the off region as the assumed dynamics see it: buffer moves by
-    # arrival bursts of positive probability, channel by the assumed matrix.
+    n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
+    assumed = model.with_arrivals(assumed_arrivals).with_channel(np.eye(n_h)).with_mu(mu_init)
+    v_tilde, _ = pds_value_iteration(assumed)
+    policy = policy_from_pds(v_tilde, assumed).reshape(n_b, n_h, n_x)
+    wakes = model.action_y[policy[:, :, int(PowerState.OFF)]] == int(PmAction.S_ON)  # (b, h)
+    # Walk the off region as the assumed dynamics see it: the channel stays
+    # put and the buffer moves by arrival bursts of positive probability.
     # Only levels reachable from an empty buffer count; a switch-on choice
     # at a level the assumed system never visits cannot wake the radio.
-    bursts = [int(l) for l in np.flatnonzero(assumed_arrivals.pmf > 0.0)]
-    hops = [np.flatnonzero(channel[h] > 0.0) for h in range(m.n_h)]
-    cap = m.queue.capacity
-    for h0 in range(m.n_h):
-        seen = {(0, h0)}
-        frontier = [(0, h0)]
-        wakes = False
-        while frontier and not wakes:
-            b, h = frontier.pop()
-            if greedy_y_off[h, b] == int(PmAction.S_ON):
-                wakes = True
-                break
-            for l in bursts:
-                nb = min(b + l, cap)
-                for nh in hops[h]:
-                    nxt = (nb, int(nh))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-        if not wakes:
-            raise InitializationError(
-                "assumed statistics never favor switching on from the off state; "
-                "increase the assumed arrival rate or mu_init"
-            )
+    bursts = np.flatnonzero(assumed_arrivals.pmf > 0.0).tolist()
+    cap = model.queue.capacity
+    reached, frontier = {0}, [0]
+    while frontier:
+        b = frontier.pop()
+        for nb in {min(b + l, cap) for l in bursts} - reached:
+            reached.add(nb)
+            frontier.append(nb)
+    if not wakes[sorted(reached)].any(axis=0).all():
+        raise InitializationError(
+            "assumed statistics never favor switching on from the off state; "
+            "increase the assumed arrival rate or mu_init"
+        )
     return v_tilde

@@ -37,10 +37,11 @@ RESTART = 40
 def stage_cost(model: JointModel, buffer_cost_ba: np.ndarray) -> np.ndarray:
     """Per-slot cost indexed (h, row): power plus a per-(buffer, action) term.
 
-    Rows are the known operator's feasible (b, x, a) rows, in its order.
+    Rows are the known operator's feasible (b, x, a) rows, in its order,
+    and the power is the operator's packed ``rho``.
     """
-    cost = model.rho_hxa[:, None, :, :] + buffer_cost_ba[None, :, None, :]
-    return model.known_operator.pack(cost)
+    op = model.known_operator
+    return op.rho + op.pack(np.broadcast_to(buffer_cost_ba[:, None, :], op.shape))
 
 
 def action_free_values(model: JointModel, v_hbx: np.ndarray) -> np.ndarray:

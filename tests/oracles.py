@@ -20,6 +20,10 @@ checked against them:
 - full (state, action) tables and the greedy rule over them: ``feasible_sa``,
   ``unpack``, ``flat_q``, ``q_values``, ``action_values_slice`` and
   ``greedy_from_q``, the route the packed block rule must agree with;
+- packed costs from full tables: ``stage_cost_by_pack`` (the (h, b, x, a)
+  table of power plus buffer cost, packed) and ``lookahead_by_pack`` (power
+  and holding tables packed one at a time), which the known operator's own
+  packed costs must match byte for byte;
 - the post-decision split pair by pair: ``PostDecisionState``, ``pds_of``,
   ``known_pmf``, ``known_cost``, ``unknown_pmf``, ``unknown_cost`` and
   ``realized_unknown_cost``;
@@ -301,7 +305,7 @@ def q_values(model: JointModel, v: np.ndarray, mu: float | None = None) -> np.nd
 
 
 def action_values_slice(
-    factored: FactoredDynamics, h: int, v_tilde: np.ndarray, mu: float | None = None
+    factored: FactoredDynamics, h: int, v_tilde: np.ndarray, mu: float
 ) -> np.ndarray:
     """Lookahead cost of every action from every (b, x) at channel h, +inf where infeasible."""
     return unpack(factored.model.known_operator, factored.packed_values(h, v_tilde, mu))
@@ -433,10 +437,17 @@ def alpha_by_power(n, power: float):
     return (1.0 / (1.0 + n)) ** power
 
 
-def _lookahead_by_slices(
-    factored: FactoredDynamics, h: int, v_tilde: np.ndarray, mu: float, lo: int, hi: int
+def stage_cost_by_pack(model: JointModel, buffer_cost_ba: np.ndarray) -> np.ndarray:
+    """Per-slot cost (h, row): the full (h, b, x, a) power-plus-buffer-cost table, packed."""
+    cost = model.rho_hxa[:, None, :, :] + buffer_cost_ba[None, :, None, :]
+    return model.known_operator.pack(cost)
+
+
+def lookahead_by_pack(
+    factored: FactoredDynamics, h: int, v_tilde: np.ndarray, mu: float, lo=None, hi=None
 ) -> np.ndarray:
-    """Lookahead cost of the known operator's rows lo:hi at channel h."""
+    """Lookahead cost of the known operator's rows lo:hi (all by default) at channel h,
+    with power and holding packed from their full tables."""
     m = factored.model
     op = m.known_operator
     rho = op.pack(np.broadcast_to(m.rho_hxa[:, None], (m.n_h,) + op.shape))
@@ -452,7 +463,7 @@ def greedy_row_by_argmax(
     op = factored.model.known_operator
     k = b * factored.model.n_x + x
     lo, hi = op.bounds[k], op.bounds[k + 1]
-    q = _lookahead_by_slices(factored, h, v_tilde, mu, lo, hi)
+    q = lookahead_by_pack(factored, h, v_tilde, mu, lo, hi)
     val = q.min()
     return float(val), int(op.action[lo + np.argmax(q <= val + TIE_TOL)])
 
@@ -463,7 +474,7 @@ def ve_batch_by_fancy_index(
     """Batch update of the column at channel h, with index arrays built on the spot."""
     m = factored.model
     cap = m.queue.capacity
-    q = _lookahead_by_slices(factored, h_next, v_tilde, mu, None, None)
+    q = lookahead_by_pack(factored, h_next, v_tilde, mu)
     vals = m.known_operator.block_min(q).reshape(m.n_b, m.n_x)
     b = np.arange(m.n_b)
     b_next = np.minimum(b + l, cap)

@@ -87,9 +87,8 @@ def test_criterion_01_direct_and_post_decision_planners_agree(reduced_model):
     for mu in (0.0, 1.0, 10.0):
         m = reduced_model.with_mu(mu)
         _, pol_direct = value_iteration(m)
-        fac = FactoredDynamics(m)
-        v_tilde, _ = pds_value_iteration(fac)
-        pol_split = policy_from_pds(v_tilde, fac)
+        v_tilde, _ = pds_value_iteration(m)
+        pol_split = policy_from_pds(v_tilde, m)
         mismatches[mu] = int(np.count_nonzero(pol_direct != pol_split))
     dt = time.monotonic() - t0
     ok = all(v == 0 for v in mismatches.values()) and dt < 60.0
@@ -138,7 +137,7 @@ def test_criterion_04_online_table_reaches_the_offline_fixed_point():
         algorithm="pds_ve", ve_period=1, horizon=200_000, mu=1.0, init_mu=1.0
     )
     result = run_experiment(cfg, fixed_mu=True)
-    v_star, _ = pds_value_iteration(FactoredDynamics(cfg.build_model().with_mu(1.0)))
+    v_star, _ = pds_value_iteration(cfg.build_model().with_mu(1.0))
     rel = np.abs(result.tables["v_tilde"] - v_star).max() / np.abs(v_star).max()
     dt = time.monotonic() - t0
     ok = rel < 0.05 and dt < 300.0

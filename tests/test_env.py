@@ -102,7 +102,7 @@ def test_perturb_falls_back_when_a_row_loses_all_mass():
 
 def test_channel_model_steps_stay_in_range(reduced_cfg):
     gains = reduced_cfg.gains_db
-    cm = ChannelModel(gains, birth_death_matrix(len(gains)))
+    cm = ChannelModel(birth_death_matrix(len(gains)))
     rng = np.random.default_rng(1)
     hs = []
     h = 0
@@ -112,14 +112,12 @@ def test_channel_model_steps_stay_in_range(reduced_cfg):
     assert set(hs) <= set(range(len(gains)))
     assert max(abs(a - b) for a, b in zip(hs, hs[1:])) <= 1  # nearest neighbor
     with pytest.raises(ConfigError):
-        ChannelModel(gains, birth_death_matrix(len(gains)), mode="wobbly")
+        ChannelModel(birth_death_matrix(len(gains)), mode="wobbly")
 
 
 def test_perturbed_channel_mode_smoke(reduced_cfg):
     gains = reduced_cfg.gains_db
-    cm = ChannelModel(
-        gains, birth_death_matrix(len(gains)), mode="perturbed", perturb_magnitude=0.1
-    )
+    cm = ChannelModel(birth_death_matrix(len(gains)), mode="perturbed", perturb_magnitude=0.1)
     rng = np.random.default_rng(2)
     for _ in range(200):
         assert 0 <= cm.step(2, rng) < len(gains)
@@ -192,7 +190,7 @@ def test_stationary_arrival_model():
 
 
 def _det_env(model, s0, arrivals_k=3, seed=0):
-    channel = ChannelModel(model.gains_db, np.eye(model.n_h))
+    channel = ChannelModel(np.eye(model.n_h))
     arrivals = ArrivalModel(
         "stationary", pmf=ArrivalDistribution.deterministic(arrivals_k)
     )

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from greentx.config import reduced_profile
+from greentx.config import reduced_profile, table_profile
 from greentx.errors import ConfigError, TableFormatError
 from greentx.harness import (
     CSV_COLUMNS,
@@ -256,12 +256,39 @@ def test_resume_rejects_a_different_config(tmp_path):
         run_experiment(replace(cfg, seed=3), resume_from=ck)
 
 
+def test_resume_refuses_other_run_options(tmp_path):
+    # resumed under another fixed_mu, true_stats or policy, a checkpoint would
+    # splice two different runs into one metric stream
+    cfg = table_profile(algorithm="pds_ve", horizon=400, seed=1)
+    ck = tmp_path / "run.ckpt"
+    full = run_experiment(cfg, checkpoint_path=ck, checkpoint_every=150)
+    with pytest.raises(ConfigError):
+        run_experiment(cfg, resume_from=ck, fixed_mu=True)
+    assert run_experiment(cfg, resume_from=ck).csv_text() == full.csv_text()
+
+    sub = reduced_profile(algorithm="suboptimal", horizon=60, seed=1)
+    run_experiment(sub, checkpoint_path=ck, checkpoint_every=50, true_stats=True)
+    with pytest.raises(ConfigError):
+        run_experiment(sub, resume_from=ck)
+
+    # send nothing, and switch the radio off (action 0) or keep it on (action 1):
+    # both are feasible everywhere
+    off, on = (np.full(sub.build_model().n_s, a, dtype=np.int64) for a in (0, 1))
+    full = run_experiment(sub, checkpoint_path=ck, checkpoint_every=50, policy=on)
+    for other in ({}, {"policy": off}):
+        with pytest.raises(ConfigError):
+            run_experiment(sub, resume_from=ck, **other)
+    # the digest is of the int64 table the run follows, whatever form it came in
+    resumed = run_experiment(sub, resume_from=ck, policy=on.tolist())
+    assert resumed.csv_text() == full.csv_text()
+
+
 def test_resume_refuses_malformed_checkpoints(tmp_path):
     cfg = reduced_profile(algorithm="q", horizon=200, seed=2)
     ck = tmp_path / "run.ckpt"
     full = run_experiment(cfg, checkpoint_path=ck, checkpoint_every=100)
     good = load_checkpoint(ck)
-    assert good["slot"] == 200 and set(good) == {"config", "slot", "observations", "env", "actor"}
+    assert good["slot"] == 200 and set(good) == {"config", "options", "slot", "observations", "env", "actor"}
 
     def with_columns(slot, size):
         obs = np.resize(good["observations"], (size, len(OBSERVATIONS)))

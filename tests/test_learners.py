@@ -280,7 +280,7 @@ def test_ve_batch_matches_sequential_virtual_updates(reduced_model_mu1):
     # reference: every virtual target computed from the frozen pre-update
     # table, then written simultaneously
     manual = v0.copy()
-    vals, _ = f.state_values_slice(tup.s_next.h, v0, mu)
+    vals = f.state_values_slice(tup.s_next.h, v0, mu)
     for t in virtual_tuples(m, tup):
         target = mu * t.cost_unknown + m.gamma * vals[t.s_next.b, int(t.s_next.x)]
         b, h, x = t.s_pds.b, t.s_pds.h, int(t.s_pds.x)

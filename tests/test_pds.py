@@ -33,11 +33,13 @@ from oracles import (
     greedy_from_q,
     joint_transition_pmf,
     known_cost,
+    lookahead_by_pack,
     known_pmf,
     lagrangian_cost,
     pds_of,
     q_values,
     realized_unknown_cost,
+    stage_cost_by_pack,
     unknown_cost,
     unknown_pmf,
 )
@@ -136,20 +138,19 @@ def test_realized_unknown_cost(reduced_model):
 
 def test_split_solver_agrees_with_direct_solver(reduced_model_mu1):
     m = reduced_model_mu1
-    f = FactoredDynamics(m)
-    v_tilde, v_pre = pds_value_iteration(f)
+    v_tilde, v_pre = pds_value_iteration(m)
     v_direct, pol_direct = value_iteration(m)
     assert np.allclose(v_pre.reshape(m.n_s), v_direct, atol=1e-6)
-    assert np.array_equal(policy_from_pds(v_tilde, f), pol_direct)
+    assert np.array_equal(policy_from_pds(v_tilde, m), pol_direct)
 
 
 def test_split_solver_q_agrees_across_routes(reduced_model_mu1):
     m = reduced_model_mu1
     f = FactoredDynamics(m)
-    v_tilde, v_pre = pds_value_iteration(f)
+    v_tilde, v_pre = pds_value_iteration(m)
     q_direct = q_values(m, v_pre.reshape(m.n_s))
     for h in range(m.n_h):
-        q_slice = action_values_slice(f, h, v_tilde)  # (n_b, n_x, n_a)
+        q_slice = action_values_slice(f, h, v_tilde, m.mu)  # (n_b, n_x, n_a)
         for b in range(m.n_b):
             for x in range(m.n_x):
                 i = (b * m.n_h + h) * m.n_x + x
@@ -162,8 +163,7 @@ def test_split_solver_q_agrees_across_routes(reduced_model_mu1):
 
 def test_post_decision_table_is_contraction_of_pre(reduced_model_mu1):
     m = reduced_model_mu1
-    f = FactoredDynamics(m)
-    v_tilde, v_pre = pds_value_iteration(f)
+    v_tilde, v_pre = pds_value_iteration(m)
     for b, h, x in [(0, 0, 0), (5, 2, 1), (10, 3, 0), (7, 1, 1)]:
         ev = 0.0
         for bn in range(m.n_b):
@@ -175,7 +175,7 @@ def test_post_decision_table_is_contraction_of_pre(reduced_model_mu1):
 
 def test_split_solver_residuals_contract_geometrically(reduced_model_mu1):
     resids = []
-    pds_value_iteration(FactoredDynamics(reduced_model_mu1), tol=1e-6, residuals=resids)
+    pds_value_iteration(reduced_model_mu1, tol=1e-6, residuals=resids)
     r = np.array(resids)
     assert r[-1] < 1e-6 <= r[-2]
     assert np.all(r[1:] <= reduced_model_mu1.gamma * r[:-1] + 1e-12)
@@ -183,12 +183,11 @@ def test_split_solver_residuals_contract_geometrically(reduced_model_mu1):
 
 def test_split_solver_raises_when_capped(reduced_model_mu1):
     with pytest.raises(ConvergenceError):
-        pds_value_iteration(FactoredDynamics(reduced_model_mu1), max_iters=2)
+        pds_value_iteration(reduced_model_mu1, max_iters=2)
 
 
 def test_offline_init_returns_table_under_heavy_assumed_traffic(reduced_model):
-    f = FactoredDynamics(reduced_model)
-    v0 = init_pds_values(f, ArrivalDistribution.deterministic(5))
+    v0 = init_pds_values(reduced_model, ArrivalDistribution.deterministic(5))
     assert v0.shape == (reduced_model.n_b, reduced_model.n_h, reduced_model.n_x)
     assert np.all(np.isfinite(v0))
     assert np.all(v0 >= 0.0)
@@ -197,25 +196,22 @@ def test_offline_init_returns_table_under_heavy_assumed_traffic(reduced_model):
 def test_offline_init_rejects_free_buffer_price(reduced_model):
     # with mu_init = 0 the buffer costs nothing, staying off is optimal
     # everywhere, and the greedy start policy can never leave the off state
-    f = FactoredDynamics(reduced_model)
     with pytest.raises(InitializationError):
-        init_pds_values(f, ArrivalDistribution.deterministic(5), mu_init=0.0)
+        init_pds_values(reduced_model, ArrivalDistribution.deterministic(5), mu_init=0.0)
 
 
 def test_offline_init_rejects_zero_assumed_arrivals(reduced_model):
     # an empty buffer that never fills gives the radio no reason to wake,
     # even though backlogged levels (unreachable when nothing arrives)
     # would prefer to switch on and drain
-    f = FactoredDynamics(reduced_model)
     with pytest.raises(InitializationError):
-        init_pds_values(f, ArrivalDistribution.deterministic(0), mu_init=1.0)
+        init_pds_values(reduced_model, ArrivalDistribution.deterministic(0), mu_init=1.0)
 
 
 def test_offline_init_accepts_a_single_packet_per_slot(reduced_model):
     # one packet per slot is enough pressure: the level-zero off state
     # already prefers to switch on
-    f = FactoredDynamics(reduced_model)
-    v0 = init_pds_values(f, ArrivalDistribution.deterministic(1))
+    v0 = init_pds_values(reduced_model, ArrivalDistribution.deterministic(1))
     assert np.all(np.isfinite(v0))
 
 
@@ -297,19 +293,19 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m):
     assert np.all(np.diff(op.bounds) > 0)
     assert np.array_equal(op.index // m.n_a, np.repeat(np.arange(m.n_b * m.n_x), np.diff(op.bounds)))
     f = FactoredDynamics(m)
-    v_tilde, v = pds_value_iteration(f)
+    v_tilde, v = pds_value_iteration(m)
     for h in range(m.n_h):
-        q = action_values_slice(f, h, v_tilde)
+        q = action_values_slice(f, h, v_tilde, m.mu)
         np.testing.assert_allclose(q, _einsum_slice(m, h, v_tilde, m.mu), rtol=0, atol=1e-12)
-        vals, greedy = f.state_values_slice(h, v_tilde)
         # the batch slot's block minima are the full slice's minima, bit for bit
-        assert np.array_equal(f.slice_minima(h, v_tilde), q.min(axis=2))
+        vals = f.state_values_slice(h, v_tilde, m.mu)
+        assert np.array_equal(vals, q.min(axis=2))
         for b in range(m.n_b):
             for x in range(m.n_x):
                 # the row and the slice may sum in different orders (last ulp)
-                val, a = f.greedy_row(b, h, x, v_tilde)
+                val, a = f.greedy_row(b, h, x, v_tilde, m.mu)
                 assert m.feasible_bxa[b, x, a]
-                assert a == greedy[b, x]
+                assert a == greedy_from_q(q[b, x][None], m.feasible_bxa[b, x][None])[0]
                 assert val == pytest.approx(vals[b, x], rel=0, abs=1e-12)
     # one packed sweep against the full-row masked sweep, for both solvers' costs
     v_hbx = v.transpose(1, 0, 2) + 0.5  # off the fixed point, so the sweep moves
@@ -320,7 +316,20 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m):
         )
         np.testing.assert_array_equal(swept, _masked_sweep(m, v_hbx, c_post, cost_ba))
     _, pol_vi = value_iteration(m)
-    assert np.array_equal(policy_from_pds(v_tilde, f), pol_vi)
+    assert np.array_equal(policy_from_pds(v_tilde, m), pol_vi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(), st.sampled_from([0.0, 0.37, 1.0, 3.3]), st.integers(0, 2**32 - 1))
+def test_packed_costs_equal_the_full_table_formulas_on_random_models(m, mu, seed):
+    # the known operator's packed power and holding, against the full tables packed
+    for cost_ba in (mu * m.g_ba, mu * m.hold_ba):  # value iteration's and the split solver's
+        assert stage_cost(m, cost_ba).tobytes() == stage_cost_by_pack(m, cost_ba).tobytes()
+    f = FactoredDynamics(m)
+    v_tilde = np.random.default_rng(seed).normal(size=(m.n_b, m.n_h, m.n_x))
+    for h in range(m.n_h):
+        got = f.packed_values(h, v_tilde, mu)
+        assert got.tobytes() == lookahead_by_pack(f, h, v_tilde, mu).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,10 +341,9 @@ def test_both_solvers_match_the_dense_oracle_on_random_models(m):
     )
     bound = 1e-9
     v, pol = value_iteration(m)
-    f = FactoredDynamics(m)
-    v_tilde, v_pds = pds_value_iteration(f)
+    v_tilde, v_pds = pds_value_iteration(m)
     assert np.array_equal(pol, pol_ref)
-    assert np.array_equal(policy_from_pds(v_tilde, f), pol_ref)
+    assert np.array_equal(policy_from_pds(v_tilde, m), pol_ref)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
     np.testing.assert_allclose(v_pds.reshape(m.n_s), v_ref, rtol=0, atol=bound)
 
@@ -347,11 +355,10 @@ def test_packed_greedy_rule_equals_the_full_table_rule_on_random_models(m, seed)
     # at the fixed points, for value iteration and the split solver
     v, pol = value_iteration(m)
     assert np.array_equal(pol, greedy_from_q(q_values(m, v), feasible))
-    f = FactoredDynamics(m)
-    v_tilde, _ = pds_value_iteration(f)
+    v_tilde, _ = pds_value_iteration(m)
     w = v_tilde.transpose(1, 0, 2).reshape(m.n_h, m.n_b * m.n_x)
     q = known_lookahead(m, stage_cost(m, m.mu * m.hold_ba), w)
-    assert np.array_equal(policy_from_pds(v_tilde, f), greedy_from_q(flat_q(m, q), feasible))
+    assert np.array_equal(policy_from_pds(v_tilde, m), greedy_from_q(flat_q(m, q), feasible))
     # off them, on values with exact ties, gaps just inside and outside TIE_TOL and NaN rows
     rng = np.random.default_rng(seed)
     n_rows = m.known_operator.index.size
@@ -360,9 +367,7 @@ def test_packed_greedy_rule_equals_the_full_table_rule_on_random_models(m, seed)
     assert np.array_equal(greedy_policy(m, q), greedy_from_q(flat_q(m, q), feasible))
     v_tilde = rng.integers(0, 2, v_tilde.shape) + rng.choice([0.0, 0.5e-9], v_tilde.shape)
     mu = float(rng.integers(0, 3))
+    f = FactoredDynamics(m)
     for h in range(m.n_h):
         q = action_values_slice(f, h, v_tilde, mu)
-        vals, greedy = f.state_values_slice(h, v_tilde, mu)
-        assert np.array_equal(vals, q.min(axis=2))
-        want = greedy_from_q(q.reshape(-1, m.n_a), m.feasible_bxa.reshape(-1, m.n_a))
-        assert np.array_equal(greedy.ravel(), want)
+        assert np.array_equal(f.state_values_slice(h, v_tilde, mu), q.min(axis=2))

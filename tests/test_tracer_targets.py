@@ -17,7 +17,7 @@ from greentx.harness import run_experiment
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # the per-slot names of the environment, the learners, the re-planning
-# reference and the metrics, and the PDS slice that the offline start table reads
+# reference and the metrics, and the PDS slice that a batch slot reads
 SLOT_NAMES = (
     "Environment.step",
     "QLearner.act",
@@ -96,10 +96,10 @@ def test_pds_run_counts_the_entries_each_slot_writes(tracer, algorithm):
     assert tr.entries == cfg.horizon * per_slot
     names = {row[0] for row in tr.spans}
     assert {"env.step", "learners.act", "learners.learn", "harness.metrics"} <= names
-    # the start table: one offline solve, then one slice per channel
+    # the start table is one offline solve; every batch slot (period 1) reads one slice
     spans = [row[0] for row in tr.spans]
     assert spans.count("pds.init") == 1 and spans.count("pds.fp") == 1
-    assert spans.count("pds.slice") == model.n_h
+    assert spans.count("pds.slice") == (cfg.horizon if algorithm == "pds_ve" else 0)
 
 
 def test_suboptimal_run_traces_each_slot_and_each_solve(tracer):
