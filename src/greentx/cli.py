@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .config import ExperimentConfig, table_profile
@@ -23,6 +24,7 @@ def _add_common(p: argparse.ArgumentParser, out_help: str) -> None:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--horizon", type=int, help="override the run length in slots")
     p.add_argument("--p-on", type=float, dest="p_on", help="override the radio on-power in watts")
+    p.add_argument("--mu", type=float, help="override the price of buffer cost (nonnegative)")
     p.add_argument("--out", required=True, help=out_help)
 
 
@@ -34,6 +36,8 @@ def _load_config(args, **overrides) -> ExperimentConfig:
         overrides["horizon"] = args.horizon
     if args.p_on is not None:
         overrides["power"] = dataclasses.replace(cfg.power, p_on=args.p_on)
+    if args.mu is not None:
+        overrides["mu"] = args.mu
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
@@ -93,7 +97,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Parsing leaves no state on it: each ``parse_args`` call starts from a
+    fresh namespace, so ``main`` can reuse it call after call. Every caller
+    gets this one parser, so none may add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="greentx",
         description="Energy-efficient transmission control: planning, learning, baselines.",

@@ -27,7 +27,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import tokenize
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -164,19 +167,57 @@ def _header_blob(header: dict) -> np.ndarray:
     return np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
 
 
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_member(zf: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:
+    """One ``.npy`` member of an npz archive, read as ``np.load`` reads it.
+
+    Its header is checked first: a member whose shape and dtype need more
+    bytes than the member holds is refused before numpy allocates the array.
+    """
+    if not info.filename.endswith(".npy"):
+        raise ValueError(f"member {info.filename!r} is not an array")
+    if info.header_offset < 0:  # zipfile would seek before the file's start
+        raise ValueError(f"member {info.filename!r} lies before the archive")
+    with zf.open(info) as member:
+        version = np.lib.format.read_magic(member)
+        if version not in _NPY_HEADER_READERS:
+            raise ValueError(f"member {info.filename!r} has .npy version {version}")
+        shape, _, dtype = _NPY_HEADER_READERS[version](member)
+        if math.prod(shape) * dtype.itemsize > info.file_size - member.tell():
+            raise ValueError(f"member {info.filename!r} declares more data than it holds")
+    with zf.open(info) as member:
+        return np.lib.format.read_array(member, allow_pickle=False)
+
+
 def _read_npz(path) -> tuple[dict, dict]:
-    """JSON header and arrays of an npz file; refuses pickled content."""
-    try:
-        z = np.load(path, allow_pickle=False)
-        if not isinstance(z, np.lib.npyio.NpzFile):
-            raise ValueError("not an npz archive")
-        with z:
-            arrays = {k: z[k] for k in z.files}
-        blob = arrays.pop("__header__", None)
-        header = None if blob is None else json.loads(blob.tobytes().decode("utf-8"))
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        # pickled data, object arrays, a broken archive or header
-        raise TableFormatError(f"unreadable table file {path}: {exc}") from exc
+    """JSON header and arrays of an npz file; refuses pickled content.
+
+    A file that cannot be opened or read raises ``OSError``; anything wrong
+    inside it raises ``TableFormatError``.
+    """
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                arrays = {
+                    info.filename.removesuffix(".npy"): _read_member(zf, info)
+                    for info in zf.infolist()
+                }
+            blob = arrays.pop("__header__", None)
+            header = None if blob is None else json.loads(blob.tobytes().decode("utf-8"))
+        except (
+            ValueError, EOFError, NotImplementedError, SyntaxError, tokenize.TokenError,
+            RecursionError, zipfile.BadZipFile, zlib.error,
+        ) as exc:
+            # pickled data, object arrays, a broken archive, member or header
+            # (numpy re-reads a version 1 .npy header that does not parse with
+            # tokenize, which raises on unbalanced brackets), or JSON nested
+            # too deep
+            raise TableFormatError(f"unreadable table file {path}: {exc}") from exc
     if not isinstance(header, dict):
         raise TableFormatError("missing header block")
     return header, arrays
@@ -273,7 +314,10 @@ def load_checkpoint(path) -> dict:
             return [decode(v) for v in obj]
         return obj
 
-    return decode(header.get("payload"))
+    try:
+        return decode(header.get("payload"))
+    except RecursionError as exc:
+        raise TableFormatError(f"{path}: checkpoint payload nests too deeply") from exc
 
 
 # ---------------------------------------------------------------------------

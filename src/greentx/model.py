@@ -62,7 +62,11 @@ class KnownOperator:
     radio x. Infeasible triples have no row. ``matrix`` stores row r as
     column r, shape (n_b * n_x, n_rows), so that a table of post-decision
     values times ``matrix`` keeps the rows on the last, contiguous axis.
-    The rows leaving (b, x) are ``bounds[k]:bounds[k + 1]`` with
+    ``matrix`` is F-ordered, each column contiguous (strides
+    (8, 8 * n_b * n_x)), and that layout is part of every solver's bytes:
+    BLAS sums ``v @ matrix`` in an order that depends on it, so a
+    C-contiguous copy, or one column block at a time, differs in the last
+    bits. The rows leaving (b, x) are ``bounds[k]:bounds[k + 1]`` with
     k = b * n_x + x; no block is empty, since z = 0 is always feasible.
     ``rho`` (n_h, n_rows) and ``hold`` (n_rows,) are each row's power draw
     per channel and expected holding, the costs of the known half.
@@ -144,8 +148,8 @@ class JointModel:
             raise ConfigError("channel matrix rows must sum to 1")
         if not (0.0 <= self.gamma < 1.0):
             raise ConfigError("gamma must lie in [0, 1)")
-        if self.mu < 0.0:
-            raise ConfigError("mu must be nonnegative")
+        if not 0.0 <= self.mu < np.inf:
+            raise ConfigError("mu must be finite and nonnegative")
         if self.z_max < 1:
             raise ConfigError("z_max must be at least 1")
         if len(self.plr_grid) == 0 or any(
@@ -280,8 +284,15 @@ class JointModel:
             index = np.flatnonzero(self.feasible_bxa)
             bx, a = np.divmod(index, self.n_a)
             b, x = np.divmod(bx, self.n_x)
-            matrix = self.G_stack[a, b].T[:, None, :] * self.px_stack[a, x].T[None, :, :]
-            matrix = matrix.reshape(self.n_b * self.n_x, index.size)
+            # written one radio column at a time into (n_rows, n_b, n_x): its
+            # transpose has the layout the class docstring requires, and each
+            # multiply runs n_b wide, where one broadcast over all columns
+            # runs n_x wide and takes three times as long
+            g, px = self.G_stack[a, b], self.px_stack[a, x]
+            prod = np.empty((index.size, self.n_b, self.n_x))
+            for k in range(self.n_x):
+                np.multiply(g, px[:, k, None], out=prod[:, :, k])
+            matrix = prod.reshape(index.size, self.n_b * self.n_x).T
             bounds = np.searchsorted(bx, np.arange(self.n_b * self.n_x + 1))
             rho, hold = self.rho_hxa[:, x, a], self.hold_ba[b, a]
             for arr in (matrix, index, a, bounds, rho, hold):

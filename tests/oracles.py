@@ -16,7 +16,10 @@ checked against them:
   ``expected_buffer_cost`` and ``lagrangian_cost``;
 - the model build slice by slice: ``tables_by_slices``, the goodput, radio
   and clamped-arrival tables one (action, buffer level) slice and one radio
-  law at a time, which the model's diagonal writes must match byte for byte;
+  law at a time, which the model's diagonal writes must match byte for byte,
+  and ``known_matrix_by_broadcast``, the known operator's matrix as one
+  broadcast product, which the column-by-column build must match in bytes
+  and strides (see ``KnownOperator``);
 - full (state, action) tables and the greedy rule over them: ``feasible_sa``,
   ``unpack``, ``flat_q``, ``q_values``, ``action_values_slice`` and
   ``greedy_from_q``, the route the packed block rule must agree with;
@@ -266,6 +269,15 @@ def tables_by_slices(model: JointModel) -> dict:
             a_clamp[b_post, b_post : b_post + hi + 1] = pmf[: hi + 1]
         a_clamp[b_post, cap] += pmf[max(cap - b_post, 0) :].sum()
     return {"G_stack": g_stack, "px_stack": px_stack, "A_clamp": a_clamp}
+
+
+def known_matrix_by_broadcast(model: JointModel) -> np.ndarray:
+    """The known operator's (n_b * n_x, n_rows) matrix as one broadcast product."""
+    index = np.flatnonzero(model.feasible_bxa)
+    bx, a = np.divmod(index, model.n_a)
+    b, x = np.divmod(bx, model.n_x)
+    matrix = model.G_stack[a, b].T[:, None, :] * model.px_stack[a, x].T[None, :, :]
+    return matrix.reshape(model.n_b * model.n_x, index.size)
 
 
 # ---- full (state, action) tables and the greedy rule over them ----------------------

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 import greentx.cli
-from greentx.cli import main
-from greentx.config import reduced_profile
+from greentx.cli import build_parser, main
+from greentx.config import reduced_profile, table_profile
 from greentx.errors import ConvergenceError, FeasibilityError, InitializationError
 from greentx.harness import load_tables
 
@@ -122,3 +122,49 @@ def test_package_errors_end_a_command_with_status_2(tmp_path, cfg_file, capsys, 
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "error: no way through\n"
+
+
+@pytest.mark.parametrize("method", ["vi", "pds"])
+def test_mu_flag_solves_at_that_price(tmp_path, method):
+    by_flag = tmp_path / "flag.npz"
+    by_config = tmp_path / "config.npz"
+    cfg_path = tmp_path / "mu1.json"
+    table_profile(mu=1.0).save(cfg_path)
+    assert main(["solve", "--method", method, "--mu", "1", "--out", str(by_flag)]) == 0
+    assert main(["solve", "--method", method, "--config", str(cfg_path), "--out", str(by_config)]) == 0
+    assert by_flag.read_bytes() == by_config.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"],
+    ["learn", "--algorithm", "pds"],
+])
+def test_negative_mu_is_reported(tmp_path, cfg_file, capsys, command):
+    rc = main(command + ["--config", cfg_file, "--mu", "-1", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mu" in err and "Traceback" not in err
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, cfg_file, capsys):
+    assert build_parser() is build_parser()
+    base = ["learn", "--algorithm", "pds-ve", "--config", cfg_file, "--horizon", "150"]
+    tables = tmp_path / "t.npz"
+    assert main(base + ["--ve-period", "1", "--out", str(tmp_path / "p1.csv"),
+                        "--tables-out", str(tables)]) == 0
+    tables.unlink()
+    assert main(base + ["--ve-period", "50", "--out", str(tmp_path / "p50.csv")]) == 0
+    assert not tables.exists()  # the earlier --tables-out did not carry over
+    assert main(base + ["--out", str(tmp_path / "default.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "default.csv", "p1.csv", "p50.csv",
+    ]
+    # the config's period (1) again, not the last call's 50
+    default = (tmp_path / "default.csv").read_text()
+    assert default == (tmp_path / "p1.csv").read_text()
+    assert default != (tmp_path / "p50.csv").read_text()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: greentx" in capsys.readouterr().out

@@ -19,6 +19,7 @@ from oracles import (
     feasible_sa,
     is_feasible,
     joint_transition_pmf,
+    known_matrix_by_broadcast,
     lagrangian_cost,
     power_cost,
     required_power,
@@ -259,13 +260,12 @@ def test_clones_equal_a_fresh_build_and_share_their_tables(reduced_model, data):
         m.with_channel(channel * 0.5)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_diagonal_build_equals_the_slice_by_slice_build(data):
+def _random_model(data):
+    """A model with random capacity, z_max, PLR grid, radio switch chance theta and arrivals."""
     capacity = data.draw(st.integers(1, 30))
     n_plr = data.draw(st.integers(1, 5))
     plrs = data.draw(st.lists(st.floats(1e-6, 0.5), min_size=n_plr, max_size=n_plr, unique=True))
-    m = JointModel(
+    return JointModel(
         gains_db=(-5.0, 0.0, 5.0),
         channel_matrix=np.full((3, 3), 1.0 / 3.0),
         arrivals=ArrivalDistribution(_stochastic(data.draw, 1, data.draw(st.integers(1, capacity + 4)))[0]),
@@ -276,10 +276,30 @@ def test_diagonal_build_equals_the_slice_by_slice_build(data):
         z_max=data.draw(st.integers(1, min(capacity, 10))),
         gamma=0.9,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_diagonal_build_equals_the_slice_by_slice_build(data):
+    m = _random_model(data)
     for name, want in tables_by_slices(m).items():
         got = getattr(m, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_known_matrix_equals_the_broadcast_product_in_bytes_and_layout(data):
+    m = _random_model(data)
+    got = m.known_operator.matrix
+    want = known_matrix_by_broadcast(m)
+    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+    # BLAS's summation order follows the layout: the products must agree too
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for v in (rng.random(got.shape[0]), rng.standard_normal((m.n_h, got.shape[0]))):
+        assert (v @ got).tobytes() == (v @ want).tobytes()
 
 
 def test_validation_rejects_bad_inputs():
@@ -291,6 +311,10 @@ def test_validation_rejects_bad_inputs():
         _tiny_model(gamma=1.0)
     with pytest.raises(ConfigError):
         _tiny_model(mu=-0.1)
+    with pytest.raises(ConfigError):
+        _tiny_model(mu=float("nan"))
+    with pytest.raises(ConfigError):
+        _tiny_model(mu=float("inf"))
     with pytest.raises(ConfigError):
         _tiny_model(plr_grid=(0.02, 0.01))
     with pytest.raises(ConfigError):
