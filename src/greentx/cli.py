@@ -28,26 +28,15 @@ def _add_common(p: argparse.ArgumentParser, out_help: str) -> None:
     p.add_argument("--out", required=True, help=out_help)
 
 
-def _load_config(args, **overrides) -> ExperimentConfig:
+def _load_config(args) -> ExperimentConfig:
+    """The --config file or the stock profile, each given flag setting the field it names."""
     cfg = ExperimentConfig.load(args.config) if args.config else table_profile()
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
+    given = {k: v for k, v in vars(args).items() if k in cfg.__dataclass_fields__ and v is not None}
+    if "algorithm" in given:  # the flag spells pds_ve "pds-ve"
+        given["algorithm"] = given["algorithm"].replace("-", "_")
     if args.p_on is not None:
-        overrides["power"] = dataclasses.replace(cfg.power, p_on=args.p_on)
-    if args.mu is not None:
-        overrides["mu"] = args.mu
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
-
-
-def _report(result) -> None:
-    rec = result.final
-    print(
-        f"slots={rec.n + 1} cum_cost={rec.cum_cost:.6g} "
-        f"cum_power_w={rec.cum_power_w:.6g} cum_holding={rec.cum_holding:.6g} "
-        f"theta_off={rec.theta_off:.4f} mu_window={rec.mu_window:.6g}"
-    )
+        given["power"] = dataclasses.replace(cfg.power, p_on=args.p_on)
+    return dataclasses.replace(cfg, **given)
 
 
 def _cmd_solve(args) -> int:
@@ -60,40 +49,25 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_learn(args) -> int:
-    algorithm = args.algorithm.replace("-", "_")
-    overrides = {"algorithm": algorithm}
-    if args.ve_period is not None:
-        overrides["ve_period"] = args.ve_period
-    cfg = _load_config(args, **overrides)
-    result = run_experiment(cfg, out_csv=args.out, tables_out=args.tables_out)
-    _report(result)
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    if args.k is None:
+def _cmd_run(args) -> int:
+    """learn, baseline, suboptimal and eval: one ``run_experiment`` and its summary."""
+    if args.algorithm == "threshold" and args.threshold_k is None:
         raise ConfigError("baseline needs --k")
-    cfg = _load_config(args, algorithm="threshold", threshold_k=args.k)
-    result = run_experiment(cfg, out_csv=args.out)
-    _report(result)
-    return 0
-
-
-def _cmd_suboptimal(args) -> int:
-    cfg = _load_config(args, algorithm="suboptimal")
-    result = run_experiment(cfg, out_csv=args.out, true_stats=args.true_stats)
-    _report(result)
-    return 0
-
-
-def _cmd_eval(args) -> int:
     cfg = _load_config(args)
-    tables, _ = load_tables(args.tables, fingerprint=cfg.model_fingerprint())
-    if "policy" not in tables:
-        raise ConfigError(f"{args.tables} holds no policy table")
-    result = run_experiment(cfg, policy=tables["policy"], out_csv=args.out)
-    _report(result)
+    policy = None
+    if args.tables is not None:
+        tables, _ = load_tables(args.tables, fingerprint=cfg.model_fingerprint())
+        if "policy" not in tables:
+            raise ConfigError(f"{args.tables} holds no policy table")
+        policy = tables["policy"]
+    result = run_experiment(cfg, policy=policy, out_csv=args.out, tables_out=args.tables_out,
+                            true_stats=args.true_stats)
+    rec = result.final
+    print(
+        f"slots={rec.n + 1} cum_cost={rec.cum_cost:.6g} "
+        f"cum_power_w={rec.cum_power_w:.6g} cum_holding={rec.cum_holding:.6g} "
+        f"theta_off={rec.theta_off:.4f} mu_window={rec.mu_window:.6g}"
+    )
     return 0
 
 
@@ -109,6 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="greentx",
         description="Energy-efficient transmission control: planning, learning, baselines.",
     )
+    # set by only some subcommands (func: all but solve); None leaves a config field as is
+    parser.set_defaults(algorithm=None, threshold_k=None, tables=None, tables_out=None,
+                        true_stats=False, func=_cmd_run)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="exact solution from true statistics")
@@ -121,22 +98,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ve-period", type=int, dest="ve_period")
     p.add_argument("--tables-out", dest="tables_out", help="also save learned tables (.npz)")
     _add_common(p, "metrics CSV path")
-    p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("baseline", help="threshold-k baseline")
-    p.add_argument("--k", type=int, help="wake the sleeping radio once the backlog exceeds k")
+    p.add_argument("--k", type=int, dest="threshold_k", metavar="K",
+                   help="wake the sleeping radio once the backlog exceeds k")
     _add_common(p, "metrics CSV path")
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(algorithm="threshold")
 
     p = sub.add_parser("suboptimal", help="re-planning reference on estimated statistics")
     p.add_argument("--true-stats", action="store_true", dest="true_stats")
     _add_common(p, "metrics CSV path")
-    p.set_defaults(func=_cmd_suboptimal)
+    p.set_defaults(algorithm="suboptimal")
 
     p = sub.add_parser("eval", help="roll out a stored policy")
     p.add_argument("--tables", required=True, help="table file holding a policy")
     _add_common(p, "metrics CSV path")
-    p.set_defaults(func=_cmd_eval)
 
     return parser
 

@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("b_init outside the buffer")
         if self.horizon < 1:
             raise ConfigError("horizon must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.ve_period < 1:
             raise ConfigError("ve_period must be at least 1")
         if self.epoch_slots < 1:
@@ -203,9 +205,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        d["phy"] = PhyConfig(**d.get("phy", {}))
-        d["power"] = PowerProfile(**d["power"]) if "power" in d else PowerProfile(p_on=0.32)
+        """Build from a JSON object; a non-object or an unknown key raises ``ConfigError``."""
+        d = dict(_fields_of(cls, d, "config"))
+        d["phy"] = PhyConfig(**_fields_of(PhyConfig, d.get("phy", {}), "phy"))
+        power = _fields_of(PowerProfile, d.get("power", {"p_on": 0.32}), "power")
+        d["power"] = PowerProfile(**power)
         for key in ("plr_grid", "gains_db", "mmpp_rates", "mmpp_stationary"):
             if key in d and d[key] is not None:
                 d[key] = tuple(d[key])
@@ -218,7 +222,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls.from_dict(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -247,6 +254,16 @@ class ExperimentConfig:
             ],
             "arrival_pmf": [repr(v) for v in self.arrival_distribution().pmf.tolist()],
         }
+
+
+def _fields_of(cls, d, what: str) -> dict:
+    """``d`` itself if it is a JSON object whose keys all name fields of ``cls``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    if not cls.__dataclass_fields__.keys() >= d.keys():
+        unknown = sorted(d.keys() - cls.__dataclass_fields__.keys())
+        raise ConfigError(f"unknown {what} keys {unknown}")
+    return d
 
 
 def table_profile(p_on: float = 0.32, **overrides) -> ExperimentConfig:

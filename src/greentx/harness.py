@@ -167,6 +167,12 @@ def _header_blob(header: dict) -> np.ndarray:
     return np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
 
 
+def _write_npz(path, header: dict, arrays: dict) -> None:
+    """The header and arrays as an npz file at exactly ``path``."""
+    with open(path, "wb") as fh:  # given a name, np.savez appends ".npz" to it
+        np.savez(fh, __header__=_header_blob(header), **arrays)
+
+
 _NPY_HEADER_READERS = {
     (1, 0): np.lib.format.read_array_header_1_0,
     (2, 0): np.lib.format.read_array_header_2_0,
@@ -239,7 +245,7 @@ def serialize_tables(tables: dict, path, *, kind: str, fingerprint: dict) -> Non
         "fingerprint_sha256": fingerprint_digest(fingerprint),
         "fingerprint": fingerprint,
     }
-    np.savez(path, __header__=_header_blob(header), **arrays)
+    _write_npz(path, header, arrays)
 
 
 def load_tables(path, *, expect_kind: str | None = None, fingerprint: dict | None = None):
@@ -292,8 +298,7 @@ def save_checkpoint(path, payload: dict) -> None:
         "kind": "checkpoint",
         "payload": encode(payload),
     }
-    with open(path, "wb") as fh:  # a path would get ".npz" appended
-        np.savez(fh, __header__=_header_blob(header), **arrays)
+    _write_npz(path, header, arrays)
 
 
 def load_checkpoint(path) -> dict:
@@ -604,6 +609,10 @@ def run_experiment(
     bytes); ``resume_from`` continues such a run under the same config and
     options and reproduces its uninterrupted metric stream exactly.
     """
+    if (checkpoint_path is None) != (checkpoint_every is None):
+        raise ConfigError("checkpoint_path and checkpoint_every must be given together")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ConfigError("checkpoint_every must be at least 1")
     model = cfg.build_model()
     env = cfg.build_env(model)
     if policy is not None:
@@ -636,11 +645,7 @@ def run_experiment(
             off_slot=(s % n_x == x_off and stays_off[a]),
             mu=mu_n,
         )
-        if (
-            checkpoint_path is not None
-            and checkpoint_every is not None
-            and (n + 1) % checkpoint_every == 0
-        ):
+        if checkpoint_every is not None and (n + 1) % checkpoint_every == 0:
             save_checkpoint(
                 checkpoint_path,
                 {

@@ -18,8 +18,8 @@ checked against them:
   and clamped-arrival tables one (action, buffer level) slice and one radio
   law at a time, which the model's diagonal writes must match byte for byte,
   and ``known_matrix_by_broadcast``, the known operator's matrix as one
-  broadcast product, which the column-by-column build must match in bytes
-  and strides (see ``KnownOperator``);
+  broadcast product, which the column-by-column build must match (the
+  layout contract is the ``KnownOperator`` docstring's);
 - full (state, action) tables and the greedy rule over them: ``feasible_sa``,
   ``unpack``, ``flat_q``, ``q_values``, ``action_values_slice`` and
   ``greedy_from_q``, the route the packed block rule must agree with;

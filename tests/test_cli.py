@@ -1,12 +1,15 @@
 """End-to-end checks of the command line front end (in-process)."""
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import greentx.cli
 from greentx.cli import build_parser, main
-from greentx.config import reduced_profile, table_profile
+from greentx.config import ExperimentConfig, reduced_profile, table_profile
 from greentx.errors import ConvergenceError, FeasibilityError, InitializationError
-from greentx.harness import load_tables
+from greentx.harness import load_tables, run_experiment
 
 
 @pytest.fixture()
@@ -168,3 +171,82 @@ def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, cfg_file, capsys)
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: greentx" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, fields, run_options", [
+    (["baseline", "--k", "3"], {"algorithm": "threshold", "threshold_k": 3}, {}),
+    (["learn", "--algorithm", "pds-ve", "--ve-period", "50"],
+     {"algorithm": "pds_ve", "ve_period": 50}, {}),
+    (["learn", "--algorithm", "q", "--seed", "4", "--horizon", "120", "--mu", "0.5"],
+     {"algorithm": "q", "seed": 4, "horizon": 120, "mu": 0.5}, {}),
+    (["suboptimal", "--true-stats"], {"algorithm": "suboptimal"}, {"true_stats": True}),
+])
+def test_each_flag_sets_the_config_field_it_names(tmp_path, cfg_file, argv, fields, run_options):
+    by_cli, by_api = tmp_path / "cli.csv", tmp_path / "api.csv"
+    assert main(argv + ["--config", cfg_file, "--out", str(by_cli)]) == 0
+    cfg = dataclasses.replace(ExperimentConfig.load(cfg_file), **fields)
+    run_experiment(cfg, out_csv=by_api, **run_options)
+    assert by_cli.read_bytes() == by_api.read_bytes()
+
+
+COMMON_FLAGS = [
+    "--config CONFIG", "--seed SEED", "--horizon HORIZON", "--p-on P_ON", "--mu MU", "--out OUT",
+]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--method {vi,pds}"]),
+    ("learn", ["--algorithm {q,pds,pds-ve}", "--ve-period VE_PERIOD", "--tables-out TABLES_OUT"]),
+    ("baseline", ["--k K"]),
+    ("suboptimal", ["--true-stats"]),
+    ("eval", ["--tables TABLES"]),
+])
+def test_help_lists_each_subcommands_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("options:\n")[1]
+    listed = [re.split(r"\s{2,}", line.strip())[0]
+              for line in options.splitlines() if line.startswith("  -")]
+    assert listed == ["-h, --help", *flags, *COMMON_FLAGS]
+
+
+def test_baseline_needs_k(tmp_path, cfg_file, capsys):
+    rc = main(["baseline", "--config", cfg_file, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: baseline needs --k\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_table_files_keep_the_name_they_were_given(tmp_path, cfg_file, capsys):
+    solved = tmp_path / "x.bin"
+    assert main(["solve", "--config", cfg_file, "--out", str(solved)]) == 0
+    assert capsys.readouterr().out == f"wrote ['policy', 'v'] to {solved}\n"
+    rc = main(["eval", "--tables", str(solved), "--config", cfg_file,
+               "--out", str(tmp_path / "eval.csv")])
+    assert rc == 0
+    learned = tmp_path / "qt"
+    rc = main(["learn", "--algorithm", "q", "--config", cfg_file, "--horizon", "50",
+               "--out", str(tmp_path / "q.csv"), "--tables-out", str(learned)])
+    assert rc == 0
+    assert "q" in load_tables(learned, expect_kind="q")[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "eval.csv", "q.csv", "qt", "x.bin",
+    ]
+
+
+@pytest.mark.parametrize("text, flags", [
+    ('{"seed": 0, "horizon_slots": 50}', []),  # unknown key
+    ('{"power": {"p_on": 0.32, "p_sleep": 0.0}}', []),  # unknown nested key
+    ('{"seed": 0,', []),  # malformed JSON
+    ("[1, 2]", []),  # not an object
+    ("{}", ["--seed", "-1"]),
+], ids=["unknown-key", "unknown-nested-key", "malformed-json", "not-an-object", "negative-seed"])
+def test_bad_configs_end_in_one_error_line(tmp_path, capsys, text, flags):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(["learn", "--algorithm", "q", "--config", str(path), *flags,
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

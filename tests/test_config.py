@@ -44,6 +44,8 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         table_profile(horizon=0)
     with pytest.raises(ConfigError):
+        table_profile(seed=-1)
+    with pytest.raises(ConfigError):
         table_profile(ve_period=0)
     with pytest.raises(ConfigError):
         table_profile(epoch_slots=0)

@@ -239,6 +239,19 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, algorithm):
             assert np.array_equal(resumed.tables[name], table)
 
 
+@pytest.mark.parametrize("options", [
+    {"checkpoint_path": "run.ckpt"},
+    {"checkpoint_every": 10},
+    {"checkpoint_path": "run.ckpt", "checkpoint_every": 0},
+], ids=["path-without-period", "period-without-path", "zero-period"])
+def test_checkpoint_options_that_cannot_work_are_refused(tmp_path, options):
+    if "checkpoint_path" in options:
+        options = dict(options, checkpoint_path=tmp_path / options["checkpoint_path"])
+    with pytest.raises(ConfigError, match="checkpoint"):
+        run_experiment(reduced_profile(algorithm="q", horizon=50), **options)
+    assert not list(tmp_path.iterdir())
+
+
 def test_pds_tables_count_every_written_entry():
     cfg = reduced_profile(algorithm="pds_ve", ve_period=1, horizon=300, seed=11)
     res = run_experiment(cfg)
