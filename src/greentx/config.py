@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -55,7 +57,7 @@ class ExperimentConfig:
     z_max: int = 10
     # channel
     gains_db: tuple[float, ...] = STOCK_GAINS_DB
-    channel_matrix: tuple | None = None  # None -> nearest-neighbor default
+    channel_matrix: tuple[tuple[float, ...], ...] | None = None  # None -> nearest-neighbor default
     channel_stay: float = 0.6
     channel_step: float = 0.2
     channel_mode: str = "stationary"
@@ -198,23 +200,18 @@ class ExperimentConfig:
     # ---- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["phy"] = dataclasses.asdict(self.phy)
-        d["power"] = dataclasses.asdict(self.power)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Build from a JSON object; a non-object or an unknown key raises ``ConfigError``."""
+        """Build from a JSON object; a non-object, an unknown or missing key and a
+        value of the wrong type (see ``_fields_of``) raise ``ConfigError``."""
         d = dict(_fields_of(cls, d, "config"))
         d["phy"] = PhyConfig(**_fields_of(PhyConfig, d.get("phy", {}), "phy"))
-        power = _fields_of(PowerProfile, d.get("power", {"p_on": 0.32}), "power")
-        d["power"] = PowerProfile(**power)
-        for key in ("plr_grid", "gains_db", "mmpp_rates", "mmpp_stationary"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
-        if d.get("channel_matrix") is not None:
-            d["channel_matrix"] = tuple(tuple(row) for row in d["channel_matrix"])
+        d["power"] = PowerProfile(**_fields_of(PowerProfile, d.get("power", {"p_on": 0.32}), "power"))
+        for key, value in d.items():  # only tuple fields admit arrays
+            if type(value) in (list, tuple):
+                d[key] = tuple(tuple(x) if type(x) in (list, tuple) else x for x in value)
         return cls(**d)
 
     def to_json(self) -> str:
@@ -256,13 +253,48 @@ class ExperimentConfig:
         }
 
 
+def _admits(tp):
+    """A predicate for the JSON values of a field annotated ``tp``: any number for
+    a float, an integer for an int (``true`` is neither), an array for a tuple,
+    null only for ``X | None``, anything for a dataclass (checked on its own)."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        ok = _admits(args[0])
+        return lambda v: v is None or ok(v)
+    if origin is tuple:  # tuple[X, ...]
+        ok = _admits(args[0])
+        return lambda v: type(v) in (list, tuple) and all(map(ok, v))
+    if dataclasses.is_dataclass(tp):
+        return lambda v: True
+    kinds = (int, float) if tp is float else (tp,)
+    return lambda v: type(v) in kinds
+
+
+# per class, a predicate per field (``_admits``) and the fields without a default;
+# the annotations are strings (postponed evaluation), so they are resolved once, here
+_SCHEMAS = {
+    cls: (
+        {k: _admits(tp) for k, tp in typing.get_type_hints(cls).items()},
+        {f.name for f in dataclasses.fields(cls) if f.default is MISSING and f.default_factory is MISSING},
+    )
+    for cls in (ExperimentConfig, PhyConfig, PowerProfile)
+}
+
+
 def _fields_of(cls, d, what: str) -> dict:
-    """``d`` itself if it is a JSON object whose keys all name fields of ``cls``."""
+    """``d`` itself if it is a JSON object that gives fields of ``cls`` values
+    their annotations admit, every field without a default included."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    if not cls.__dataclass_fields__.keys() >= d.keys():
-        unknown = sorted(d.keys() - cls.__dataclass_fields__.keys())
-        raise ConfigError(f"unknown {what} keys {unknown}")
+    checks, required = _SCHEMAS[cls]
+    if not checks.keys() >= d.keys():
+        raise ConfigError(f"unknown {what} keys {sorted(d.keys() - checks.keys())}")
+    if not d.keys() >= required:
+        raise ConfigError(f"missing {what} keys {sorted(required - d.keys())}")
+    for key, value in d.items():
+        if not checks[key](value):
+            kind = cls.__dataclass_fields__[key].type
+            raise ConfigError(f"{what} key {key!r} must be {kind}, got {value!r}")
     return d
 
 

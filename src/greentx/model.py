@@ -55,16 +55,15 @@ class Action:
 class KnownOperator:
     """Transmission goodput and radio switch for every feasible (b, x, a).
 
-    Row r is the r-th feasible triple in canonical order (``index`` holds
-    its flat (b, x, a) position, ``action`` its global action index): the
-    distribution ``G_stack[a, b, B] * px_stack[a, x, X]`` of the
-    post-decision (buffer, radio) pair reached by action a from buffer b and
-    radio x. Infeasible triples have no row. ``matrix`` stores row r as
-    column r, shape (n_b * n_x, n_rows), so that a table of post-decision
-    values times ``matrix`` keeps the rows on the last, contiguous axis.
-    ``matrix`` is F-ordered, each column contiguous (strides
-    (8, 8 * n_b * n_x)), and that layout is part of every solver's bytes:
-    BLAS sums ``v @ matrix`` in an order that depends on it, so a
+    Row r is the r-th feasible triple in canonical order (``action[r]`` is
+    its global action index): the distribution ``G_stack[a, b, B] *
+    px_stack[a, x, X]`` of the post-decision (buffer, radio) pair reached by
+    action a from buffer b and radio x. Infeasible triples have no row.
+    ``matrix`` stores row r as column r, shape (n_b * n_x, n_rows), so that
+    a table of post-decision values times ``matrix`` keeps the rows on the
+    last, contiguous axis. ``matrix`` is F-ordered, each column contiguous
+    (strides (8, 8 * n_b * n_x)), and that layout is part of every solver's
+    bytes: BLAS sums ``v @ matrix`` in an order that depends on it, so a
     C-contiguous copy, or one column block at a time, differs in the last
     bits. The rows leaving (b, x) are ``bounds[k]:bounds[k + 1]`` with
     k = b * n_x + x; no block is empty, since z = 0 is always feasible.
@@ -73,16 +72,10 @@ class KnownOperator:
     """
 
     matrix: np.ndarray
-    index: np.ndarray
     action: np.ndarray
     bounds: np.ndarray
-    shape: tuple  # (n_b, n_x, n_a) of the full table the rows are packed from
     rho: np.ndarray
     hold: np.ndarray
-
-    def pack(self, table: np.ndarray) -> np.ndarray:
-        """The feasible entries of a (..., n_b, n_x, n_a) table, in row order."""
-        return table.reshape(table.shape[:-3] + (-1,))[..., self.index]
 
     def block_min(self, q: np.ndarray) -> np.ndarray:
         """Minimum over each (b, x) block of the last axis: (..., n_b * n_x)."""
@@ -244,7 +237,7 @@ class JointModel:
         self.feasible_bxa = z_ok & on_needed
 
     def _build_arrival_tables(self) -> None:
-        """The tables that depend on the arrivals: A_clamp, o_exp, ovf_ba, g_ba."""
+        """The tables that depend on the arrivals: A_clamp and o_exp."""
         n_b = self.n_b
         cap = self.queue.capacity
 
@@ -261,10 +254,6 @@ class JointModel:
         self.o_exp = np.array(
             [expected_overflow(b, self.arrivals, cap) for b in range(n_b)]
         )
-
-        # expected drops and buffer cost per (buffer, action)
-        self.ovf_ba = np.einsum("abB,B->ba", self.G_stack, self.o_exp)
-        self.g_ba = self.hold_ba + self.queue.eta * self.ovf_ba
 
     def _freeze(self) -> None:
         """Make every table read-only: derived models share them (see _clone)."""
@@ -295,11 +284,9 @@ class JointModel:
             matrix = prod.reshape(index.size, self.n_b * self.n_x).T
             bounds = np.searchsorted(bx, np.arange(self.n_b * self.n_x + 1))
             rho, hold = self.rho_hxa[:, x, a], self.hold_ba[b, a]
-            for arr in (matrix, index, a, bounds, rho, hold):
+            for arr in (matrix, a, bounds, rho, hold):
                 arr.flags.writeable = False
-            op = KnownOperator(
-                matrix, index, a, bounds, (self.n_b, self.n_x, self.n_a), rho, hold
-            )
+            op = KnownOperator(matrix, a, bounds, rho, hold)
             self._known["K"] = op
         return op
 
@@ -329,7 +316,7 @@ class JointModel:
 
         A shallow copy: the clone holds its parent's read-only tables and
         its lazily built known operator, since none of the overrides enters
-        them. Only new arrivals rebuild the four tables that depend on them
+        them. Only new arrivals rebuild the two tables that depend on them
         (``_build_arrival_tables``); a new channel matrix or mu changes no
         table at all.
         """

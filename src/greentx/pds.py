@@ -15,10 +15,10 @@ The exact solvers and the online learner share one precomputed known half,
 ``JointModel.known_operator``, which holds only the feasible (b, x, a) rows
 and their packed power and holding costs. The exact solvers take the model:
 the split solver (``pds_value_iteration``) runs the planner's Bellman core
-(minimizing sweeps over every row, Krylov evaluation through the greedy row
-of each state), ``policy_from_pds`` reads a greedy policy off a post-decision
-table with the planner's tie rule, and ``init_pds_values`` solves an assumed
-model for the learner's start table. ``FactoredDynamics`` serves the online
+on its cost split, as value iteration does, so both return one pre-decision
+table; ``policy_from_pds`` reads a greedy policy off a post-decision table
+with the planner's tie rule, and ``init_pds_values`` solves an assumed model
+for the learner's start table. ``FactoredDynamics`` serves the online
 learner at the price in effect, which every one of its methods takes: its
 greedy rule reads the rows of one (b, x) block (``greedy_row``), and a batch
 slot takes every block's minimum at one channel (``state_values_slice``).
@@ -38,7 +38,7 @@ from .planner import (
     bellman_fixed_point,
     greedy_policy,
     known_lookahead,
-    stage_cost,
+    split_costs,
 )
 from .power import PmAction, PowerState
 from .queueing import ArrivalDistribution
@@ -144,31 +144,21 @@ def pds_value_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the split recursion exactly; returns (post-decision, pre-decision) cubes.
 
-    Alternates the two halves until the pre-decision table stops moving:
-    the post-decision table absorbs arrival/channel expectations and the
-    discount, the pre-decision table minimizes known cost plus landing value.
-    Runs ``bellman_fixed_point`` at the price ``model.mu``, which evaluates a
-    settled greedy policy between minimizing sweeps; appends each minimizing
-    sweep's residual to ``residuals`` when given.
+    Runs ``bellman_fixed_point`` at the price ``model.mu``, as
+    ``value_iteration`` does, so the pre-decision cube is its table; appends
+    each minimizing sweep's residual to ``residuals`` when given.
     """
-    cost = stage_cost(model, model.mu * model.hold_ba)
-    c_u = np.repeat(model.mu * model.queue.eta * model.o_exp, model.n_x)  # per (B, X)
-    v = bellman_fixed_point(model, cost, c_u, tol, max_iters, v0, residuals)
-    v_tilde = c_u + model.gamma * action_free_values(model, v)
+    v = bellman_fixed_point(model, tol, max_iters, v0, residuals)
+    v_tilde = split_costs(model)[1] + model.gamma * action_free_values(model, v)
     v_tilde = v_tilde.reshape(model.n_h, model.n_b, model.n_x).transpose(1, 0, 2)
     return np.ascontiguousarray(v_tilde), np.ascontiguousarray(v.transpose(1, 0, 2))
 
 
 def policy_from_pds(v_tilde: np.ndarray, model: JointModel) -> np.ndarray:
-    """Greedy policy induced by a post-decision value table (flat layout).
-
-    Prices buffer cost at ``model.mu``, and uses the same canonical tie rule
-    as the planner, so at the respective fixed points the two routes select
-    identical actions.
-    """
+    """Greedy policy induced by a post-decision value table (flat layout), priced
+    at ``model.mu`` with the planner's cost split and tie rule, as ``value_iteration``'s."""
     w = v_tilde.transpose(1, 0, 2).reshape(model.n_h, model.n_b * model.n_x)
-    cost = stage_cost(model, model.mu * model.hold_ba)
-    return greedy_policy(model, known_lookahead(model, cost, w))
+    return greedy_policy(model, known_lookahead(model, split_costs(model)[0], w))
 
 
 def init_pds_values(

@@ -5,17 +5,14 @@ policies are int vectors of global action indices. All argmin extraction
 goes through the same tie rule: earliest canonical action within TIE_TOL
 of the minimum, so independently computed solutions pick identical actions.
 
-Value iteration and the post-decision solver in ``pds`` run the same core,
-``bellman_fixed_point``. A minimizing sweep is an action-free expectation
-over arrivals and the channel move, then one product with the model's
-packed known operator and a minimum over each (buffer, radio) block of its
-feasible rows. Once two minimizing sweeps pick the same greedy rows, that
-policy is evaluated by solving its linear system with restarted GMRES, whose
-matvec goes through the one row per state and costs a small fraction of a
-minimizing sweep; the solve still ends on a minimizing sweep, with value
-iteration's stopping rule. Action values are kept packed, one entry per
-feasible (b, x, a), and every greedy policy is read off them with the
-known operator's block minimum and first-row-within-TIE_TOL rule
+Value iteration and the post-decision solver in ``pds`` solve one Bellman
+equation with one core, ``bellman_fixed_point``, on one cost split
+(``split_costs``): power and holding are paid before the post-decision
+point, the expected drops after it. So value iteration's table is the split
+solver's pre-decision table, and both read their greedy policy off the same
+post-decision table. Action values are kept packed, one entry per feasible
+(b, x, a), and every greedy policy is read off them with the known
+operator's block minimum and first-row-within-TIE_TOL rule
 (``greedy_policy``); no full (state, action) table is ever formed.
 """
 from __future__ import annotations
@@ -34,14 +31,13 @@ TIE_TOL = 1e-9
 RESTART = 40
 
 
-def stage_cost(model: JointModel, buffer_cost_ba: np.ndarray) -> np.ndarray:
-    """Per-slot cost indexed (h, row): power plus a per-(buffer, action) term.
-
-    Rows are the known operator's feasible (b, x, a) rows, in its order,
-    and the power is the operator's packed ``rho``.
-    """
+def split_costs(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
+    """The slot cost at ``model.mu``, split at the post-decision point: the
+    known cost ``rho + mu * hold`` per (h, row) of the known operator, and the
+    post cost ``mu * eta * o_exp`` (the expected drops) per post-decision (B, X)."""
     op = model.known_operator
-    return op.rho + op.pack(np.broadcast_to(buffer_cost_ba[:, None, :], op.shape))
+    post = np.repeat(model.mu * model.queue.eta * model.o_exp, model.n_x)
+    return op.rho + model.mu * op.hold, post
 
 
 def action_free_values(model: JointModel, v_hbx: np.ndarray) -> np.ndarray:
@@ -68,21 +64,14 @@ def known_lookahead(model: JointModel, cost: np.ndarray, v_tilde: np.ndarray) ->
 
 
 def bellman_fixed_point(
-    model: JointModel,
-    cost: np.ndarray,
-    c_post,
-    tol: float,
-    max_iters: int,
-    v0: np.ndarray | None,
-    residuals: list | None,
+    model: JointModel, tol: float, max_iters: int, v0: np.ndarray | None, residuals: list | None
 ) -> np.ndarray:
-    """Iterate v <- min_a [cost + K (c_post + gamma w(v))] until the step is below tol.
+    """Iterate v <- min_a [known + K (post + gamma w(v))] until the step is below tol.
 
-    One solver for both exact planners: ``cost`` (h, row) is the part of
-    the slot cost paid before the post-decision point, ``c_post`` the part
-    paid after it. ``v0`` uses the flat state layout; the returned table is
-    indexed (h, b, x). The minimum over actions is the minimum over each
-    (b, x) block of the packed rows, so infeasible actions never enter it.
+    One solver for both exact planners, on the costs of ``split_costs``.
+    ``v0`` uses the flat state layout; the returned table is indexed (h, b, x).
+    The minimum over actions is the minimum over each (b, x) block of the
+    packed rows, so infeasible actions never enter it.
 
     Modified policy iteration (Puterman, ch. 6.5): after each minimizing
     sweep the greedy packed row of every state is found with the tie rule;
@@ -96,6 +85,7 @@ def bellman_fixed_point(
     """
     n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
     op = model.known_operator
+    cost, c_post = split_costs(model)
     if v0 is None:
         v = np.zeros((n_h, n_b, n_x))
     else:
@@ -128,7 +118,7 @@ def bellman_fixed_point(
 def _evaluate_rows(
     model: JointModel,
     cost: np.ndarray,
-    c_post,
+    c_post: np.ndarray,
     rows: np.ndarray,
     v: np.ndarray,
     tol: float,
@@ -149,7 +139,7 @@ def _evaluate_rows(
     n_h = model.n_h
     n_bx = model.n_b * model.n_x
     k_pi = model.known_operator.matrix.T[rows]  # (h, (b, x), (B, X))
-    c_pi = np.take_along_axis(cost, rows, axis=1) + k_pi @ np.broadcast_to(c_post, n_bx)
+    c_pi = np.take_along_axis(cost, rows, axis=1) + k_pi @ c_post
     k_pi = model.A_clamp.T @ k_pi.reshape(n_h, n_bx, model.n_b, model.n_x)
     k_pi = (model.gamma * k_pi).reshape(n_h, n_bx, n_bx)
     p = model.channel_matrix
@@ -239,12 +229,12 @@ def value_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the discounted control problem to sup-norm residual below tol.
 
-    Returns (value table, greedy policy). Raises ConvergenceError if the
-    residual is still above tol after max_iters minimizing sweeps and
-    evaluation matvecs, counted together.
+    Returns (value table, greedy policy): the split solver's pre-decision
+    table in the flat layout and the policy ``pds.policy_from_pds`` reads off
+    its post-decision table. Raises ConvergenceError past max_iters
+    minimizing sweeps and evaluation matvecs, counted together.
     """
-    cost = stage_cost(model, model.mu * model.g_ba)
-    v_hbx = bellman_fixed_point(model, cost, 0.0, tol, max_iters, v0, residuals)
-    v = v_hbx.transpose(1, 0, 2).reshape(model.n_s)
-    q = known_lookahead(model, cost, model.gamma * action_free_values(model, v_hbx))
-    return v, greedy_policy(model, q)
+    v_hbx = bellman_fixed_point(model, tol, max_iters, v0, residuals)
+    cost, c_post = split_costs(model)
+    q = known_lookahead(model, cost, c_post + model.gamma * action_free_values(model, v_hbx))
+    return v_hbx.transpose(1, 0, 2).reshape(model.n_s), greedy_policy(model, q)

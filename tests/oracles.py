@@ -14,6 +14,10 @@ checked against them:
   feasibility rule the model's masks encode), ``feasible_action_indices``,
   ``feasible_actions``, ``joint_transition_pmf``, ``power_cost``,
   ``expected_buffer_cost`` and ``lagrangian_cost``;
+- the classic pre-decision buffer cost ``g_ba``: holding plus eta-weighted
+  expected drops per (buffer, action), the drops priced before the
+  post-decision point. The package prices them after it (``split_costs``),
+  so this is an independent route to the same Bellman equation;
 - the model build slice by slice: ``tables_by_slices``, the goodput, radio
   and clamped-arrival tables one (action, buffer level) slice and one radio
   law at a time, which the model's diagonal writes must match byte for byte,
@@ -21,8 +25,9 @@ checked against them:
   broadcast product, which the column-by-column build must match (the
   layout contract is the ``KnownOperator`` docstring's);
 - full (state, action) tables and the greedy rule over them: ``feasible_sa``,
-  ``unpack``, ``flat_q``, ``q_values``, ``action_values_slice`` and
-  ``greedy_from_q``, the route the packed block rule must agree with;
+  ``pack``, ``unpack``, ``flat_q``, ``q_values`` (priced with ``g_ba``),
+  ``action_values_slice`` and ``greedy_from_q``, the route the packed block
+  rule must agree with;
 - packed costs from full tables: ``stage_cost_by_pack`` (the (h, b, x, a)
   table of power plus buffer cost, packed) and ``lookahead_by_pack`` (power
   and holding tables packed one at a time), which the known operator's own
@@ -61,7 +66,7 @@ from greentx.env import Environment, SlotOutcome, perturb_channel
 from greentx.errors import ConfigError, ConvergenceError, FeasibilityError
 from greentx.harness import MU_WINDOW_SLOTS, MetricsRecord, RunResult, run_experiment
 from greentx.learners import LearningSchedule
-from greentx.model import Action, JointModel, KnownOperator, State
+from greentx.model import Action, JointModel, State
 from greentx.pds import FactoredDynamics
 from greentx.phy import (
     BEP_COEF,
@@ -73,7 +78,7 @@ from greentx.phy import (
     goodput_pmf,
     snr_for_bep,
 )
-from greentx.planner import TIE_TOL, action_free_values, known_lookahead, stage_cost
+from greentx.planner import TIE_TOL, action_free_values, known_lookahead
 from greentx.power import PmAction, PowerProfile, PowerState, pm_transition_pmf
 from greentx.queueing import ArrivalDistribution, expected_overflow
 
@@ -231,11 +236,21 @@ def power_cost(model: JointModel, s: State, a: Action) -> float:
     return float(model.rho_hxa[s.h, int(s.x), model.action_index[a]])
 
 
+def g_ba(model: JointModel) -> np.ndarray:
+    """Expected holding plus eta-weighted expected drops per (buffer, action).
+
+    The drops of the arrivals after a transmission from buffer b, averaged
+    over the goodput: ``hold_ba + eta * sum_B G_stack[a, b, B] o_exp[B]``.
+    """
+    ovf_ba = np.einsum("abB,B->ba", model.G_stack, model.o_exp)
+    return model.hold_ba + model.queue.eta * ovf_ba
+
+
 def expected_buffer_cost(model: JointModel, s: State, a: Action) -> float:
     """Expected holding plus eta-weighted expected drops."""
     if not is_feasible(model, s, a):
         raise FeasibilityError(f"action {a} infeasible in state {s}")
-    return float(model.g_ba[s.b, model.action_index[a]])
+    return float(g_ba(model)[s.b, model.action_index[a]])
 
 
 def lagrangian_cost(model: JointModel, s: State, a: Action, mu: float | None = None) -> float:
@@ -288,11 +303,16 @@ def feasible_sa(model: JointModel) -> np.ndarray:
     return np.repeat(model.feasible_bxa, model.n_h, axis=0).reshape(model.n_s, model.n_a)
 
 
-def unpack(op: KnownOperator, q: np.ndarray) -> np.ndarray:
+def pack(model: JointModel, table: np.ndarray) -> np.ndarray:
+    """The feasible entries of a (..., n_b, n_x, n_a) table, in the known operator's row order."""
+    return table[..., model.feasible_bxa]
+
+
+def unpack(model: JointModel, q: np.ndarray) -> np.ndarray:
     """(..., n_rows) back to (..., n_b, n_x, n_a), +inf at infeasible entries."""
-    full = np.full(q.shape[:-1] + (int(np.prod(op.shape)),), np.inf)
-    full[..., op.index] = q
-    return full.reshape(q.shape[:-1] + op.shape)
+    full = np.full(q.shape[:-1] + model.feasible_bxa.shape, np.inf)
+    full[..., model.feasible_bxa] = q
+    return full
 
 
 def greedy_from_q(q_sa: np.ndarray, feasible: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
@@ -304,23 +324,27 @@ def greedy_from_q(q_sa: np.ndarray, feasible: np.ndarray, tie_tol: float = TIE_T
 
 def flat_q(model: JointModel, q_packed: np.ndarray) -> np.ndarray:
     """(h, row) action values as (state, action) rows in the flat layout, +inf where infeasible."""
-    q = unpack(model.known_operator, q_packed)  # (h, b, x, a)
+    q = unpack(model, q_packed)  # (h, b, x, a)
     return q.transpose(1, 0, 2, 3).reshape(model.n_s, model.n_a)
 
 
 def q_values(model: JointModel, v: np.ndarray, mu: float | None = None) -> np.ndarray:
-    """One-step lookahead values for every (state, action); infeasible -> +inf."""
+    """One-step lookahead values for every (state, action); infeasible -> +inf.
+
+    Prices the slot with the classic pre-decision cost, power plus
+    ``mu * g_ba``, and no cost after the post-decision point.
+    """
     m = model.mu if mu is None else mu
     v_hbx = v.reshape(model.n_b, model.n_h, model.n_x).transpose(1, 0, 2)
     v_tilde = model.gamma * action_free_values(model, v_hbx)
-    return flat_q(model, known_lookahead(model, stage_cost(model, m * model.g_ba), v_tilde))
+    return flat_q(model, known_lookahead(model, stage_cost_by_pack(model, m * g_ba(model)), v_tilde))
 
 
 def action_values_slice(
     factored: FactoredDynamics, h: int, v_tilde: np.ndarray, mu: float
 ) -> np.ndarray:
     """Lookahead cost of every action from every (b, x) at channel h, +inf where infeasible."""
-    return unpack(factored.model.known_operator, factored.packed_values(h, v_tilde, mu))
+    return unpack(factored.model, factored.packed_values(h, v_tilde, mu))
 
 
 # ---- the post-decision split, one pair at a time -------------------------------
@@ -452,7 +476,7 @@ def alpha_by_power(n, power: float):
 def stage_cost_by_pack(model: JointModel, buffer_cost_ba: np.ndarray) -> np.ndarray:
     """Per-slot cost (h, row): the full (h, b, x, a) power-plus-buffer-cost table, packed."""
     cost = model.rho_hxa[:, None, :, :] + buffer_cost_ba[None, :, None, :]
-    return model.known_operator.pack(cost)
+    return pack(model, cost)
 
 
 def lookahead_by_pack(
@@ -462,8 +486,9 @@ def lookahead_by_pack(
     with power and holding packed from their full tables."""
     m = factored.model
     op = m.known_operator
-    rho = op.pack(np.broadcast_to(m.rho_hxa[:, None], (m.n_h,) + op.shape))
-    hold = op.pack(np.broadcast_to(m.hold_ba[:, None, :], op.shape))
+    full = m.feasible_bxa.shape
+    rho = pack(m, np.broadcast_to(m.rho_hxa[:, None], (m.n_h,) + full))
+    hold = pack(m, np.broadcast_to(m.hold_ba[:, None, :], full))
     ev = v_tilde[:, h, :].ravel() @ op.matrix[:, lo:hi]
     return rho[h, lo:hi] + mu * hold[lo:hi] + ev
 
@@ -523,6 +548,7 @@ def policy_evaluate(
     px_sel = np.empty((n_s, model.n_x))
     rho_sel = np.empty(n_s)
     g_sel = np.empty(n_s)
+    g_table = g_ba(model)
     for i, s in enumerate(states):
         a = int(policy[i])
         if not model.feasible_bxa[s.b, int(s.x), a]:
@@ -531,7 +557,7 @@ def policy_evaluate(
         ph_sel[i] = model.channel_matrix[s.h]
         px_sel[i] = model.px_stack[a, int(s.x)]
         rho_sel[i] = model.rho_hxa[s.h, int(s.x), a]
-        g_sel[i] = model.g_ba[s.b, a]
+        g_sel[i] = g_table[s.b, a]
 
     costs = np.stack([rho_sel + model.mu * g_sel, rho_sel, g_sel])
     values = np.zeros((3, n_s))

@@ -241,7 +241,12 @@ def test_table_files_keep_the_name_they_were_given(tmp_path, cfg_file, capsys):
     ('{"seed": 0,', []),  # malformed JSON
     ("[1, 2]", []),  # not an object
     ("{}", ["--seed", "-1"]),
-], ids=["unknown-key", "unknown-nested-key", "malformed-json", "not-an-object", "negative-seed"])
+    ('{"seed": "a"}', []),  # a string for an integer
+    ('{"capacity": "25"}', []),  # a numeric string for an integer
+    ('{"gains_db": 3}', []),  # a number for an array
+    ('{"power": {}}', []),  # a nested object without its required p_on
+], ids=["unknown-key", "unknown-nested-key", "malformed-json", "not-an-object", "negative-seed",
+        "string-seed", "string-capacity", "scalar-gains", "power-without-p-on"])
 def test_bad_configs_end_in_one_error_line(tmp_path, capsys, text, flags):
     path = tmp_path / "bad.json"
     path.write_text(text)

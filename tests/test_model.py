@@ -17,6 +17,7 @@ from oracles import (
     feasible_action_indices,
     feasible_actions,
     feasible_sa,
+    g_ba,
     is_feasible,
     joint_transition_pmf,
     known_matrix_by_broadcast,
@@ -167,12 +168,13 @@ def test_power_table_matches_the_scalar_rule(reduced_model):
 
 def test_expected_buffer_cost_matches_reference(reduced_model):
     m = reduced_model
+    table = g_ba(m)
     for i, a in enumerate(m.actions):
         for b in range(a.z, m.n_b):
             want = buffer_cost(
                 b, a.z, a.bep.plr, m.arrivals, m.queue.capacity, m.queue.eta
             )
-            assert m.g_ba[b, i] == pytest.approx(want, rel=1e-12)
+            assert table[b, i] == pytest.approx(want, rel=1e-12)
 
 
 def test_holding_term_formula(reduced_model):
@@ -251,7 +253,7 @@ def test_clones_equal_a_fresh_build_and_share_their_tables(reduced_model, data):
             assert getattr(by_channel, name) is table, name
     assert by_mu.known_operator is m.known_operator
     with pytest.raises(ValueError):
-        fresh.g_ba[0, 0] = 1.0
+        fresh.o_exp[0] = 1.0
     with pytest.raises(ValueError):
         by_mu.rho_hxa[0, 0, 0] = 1.0
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from greentx.planner import (
     bellman_fixed_point,
     greedy_policy,
     known_lookahead,
-    stage_cost,
+    split_costs,
     value_iteration,
 )
 from greentx.power import PowerProfile, PowerState
@@ -30,6 +30,7 @@ from oracles import (
     feasible_action_indices,
     feasible_sa,
     flat_q,
+    g_ba,
     greedy_from_q,
     joint_transition_pmf,
     known_cost,
@@ -287,11 +288,11 @@ def small_models(draw):
 def test_known_operator_matches_the_einsum_route_on_random_models(m):
     op = m.known_operator
     # packed rows: exactly the feasible (b, x, a), canonical order, no empty block
-    assert np.array_equal(op.index, np.flatnonzero(m.feasible_bxa))
-    assert np.array_equal(op.action, op.index % m.n_a)
-    assert op.bounds[0] == 0 and op.bounds[-1] == op.index.size
+    index = np.flatnonzero(m.feasible_bxa)
+    assert np.array_equal(op.action, index % m.n_a)
+    assert op.bounds[0] == 0 and op.bounds[-1] == index.size
     assert np.all(np.diff(op.bounds) > 0)
-    assert np.array_equal(op.index // m.n_a, np.repeat(np.arange(m.n_b * m.n_x), np.diff(op.bounds)))
+    assert np.array_equal(index // m.n_a, np.repeat(np.arange(m.n_b * m.n_x), np.diff(op.bounds)))
     f = FactoredDynamics(m)
     v_tilde, v = pds_value_iteration(m)
     for h in range(m.n_h):
@@ -307,14 +308,15 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m):
                 assert m.feasible_bxa[b, x, a]
                 assert a == greedy_from_q(q[b, x][None], m.feasible_bxa[b, x][None])[0]
                 assert val == pytest.approx(vals[b, x], rel=0, abs=1e-12)
-    # one packed sweep against the full-row masked sweep, for both solvers' costs
+    # one packed sweep against the full-row masked sweep on the split, bit for
+    # bit, and against the classic form that prices the drops before the
+    # post-decision point, up to rounding
     v_hbx = v.transpose(1, 0, 2) + 0.5  # off the fixed point, so the sweep moves
+    swept = bellman_fixed_point(m, np.inf, 1, v_hbx.transpose(1, 0, 2), None)
     c_u = np.repeat(m.mu * m.queue.eta * m.o_exp, m.n_x)
-    for cost_ba, c_post in ((m.mu * m.g_ba, 0.0), (m.mu * m.hold_ba, c_u)):
-        swept = bellman_fixed_point(
-            m, stage_cost(m, cost_ba), c_post, np.inf, 1, v_hbx.transpose(1, 0, 2), None
-        )
-        np.testing.assert_array_equal(swept, _masked_sweep(m, v_hbx, c_post, cost_ba))
+    assert swept.tobytes() == _masked_sweep(m, v_hbx, c_u, m.mu * m.hold_ba).tobytes()
+    classic = _masked_sweep(m, v_hbx, 0.0, m.mu * g_ba(m))
+    np.testing.assert_allclose(swept, classic, rtol=0, atol=1e-12)
     _, pol_vi = value_iteration(m)
     assert np.array_equal(policy_from_pds(v_tilde, m), pol_vi)
 
@@ -322,14 +324,26 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m):
 @settings(max_examples=40, deadline=None)
 @given(small_models(), st.sampled_from([0.0, 0.37, 1.0, 3.3]), st.integers(0, 2**32 - 1))
 def test_packed_costs_equal_the_full_table_formulas_on_random_models(m, mu, seed):
-    # the known operator's packed power and holding, against the full tables packed
-    for cost_ba in (mu * m.g_ba, mu * m.hold_ba):  # value iteration's and the split solver's
-        assert stage_cost(m, cost_ba).tobytes() == stage_cost_by_pack(m, cost_ba).tobytes()
+    # the split's known cost, against the full power and holding tables packed
+    known, _ = split_costs(m.with_mu(mu))
+    assert known.tobytes() == stage_cost_by_pack(m, mu * m.hold_ba).tobytes()
     f = FactoredDynamics(m)
     v_tilde = np.random.default_rng(seed).normal(size=(m.n_b, m.n_h, m.n_x))
     for h in range(m.n_h):
         got = f.packed_values(h, v_tilde, mu)
         assert got.tobytes() == lookahead_by_pack(f, h, v_tilde, mu).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(), st.sampled_from([0.0, 0.015, 0.37, 1.0, 3.3]))
+def test_value_iteration_is_the_split_solve_on_random_models(m, mu):
+    # one Bellman equation on one cost split: value iteration's table is the
+    # split solver's pre-decision table, and both read the same policy
+    m = m.with_mu(mu)
+    v, pol = value_iteration(m)
+    v_tilde, v_pds = pds_value_iteration(m)
+    assert v.tobytes() == v_pds.reshape(m.n_s).tobytes()
+    assert np.array_equal(pol, policy_from_pds(v_tilde, m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -357,11 +371,11 @@ def test_packed_greedy_rule_equals_the_full_table_rule_on_random_models(m, seed)
     assert np.array_equal(pol, greedy_from_q(q_values(m, v), feasible))
     v_tilde, _ = pds_value_iteration(m)
     w = v_tilde.transpose(1, 0, 2).reshape(m.n_h, m.n_b * m.n_x)
-    q = known_lookahead(m, stage_cost(m, m.mu * m.hold_ba), w)
+    q = known_lookahead(m, split_costs(m)[0], w)
     assert np.array_equal(policy_from_pds(v_tilde, m), greedy_from_q(flat_q(m, q), feasible))
     # off them, on values with exact ties, gaps just inside and outside TIE_TOL and NaN rows
     rng = np.random.default_rng(seed)
-    n_rows = m.known_operator.index.size
+    n_rows = m.known_operator.action.size
     q = rng.integers(0, 3, (m.n_h, n_rows)) + rng.choice([0.0, 0.5e-9, 2e-9], (m.n_h, n_rows))
     q[0, : rng.integers(0, n_rows)] = np.nan
     assert np.array_equal(greedy_policy(m, q), greedy_from_q(flat_q(m, q), feasible))
