@@ -34,8 +34,9 @@ def _load_config(args) -> ExperimentConfig:
     given = {k: v for k, v in vars(args).items() if k in cfg.__dataclass_fields__ and v is not None}
     if "algorithm" in given:  # the flag spells pds_ve "pds-ve"
         given["algorithm"] = given["algorithm"].replace("-", "_")
-    if args.p_on is not None:
-        given["power"] = dataclasses.replace(cfg.power, p_on=args.p_on)
+    if args.p_on is not None:  # a transition power equal to p_on (the default) moves with it
+        p_tr = args.p_on if cfg.power.p_tr == cfg.power.p_on else cfg.power.p_tr
+        given["power"] = dataclasses.replace(cfg.power, p_on=args.p_on, p_tr=p_tr)
     return dataclasses.replace(cfg, **given)
 
 

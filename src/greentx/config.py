@@ -191,8 +191,8 @@ class ExperimentConfig:
             eps_floor=self.eps_floor,
         )
 
-    def multiplier(self) -> MultiplierState:
-        return MultiplierState(mu=self.mu, target=self.g_bar, mu_max=self.mu_max)
+    def multiplier(self, fixed: bool = False) -> MultiplierState:
+        return MultiplierState(mu=self.mu, target=self.g_bar, mu_max=self.mu_max, fixed=fixed)
 
     def init_arrivals(self) -> ArrivalDistribution:
         return ArrivalDistribution.deterministic(self.init_arrival_pkts)
@@ -205,13 +205,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build from a JSON object; a non-object, an unknown or missing key and a
-        value of the wrong type (see ``_fields_of``) raise ``ConfigError``."""
-        d = dict(_fields_of(cls, d, "config"))
+        value of the wrong type (see ``_reader``) raise ``ConfigError``."""
+        d = _fields_of(cls, d, "config")
         d["phy"] = PhyConfig(**_fields_of(PhyConfig, d.get("phy", {}), "phy"))
         d["power"] = PowerProfile(**_fields_of(PowerProfile, d.get("power", {"p_on": 0.32}), "power"))
-        for key, value in d.items():  # only tuple fields admit arrays
-            if type(value) in (list, tuple):
-                d[key] = tuple(tuple(x) if type(x) in (list, tuple) else x for x in value)
         return cls(**d)
 
     def to_json(self) -> str:
@@ -253,28 +250,42 @@ class ExperimentConfig:
         }
 
 
-def _admits(tp):
-    """A predicate for the JSON values of a field annotated ``tp``: any number for
-    a float, an integer for an int (``true`` is neither), an array for a tuple,
-    null only for ``X | None``, anything for a dataclass (checked on its own)."""
+def _reader(tp):
+    """The value a field annotated ``tp`` stores for a JSON value: a float for a
+    float, a JSON integer included, so that ``1`` and ``1.0`` give one config;
+    an integer for an int (``true`` is neither); a tuple for an array; null
+    only for ``X | None``; a dataclass's object as is (read on its own).
+    Raises ``TypeError`` for a value of another type."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
-        ok = _admits(args[0])
-        return lambda v: v is None or ok(v)
+        read = _reader(args[0])
+        return lambda v: None if v is None else read(v)
     if origin is tuple:  # tuple[X, ...]
-        ok = _admits(args[0])
-        return lambda v: type(v) in (list, tuple) and all(map(ok, v))
+        read = _reader(args[0])
+
+        def read_tuple(v):
+            if type(v) not in (list, tuple):
+                raise TypeError
+            return tuple(map(read, v))
+
+        return read_tuple
     if dataclasses.is_dataclass(tp):
-        return lambda v: True
+        return lambda v: v
     kinds = (int, float) if tp is float else (tp,)
-    return lambda v: type(v) in kinds
+
+    def read_scalar(v):
+        if type(v) not in kinds:
+            raise TypeError
+        return tp(v)
+
+    return read_scalar
 
 
-# per class, a predicate per field (``_admits``) and the fields without a default;
+# per class, a reader per field (``_reader``) and the fields without a default;
 # the annotations are strings (postponed evaluation), so they are resolved once, here
 _SCHEMAS = {
     cls: (
-        {k: _admits(tp) for k, tp in typing.get_type_hints(cls).items()},
+        {k: _reader(tp) for k, tp in typing.get_type_hints(cls).items()},
         {f.name for f in dataclasses.fields(cls) if f.default is MISSING and f.default_factory is MISSING},
     )
     for cls in (ExperimentConfig, PhyConfig, PowerProfile)
@@ -282,20 +293,23 @@ _SCHEMAS = {
 
 
 def _fields_of(cls, d, what: str) -> dict:
-    """``d`` itself if it is a JSON object that gives fields of ``cls`` values
-    their annotations admit, every field without a default included."""
+    """The fields of ``cls`` that the JSON object ``d`` gives, each as its field
+    stores it (``_reader``); every field without a default must be given."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    checks, required = _SCHEMAS[cls]
-    if not checks.keys() >= d.keys():
-        raise ConfigError(f"unknown {what} keys {sorted(d.keys() - checks.keys())}")
+    readers, required = _SCHEMAS[cls]
+    if not readers.keys() >= d.keys():
+        raise ConfigError(f"unknown {what} keys {sorted(d.keys() - readers.keys())}")
     if not d.keys() >= required:
         raise ConfigError(f"missing {what} keys {sorted(required - d.keys())}")
+    fields = {}
     for key, value in d.items():
-        if not checks[key](value):
+        try:
+            fields[key] = readers[key](value)
+        except (TypeError, OverflowError):  # OverflowError: an integer past float range
             kind = cls.__dataclass_fields__[key].type
-            raise ConfigError(f"{what} key {key!r} must be {kind}, got {value!r}")
-    return d
+            raise ConfigError(f"{what} key {key!r} must be {kind}, got {value!r}") from None
+    return fields
 
 
 def table_profile(p_on: float = 0.32, **overrides) -> ExperimentConfig:

@@ -51,18 +51,15 @@ def check_snapshot(value, like, where: str = "snapshot") -> None:
         raise TableFormatError(f"{where}: expected {type(like).__name__}, found {value!r}")
 
 
-def check_values(snap: dict, mu_max: float, counts: tuple, tables: tuple) -> None:
+def check_values(snap: dict, counts: tuple, tables: tuple) -> None:
     """Refuse an actor snapshot whose values no run can reach.
 
-    The slot count ``n`` and the arrays ``snap[k]`` for k in ``counts``
-    must be nonnegative, the price ``mu`` must lie in [0, mu_max] and the
-    entries ``snap[k]`` for k in ``tables`` must be finite; anything else
-    raises ``TableFormatError``. Call it after the layout check.
+    The arrays ``snap[k]`` for k in ``counts`` must be nonnegative and the
+    entries ``snap[k]`` for k in ``tables`` finite; anything else raises
+    ``TableFormatError``. Call it after the layout check.
     """
-    if snap["n"] < 0 or any((snap[k] < 0).any() for k in counts):
-        raise TableFormatError(f"actor: negative count in n or {', '.join(counts)}")
-    if not 0.0 <= snap["mu"] <= mu_max:
-        raise TableFormatError(f"actor.mu: {snap['mu']!r} lies outside [0, {mu_max}]")
+    if any((snap[k] < 0).any() for k in counts):
+        raise TableFormatError(f"actor: negative count in {', '.join(counts)}")
     for k in tables:
         if not np.isfinite(snap[k]).all():
             raise TableFormatError(f"actor.{k}: non-finite entries")

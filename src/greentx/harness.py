@@ -13,18 +13,21 @@ A checkpoint carries the recorded observations, not the rows.
 The run loop drives one actor per run, with no adapter around it: the
 learners (``QLearner``, ``PdsLearner``), ``PolicyActor`` (the exact policy,
 the threshold baseline and replayed tables) and ``SuboptimalActor``. Each
-has ``act(s: int) -> int`` (flat state index in, global action index out),
-``learn(outcome)`` reading the ``SlotOutcome`` that ``Environment.step``
-returned, a ``mu`` property (the price in effect this slot), ``tables()``
-(the arrays a finished run reports), and ``snapshot()``/``restore(snap)``,
-whose dict holds arrays and JSON values only, so that checkpoints need no
-pickle. Inside the loop states and actions are integers; the ``State`` and
-``Action`` dataclasses appear only at the edge (the configured start state,
-the threshold table, ``model.state_of``).
+has ``act(s: int, n: int, mu: float) -> int`` (flat state index in, global
+action index out), ``learn(outcome, n, mu)`` reading the ``SlotOutcome``
+that ``Environment.step`` returned, ``tables()`` (the arrays a finished run
+reports), and ``snapshot()``/``restore(snap)``, whose dict holds arrays and
+JSON values only, so that checkpoints need no pickle. The loop owns the
+run's clock and its price: n is the slot index, mu the price in effect in
+slot n, and after each slot the loop alone steps its one
+``MultiplierState`` with ``mu_update``. A checkpoint stores the slot and
+the price once each, beside the actor's snapshot. Inside the loop states
+and actions are integers; the ``State`` and ``Action`` dataclasses appear
+only at the edge (the configured start state, the threshold table,
+``model.state_of``).
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -346,12 +349,12 @@ def _check_policy(model: JointModel, policy: np.ndarray) -> None:
 
 
 class PolicyActor:
-    """Follows a fixed flat policy; reports a fixed multiplier in metrics.
+    """Follows a fixed flat policy, whatever the slot and price.
 
     A policy that ``_check_policy`` refuses is refused before the run starts.
     """
 
-    def __init__(self, model: JointModel, policy, mu: float, extra_tables: dict | None = None):
+    def __init__(self, model: JointModel, policy, extra_tables: dict | None = None):
         self.model = model
         policy = np.asarray(policy)
         if policy.shape != (model.n_s,):
@@ -359,17 +362,12 @@ class PolicyActor:
         _check_policy(model, policy)
         self.policy = policy.astype(np.int64, copy=False)
         self._actions = self.policy.tolist()
-        self._mu = float(mu)
         self._extra = dict(extra_tables or {})
 
-    @property
-    def mu(self) -> float:
-        return self._mu
-
-    def act(self, s: int) -> int:
+    def act(self, s: int, n: int, mu: float) -> int:
         return self._actions[s]
 
-    def learn(self, outcome) -> None:
+    def learn(self, outcome, n: int, mu: float) -> None:
         pass
 
     def tables(self) -> dict:
@@ -393,35 +391,23 @@ class SuboptimalActor:
     Arrival and channel transition frequencies get add-one smoothing so the
     estimated laws are proper distributions from slot zero. Plans with exact
     value iteration against the estimates (or the true statistics when
-    injected), warm-starting each solve from the previous value table.
+    injected), warm-starting each solve from the previous value table. It
+    solves once at the configured starting price, and again on the first
+    slot of each later epoch (``n % epoch_slots == 0``), at that slot's price.
     """
 
-    def __init__(
-        self,
-        cfg: ExperimentConfig,
-        model: JointModel,
-        multiplier: MultiplierState,
-        *,
-        true_stats: bool = False,
-    ) -> None:
+    def __init__(self, cfg: ExperimentConfig, model: JointModel, *, true_stats: bool = False) -> None:
         self.model = model
         self.epoch = cfg.epoch_slots
-        self.schedules = cfg.schedules()
-        self.multiplier = multiplier
         self.true_stats = true_stats
-        self.n = 0
         self.support = model.arrivals.pmf.size
         self.arrival_counts = np.zeros(self.support, dtype=np.int64)
         self.channel_counts = np.zeros((model.n_h, model.n_h), dtype=np.int64)
         self._v = None
         self._solved_mu = None
-        self._solve()
+        self._solve(cfg.mu)
 
-    @property
-    def mu(self) -> float:
-        return self.multiplier.mu
-
-    def _estimated_model(self) -> JointModel:
+    def _estimated_model(self, mu: float) -> JointModel:
         raw_a = (self.arrival_counts + 1).astype(np.float64)
         pmf = raw_a / raw_a.sum()
         raw_p = (self.channel_counts + 1).astype(np.float64)
@@ -429,34 +415,31 @@ class SuboptimalActor:
         return (
             self.model.with_arrivals(ArrivalDistribution(pmf))
             .with_channel(p)
-            .with_mu(self.multiplier.mu)
+            .with_mu(mu)
         )
 
-    def _solve(self) -> None:
-        mu = self.multiplier.mu
+    def _solve(self, mu: float) -> None:
         if self.true_stats:
             if self._solved_mu == mu:
                 return
             m = self.model.with_mu(mu)
             tol = 1e-9
         else:
-            m = self._estimated_model()
+            m = self._estimated_model(mu)
             tol = SOLVE_TOL
         self._v, self.policy = value_iteration(m, tol=tol, v0=self._v)
         self._solved_mu = mu
 
-    def act(self, s: int) -> int:
+    def act(self, s: int, n: int, mu: float) -> int:
+        if n > 0 and n % self.epoch == 0:
+            self._solve(mu)
         return int(self.policy[s])
 
-    def learn(self, outcome) -> None:
+    def learn(self, outcome, n: int, mu: float) -> None:
         _, h, _ = self.model.decode(outcome.s)
         _, h_next, _ = self.model.decode(outcome.s_next)
         self.arrival_counts[min(outcome.l, self.support - 1)] += 1
         self.channel_counts[h, h_next] += 1
-        mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
-        self.n += 1
-        if self.n % self.epoch == 0:
-            self._solve()
 
     def tables(self) -> dict:
         return {"v": np.asarray(self._v).copy(), "policy": self.policy.copy()}
@@ -465,8 +448,6 @@ class SuboptimalActor:
         return {
             "arrival_counts": self.arrival_counts.copy(),
             "channel_counts": self.channel_counts.copy(),
-            "n": self.n,
-            "mu": self.multiplier.mu,
             "v": np.asarray(self._v).copy(),
             "policy": self.policy.copy(),
             "solved_mu": self._solved_mu,
@@ -474,48 +455,38 @@ class SuboptimalActor:
 
     def restore(self, snap: dict) -> None:
         """Reinstate a snapshot. ``TableFormatError`` refuses another layout, a
-        negative count, a price outside [0, mu_max], a value table or solved
-        price that is not finite, and a policy that ``PolicyActor`` refuses."""
+        negative count, a value table or solved price that is not finite, and
+        a policy that ``PolicyActor`` refuses."""
         check_snapshot(snap, self.snapshot(), "actor")
-        counts = ("arrival_counts", "channel_counts")
-        check_values(snap, self.multiplier.mu_max, counts, ("v", "solved_mu"))
+        check_values(snap, ("arrival_counts", "channel_counts"), ("v", "solved_mu"))
         _check_policy(self.model, snap["policy"])
         self.arrival_counts[...] = snap["arrival_counts"]
         self.channel_counts[...] = snap["channel_counts"]
-        self.n = snap["n"]
-        self.multiplier.mu = snap["mu"]
         self._v = snap["v"].copy()
         self.policy = snap["policy"].copy()
         self._solved_mu = snap["solved_mu"]
 
 
-def _build_actor(
-    cfg: ExperimentConfig,
-    model: JointModel,
-    env: Environment,
-    multiplier: MultiplierState,
-    *,
-    true_stats: bool,
-):
+def _build_actor(cfg: ExperimentConfig, model: JointModel, env: Environment, *, true_stats: bool):
     alg = cfg.algorithm
     if alg == "vi":
         v, policy = value_iteration(model)
-        return PolicyActor(model, policy, cfg.mu, {"v": v})
+        return PolicyActor(model, policy, {"v": v})
     if alg == "threshold":
         k = cfg.threshold_k
         table = [
             model.action_index[threshold_k_action(model.state_of(i), k, model, cfg.fixed_plr)]
             for i in range(model.n_s)
         ]
-        return PolicyActor(model, table, cfg.mu, {"threshold_k": np.asarray(k, dtype=np.int64)})
+        return PolicyActor(model, table, {"threshold_k": np.asarray(k, dtype=np.int64)})
     if alg == "q":
-        return QLearner(model, cfg.schedules(), multiplier, env.streams.exploration)
+        return QLearner(model, cfg.schedules(), env.streams.exploration)
     if alg in ("pds", "pds_ve"):
         v0 = init_pds_values(model, cfg.init_arrivals(), mu_init=cfg.init_mu)
         period = cfg.ve_period if alg == "pds_ve" else None
-        return PdsLearner(FactoredDynamics(model), v0, cfg.schedules(), multiplier, period)
+        return PdsLearner(FactoredDynamics(model), v0, cfg.schedules(), period)
     if alg == "suboptimal":
-        return SuboptimalActor(cfg, model, multiplier, true_stats=true_stats)
+        return SuboptimalActor(cfg, model, true_stats=true_stats)
     raise ConfigError(f"unknown algorithm {alg!r}")
 
 
@@ -548,16 +519,20 @@ class RunResult:
         return metrics_csv_text(self.history)
 
 
-_CHECKPOINT_ENTRIES = ("config", "options", "slot", "observations", "env", "actor")
+_CHECKPOINT_ENTRIES = ("config", "options", "slot", "mu", "observations", "env", "actor")
 
 
-def _resume(payload, cfg: ExperimentConfig, options: dict, acc, env, actor) -> int:
+def _resume(
+    payload, cfg: ExperimentConfig, options: dict, price: MultiplierState, acc, env, actor
+) -> int:
     """Restore a run from a checkpoint payload; returns the slot it continues at.
 
-    A payload that lacks an entry, stops outside ``[0, horizon]`` or holds
-    observations of another shape than ``(slot, len(OBSERVATIONS))`` is
-    refused with ``TableFormatError``, as is an environment or actor entry
-    that its ``restore`` refuses; one from another config, or run under
+    A payload that lacks an entry, stops outside ``[0, horizon]``, holds a
+    price the run's ``price`` cannot hold (not a float, outside
+    ``[0, mu_max]``, or another value than a fixed price's) or observations
+    of another shape than ``(slot, len(OBSERVATIONS))`` is refused with
+    ``TableFormatError``, as is an environment or actor entry that its
+    ``restore`` refuses; one from another config, or run under
     other ``options`` (``run_experiment``'s ``fixed_mu``, ``true_stats`` and
     policy digest), with ``ConfigError``.
     """
@@ -575,6 +550,9 @@ def _resume(payload, cfg: ExperimentConfig, options: dict, acc, env, actor) -> i
     slot, obs = payload["slot"], payload["observations"]
     if type(slot) is not int or not 0 <= slot <= cfg.horizon:
         raise TableFormatError(f"checkpoint slot {slot!r} outside [0, {cfg.horizon}]")
+    mu = payload["mu"]
+    if type(mu) is not float or not (mu == price.mu if price.fixed else 0.0 <= mu <= price.mu_max):
+        raise TableFormatError(f"checkpoint price {mu!r} is not one this run's price can hold")
     shape = (slot, len(OBSERVATIONS))
     if not isinstance(obs, np.ndarray) or obs.dtype != np.float64 or obs.shape != shape:
         raise TableFormatError(f"checkpoint observations are not a float64 {shape} array")
@@ -582,6 +560,7 @@ def _resume(payload, cfg: ExperimentConfig, options: dict, acc, env, actor) -> i
     acc.count = slot
     env.restore(payload["env"])
     actor.restore(payload["actor"])
+    price.mu = mu
     return slot
 
 
@@ -600,9 +579,11 @@ def run_experiment(
     """Run one experiment to its horizon and return the metric stream.
 
     ``policy`` (a flat action-index table) overrides the configured algorithm
-    and is followed verbatim. ``fixed_mu`` pins the multiplier at its starting
-    value for learners and the re-planning reference, turning off the
-    constraint ascent (``MultiplierState.fixed``). ``true_stats``
+    and is followed verbatim. The run's one price starts at ``cfg.mu``; it
+    stays there for a fixed policy (``vi``, ``threshold``, ``policy``), and
+    ``fixed_mu`` pins it there for learners and the re-planning reference
+    too, turning off the constraint ascent (``MultiplierState.fixed``). A
+    pinned price need not lie below ``mu_max``. ``true_stats``
     hands the re-planning reference the true statistics instead of estimates.
     Checkpointing saves full run state every ``checkpoint_every`` slots,
     with the three options above (the policy as the sha256 of its int64
@@ -616,34 +597,36 @@ def run_experiment(
     model = cfg.build_model()
     env = cfg.build_env(model)
     if policy is not None:
-        actor = PolicyActor(model, policy, cfg.mu)
+        actor = PolicyActor(model, policy)
         digest = hashlib.sha256(actor.policy.tobytes()).hexdigest()
     else:
-        multiplier = dataclasses.replace(cfg.multiplier(), fixed=fixed_mu)
-        actor = _build_actor(cfg, model, env, multiplier, true_stats=true_stats)
+        actor = _build_actor(cfg, model, env, true_stats=true_stats)
         digest = None
+    price = cfg.multiplier(fixed=fixed_mu or isinstance(actor, PolicyActor))
+    beta = cfg.schedules().beta
     options = {"fixed_mu": bool(fixed_mu), "true_stats": bool(true_stats), "policy_sha256": digest}
     acc = MetricsAccumulator(cfg.horizon)
     start = 0
     if resume_from is not None:
-        start = _resume(load_checkpoint(resume_from), cfg, options, acc, env, actor)
+        start = _resume(load_checkpoint(resume_from), cfg, options, price, acc, env, actor)
 
     # a slot is spent off when the radio is off and told to stay off
     stays_off = (model.action_y == int(PmAction.S_OFF)).tolist()
     x_off, n_x = int(PowerState.OFF), model.n_x
     for n in range(start, cfg.horizon):
         s = env.s
-        a = actor.act(s)
-        mu_n = actor.mu  # price in effect while this slot runs
+        mu = price.mu  # the price in effect while slot n runs
+        a = actor.act(s, n, mu)
         out = env.step(a)
-        actor.learn(out)
+        actor.learn(out, n, mu)
+        mu_update(price, out.g_realized, beta(n))
         acc.update(
             power_w=out.power_w,
             g_realized=out.g_realized,
             holding=out.holding,
             drops=out.drops,
             off_slot=(s % n_x == x_off and stays_off[a]),
-            mu=mu_n,
+            mu=mu,
         )
         if checkpoint_every is not None and (n + 1) % checkpoint_every == 0:
             save_checkpoint(
@@ -652,6 +635,7 @@ def run_experiment(
                     "config": cfg.to_dict(),
                     "options": options,
                     "slot": n + 1,
+                    "mu": price.mu,
                     "observations": acc.obs[: n + 1],
                     "env": env.snapshot(),
                     "actor": actor.snapshot(),
@@ -659,7 +643,7 @@ def run_experiment(
             )
 
     result = RunResult(
-        config=cfg, history=acc.history(), tables=actor.tables(), mu_final=actor.mu
+        config=cfg, history=acc.history(), tables=actor.tables(), mu_final=price.mu
     )
     if out_csv is not None:
         emit_metrics_csv(result.history, out_csv)

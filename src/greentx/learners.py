@@ -13,15 +13,15 @@ on the global slot count. Entries written rarely, such as off-state entries
 that only batch slots reach, keep large corrections until they are seen.
 
 Both learners are actors of the run loop as they stand (see ``harness``):
-``act`` maps a flat state index to a global action index and ``learn``
-reads the slot's ``SlotOutcome``; besides these they report the price in
-effect (``mu``), their tables, and a snapshot that ``restore`` reinstates
-for checkpoints.
-A run that pins the price hands them a ``MultiplierState`` with ``fixed``
-set, so the pin lives in ``mu_update`` alone. ``restore`` refuses with
-``TableFormatError`` a snapshot whose layout differs from the learner's
-own, or whose values no run reaches: a negative visit or slot count, a
-price outside [0, mu_max], a value table that is not finite.
+``act(s, n, mu)`` maps a flat state index to a global action index and
+``learn(outcome, n, mu)`` reads the slot's ``SlotOutcome``; besides these
+they report their tables, and a snapshot that ``restore`` reinstates for
+checkpoints. The loop owns the slot index n and the price: it hands both
+to every call, and it alone steps the price with ``mu_update``, so a run
+that pins the price pins it there, with ``MultiplierState.fixed``.
+``restore`` refuses with ``TableFormatError`` a snapshot whose layout
+differs from the learner's own, or whose values no run reaches: a
+negative visit count, a value table that is not finite.
 
 The Q-learner's slot makes no numpy call on a table row: feasibility does
 not depend on the channel, so it keeps, per (buffer, radio) block of
@@ -91,7 +91,8 @@ class MultiplierState:
     """Constraint price: tracks how far average buffer cost runs above target.
 
     ``fixed`` pins the price at its current value: ``mu_update`` leaves it
-    alone, which turns off the constraint ascent for every learner at once.
+    alone, which turns off the constraint ascent. ``mu_max`` bounds only a
+    price that moves; a fixed price need only be finite and nonnegative.
     """
 
     mu: float = 0.0
@@ -100,11 +101,11 @@ class MultiplierState:
     fixed: bool = False
 
     def __post_init__(self) -> None:
-        self.mu = float(self.mu)  # the price is a float from the start, as in snapshots
+        self.mu = float(self.mu)  # the price is a float from the start, as in checkpoints
         if self.mu_max <= 0:
             raise ConfigError("mu_max must be positive")
-        if not 0.0 <= self.mu <= self.mu_max:
-            raise ConfigError("mu must start inside [0, mu_max]")
+        if not 0.0 <= self.mu <= (np.finfo(float).max if self.fixed else self.mu_max):
+            raise ConfigError("mu must start inside [0, mu_max], or be finite if fixed")
         if self.target < 0:
             raise ConfigError("target must be nonnegative")
 
@@ -174,16 +175,13 @@ class QLearner:
         self,
         model: JointModel,
         schedules: LearningSchedule,
-        multiplier: MultiplierState,
         rng: np.random.Generator,
     ) -> None:
         self.model = model
         self.schedules = schedules
-        self.multiplier = multiplier
         self.rng = rng
         self.q = np.zeros((model.n_s, model.n_a))
         self.visits = np.zeros((model.n_s, model.n_a), dtype=np.int64)
-        self.n = 0
         # feasibility does not depend on h: the n_h states of a (b, x) block
         # share its list of feasible action indices and its row as bytes
         n_x, n_a = model.n_x, model.n_a
@@ -197,14 +195,12 @@ class QLearner:
             self._feasible += [actions[bounds[k] : bounds[k + 1]] for k in ks] * model.n_h
             self._feasible_rows += [raw[k * n_a : (k + 1) * n_a] for k in ks] * model.n_h
 
-    def act(self, s: int) -> int:
-        return epsilon_greedy(
-            self.q[s], self._feasible[s], self.schedules.epsilon(self.n), self.rng
-        )
+    def act(self, s: int, n: int, mu: float) -> int:
+        return epsilon_greedy(self.q[s], self._feasible[s], self.schedules.epsilon(n), self.rng)
 
-    def learn(self, outcome) -> None:
+    def learn(self, outcome, n: int, mu: float) -> None:
         s, a = outcome.s, outcome.a
-        cost = outcome.power_w + self.multiplier.mu * outcome.g_realized
+        cost = outcome.power_w + mu * outcome.g_realized
         # per-pair step size: rarely visited pairs keep large corrections
         n_sa = self.visits.item(s, a)
         self.visits[s, a] = n_sa + 1
@@ -212,26 +208,18 @@ class QLearner:
             self.q, s, a, cost, outcome.s_next, self.schedules.alpha(n_sa),
             self.model.gamma, self._feasible_rows,
         )
-        mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
-        self.n += 1
-
-    @property
-    def mu(self) -> float:
-        return self.multiplier.mu
 
     def tables(self) -> dict:
         return {"q": self.q.copy(), "visits": self.visits.copy()}
 
     def snapshot(self) -> dict:
-        return {**self.tables(), "n": self.n, "mu": self.multiplier.mu}
+        return self.tables()
 
     def restore(self, snap: dict) -> None:
         check_snapshot(snap, self.snapshot(), "actor")
-        check_values(snap, self.multiplier.mu_max, ("visits",), ("q",))
+        check_values(snap, ("visits",), ("q",))
         self.q[...] = snap["q"]
         self.visits[...] = snap["visits"]
-        self.n = snap["n"]
-        self.multiplier.mu = snap["mu"]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +300,6 @@ class PdsLearner:
         factored: FactoredDynamics,
         v_tilde0: np.ndarray,
         schedules: LearningSchedule,
-        multiplier: MultiplierState,
         ve_period: int | None = None,
     ) -> None:
         if ve_period is not None and ve_period < 1:
@@ -325,22 +312,19 @@ class PdsLearner:
         self.v_tilde = channel_major.transpose(1, 0, 2)
         self.visits = np.zeros(channel_major.shape, dtype=np.int64).transpose(1, 0, 2)
         self.schedules = schedules
-        self.multiplier = multiplier
         self.ve_period = ve_period
-        self.n = 0
         self._decode = factored.model.decode
         self._alpha = self.schedules.alpha(np.arange(ALPHA_TABLE_START))
 
-    def act(self, s: int) -> int:
+    def act(self, s: int, n: int, mu: float) -> int:
         b, h, x = self._decode(s)
-        return self.factored.greedy_row(b, h, x, self.v_tilde, self.multiplier.mu)[1]
+        return self.factored.greedy_row(b, h, x, self.v_tilde, mu)[1]
 
-    def learn(self, outcome) -> None:
+    def learn(self, outcome, n: int, mu: float) -> None:
         # the post-decision entry is (holding, h, x_next): x_next is s_next's radio
         _, h, _ = self._decode(outcome.s)
         _, h_next, x = self._decode(outcome.s_next)
-        mu = self.multiplier.mu
-        if self.ve_period is not None and self.n % self.ve_period == 0:
+        if self.ve_period is not None and n % self.ve_period == 0:
             counts = self.visits[:, h, :]
             alpha = self._batch_alpha(counts)
             ve_batch_update(self.v_tilde, h, h_next, outcome.l, alpha, mu, self.factored)
@@ -351,8 +335,6 @@ class PdsLearner:
             alpha = self.schedules.alpha(n_bhx)
             pds_update(self.v_tilde, b, h, x, h_next, outcome.l, alpha, mu, self.factored)
             self.visits[b, h, x] = n_bhx + 1
-        mu_update(self.multiplier, outcome.g_realized, self.schedules.beta(self.n))
-        self.n += 1
 
     def _batch_alpha(self, counts: np.ndarray) -> np.ndarray:
         """``schedules.alpha(counts)`` read from a table of alpha on arrays.
@@ -370,20 +352,14 @@ class PdsLearner:
             self._alpha = self.schedules.alpha(np.arange(size))
             return self._alpha.take(counts)
 
-    @property
-    def mu(self) -> float:
-        return self.multiplier.mu
-
     def tables(self) -> dict:
         return {"v_tilde": self.v_tilde.copy(), "visits": self.visits.copy()}
 
     def snapshot(self) -> dict:
-        return {**self.tables(), "n": self.n, "mu": self.multiplier.mu}
+        return self.tables()
 
     def restore(self, snap: dict) -> None:
         check_snapshot(snap, self.snapshot(), "actor")
-        check_values(snap, self.multiplier.mu_max, ("visits",), ("v_tilde",))
+        check_values(snap, ("visits",), ("v_tilde",))
         self.v_tilde[...] = snap["v_tilde"]
         self.visits[...] = snap["visits"]
-        self.n = snap["n"]
-        self.multiplier.mu = snap["mu"]

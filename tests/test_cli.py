@@ -149,6 +149,41 @@ def test_negative_mu_is_reported(tmp_path, cfg_file, capsys, command):
     assert err.startswith("error: ") and "mu" in err and "Traceback" not in err
 
 
+def test_a_fixed_price_is_not_bounded_by_mu_max(tmp_path, capsys):
+    assert table_profile().mu_max == 5.0
+    out = tmp_path / "k3.csv"
+    assert main(["baseline", "--k", "3", "--mu", "10", "--horizon", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" mu_window=10")
+    # a price that moves is still held inside [0, mu_max]
+    rc = main(["learn", "--algorithm", "q", "--mu", "10", "--horizon", "20",
+               "--out", str(tmp_path / "q.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: mu must start inside [0, mu_max]")
+
+
+def test_a_config_that_writes_mu_as_an_integer_solves_the_model_eval_expects(tmp_path, capsys):
+    config, tables = tmp_path / "c.json", tmp_path / "vi.npz"
+    config.write_text('{"mu": 1}')
+    assert main(["solve", "--method", "vi", "--config", str(config), "--out", str(tables)]) == 0
+    rc = main(["eval", "--tables", str(tables), "--mu", "1", "--horizon", "20",
+               "--out", str(tmp_path / "eval.csv")])
+    assert rc == 0, capsys.readouterr().err
+
+
+def test_p_on_moves_a_transition_power_that_equals_it(tmp_path):
+    # above the stock transition power 0.32, which used to stay behind and be refused
+    assert main(["learn", "--algorithm", "q", "--p-on", "0.5", "--horizon", "10",
+                 "--out", str(tmp_path / "q.csv")]) == 0
+    args = build_parser().parse_args(["solve", "--p-on", "0.2", "--out", "x"])
+    assert greentx.cli._load_config(args).model_fingerprint() == table_profile(p_on=0.2).model_fingerprint()
+    # a config's own transition power stays as it is
+    config = tmp_path / "c.json"
+    config.write_text('{"power": {"p_on": 0.32, "p_tr": 0.6}}')
+    args = build_parser().parse_args(["solve", "--config", str(config), "--p-on", "0.4", "--out", "x"])
+    power = greentx.cli._load_config(args).power
+    assert (power.p_on, power.p_tr) == (0.4, 0.6)
+
+
 def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, cfg_file, capsys):
     assert build_parser() is build_parser()
     base = ["learn", "--algorithm", "pds-ve", "--config", cfg_file, "--horizon", "150"]

@@ -22,6 +22,35 @@ def test_json_round_trip_is_lossless(tmp_path):
     assert ExperimentConfig.load(path) == cfg
 
 
+def test_json_integers_in_float_fields_are_stored_as_floats():
+    """A number written 1 or 1.0 gives one config, and so one model fingerprint."""
+    ints = {
+        "mu": 1, "gamma": 0, "eta": 49, "gains_db": [-19, -11, -8, -2],
+        "channel_matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "phy": {"slot_seconds": 1, "noise_psd_w_per_hz": 2e-11},
+        "power": {"p_on": 1, "p_tr": 2},
+    }
+    floats = {
+        "mu": 1.0, "gamma": 0.0, "eta": 49.0, "gains_db": [-19.0, -11.0, -8.0, -2.0],
+        "channel_matrix": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                           [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        "phy": {"slot_seconds": 1.0, "noise_psd_w_per_hz": 2e-11},
+        "power": {"p_on": 1.0, "p_tr": 2.0},
+    }
+    a, b = ExperimentConfig.from_dict(ints), ExperimentConfig.from_dict(floats)
+    assert a == b and a.to_json() == b.to_json()
+    assert a.model_fingerprint() == b.model_fingerprint()
+    assert type(a.mu) is type(a.gamma) is type(a.eta) is float
+    assert {type(g) for g in a.gains_db} == {float}
+    assert {type(v) for row in a.channel_matrix for v in row} == {float}
+    assert type(a.phy.slot_seconds) is type(a.power.p_on) is type(a.power.p_tr) is float
+    # integer fields keep integers, and true is still no number
+    assert type(ExperimentConfig.from_dict({"seed": 3}).seed) is int
+    for bad in ({"mu": True}, {"gains_db": [1, True]}, {"mu": 10**400}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(bad)
+
+
 def test_round_trip_with_explicit_channel_matrix():
     mat = tuple(tuple(row) for row in birth_death_matrix(4).tolist())
     cfg = reduced_profile(channel_matrix=mat)

@@ -301,7 +301,9 @@ def test_resume_refuses_malformed_checkpoints(tmp_path):
     ck = tmp_path / "run.ckpt"
     full = run_experiment(cfg, checkpoint_path=ck, checkpoint_every=100)
     good = load_checkpoint(ck)
-    assert good["slot"] == 200 and set(good) == {"config", "options", "slot", "observations", "env", "actor"}
+    assert good["slot"] == 200 and set(good) == {
+        "config", "options", "slot", "mu", "observations", "env", "actor",
+    }
 
     def with_columns(slot, size):
         obs = np.resize(good["observations"], (size, len(OBSERVATIONS)))
@@ -388,8 +390,6 @@ def _bad_learner_values(good, table):
     nan_table[0, 0] = np.nan
     return [
         {**actor, "visits": actor["visits"] - 10**6},
-        {**actor, "n": -1},
-        *({**actor, "mu": mu} for mu in (np.nan, np.inf, -0.5, 1e9)),
         {**actor, table: nan_table},
         {**actor, table: np.full_like(actor[table], np.inf)},
     ]
@@ -417,10 +417,7 @@ def _bad_suboptimal_values(actor, gap):
             {**actor, "arrival_counts": actor["arrival_counts"] - 10**6},
             {**actor, "arrival_counts": arrivals},
             {**actor, "channel_counts": actor["channel_counts"] - 1},
-            {**actor, "n": -1},
         ]
-    if gap == "mu":
-        return [{**actor, "mu": mu} for mu in (np.nan, np.inf, -0.5, 1e9)]
     if gap == "tables":
         nan_v = actor["v"].copy()
         nan_v[3] = np.nan
@@ -438,11 +435,47 @@ def _bad_suboptimal_values(actor, gap):
     ]
 
 
-@pytest.mark.parametrize("gap", ["counts", "mu", "tables", "policy"])
+@pytest.mark.parametrize("gap", ["counts", "tables", "policy"])
 def test_resume_refuses_suboptimal_values_no_run_reaches(tmp_path, gap):
     cfg, good = _mid_run_checkpoint(tmp_path, "suboptimal")
     for actor in _bad_suboptimal_values(good["actor"], gap):
         _assert_refused(tmp_path, cfg, {**good, "actor": actor})
+
+
+@pytest.mark.parametrize("algorithm", ["q", "pds", "pds_ve", "suboptimal", "vi"])
+def test_resume_refuses_a_price_no_run_reaches(tmp_path, algorithm):
+    cfg, good = _mid_run_checkpoint(tmp_path, algorithm)
+    assert type(good["mu"]) is float  # the price of slot 40, stored once
+    for mu in (np.nan, np.inf, -0.5, 1e9, 1, "0.5", None):
+        _assert_refused(tmp_path, cfg, {**good, "mu": mu})
+    if algorithm == "vi":  # a fixed price never leaves the configured one
+        assert good["mu"] == cfg.mu
+        _assert_refused(tmp_path, cfg, {**good, "mu": cfg.mu + 0.5})
+
+
+@pytest.mark.parametrize("algorithm", ["q", "pds_ve", "suboptimal"])
+def test_resume_refuses_an_actor_that_still_carries_a_clock_or_price(tmp_path, algorithm):
+    """The layout of earlier versions, whose actors held their own slot count and price."""
+    cfg, good = _mid_run_checkpoint(tmp_path, algorithm)
+    actor = good["actor"]
+    assert not {"n", "mu"} & set(actor)
+    for extra in ({"n": 40}, {"mu": good["mu"]}, {"n": 40, "mu": good["mu"]}):
+        _assert_refused(tmp_path, cfg, {**good, "actor": {**actor, **extra}})
+
+
+def test_the_reference_resumed_at_an_epoch_start_equals_its_uninterrupted_run(tmp_path):
+    cfg = reduced_profile(algorithm="suboptimal", epoch_slots=20, horizon=60, seed=2)
+    ck = tmp_path / "run.ckpt"
+    full = run_experiment(cfg, checkpoint_path=ck, checkpoint_every=40)
+    assert load_checkpoint(ck)["slot"] == 40  # the last epoch's re-solve is still to come
+    resumed = run_experiment(cfg, resume_from=ck)
+    assert resumed.csv_text() == full.csv_text()
+    for name in ("v", "policy"):
+        assert resumed.tables[name].tobytes() == full.tables[name].tobytes()
+    # no solve follows the last slot: the tables are those of the last epoch's policy
+    last_epoch = run_experiment(replace(cfg, horizon=41))
+    for name in ("v", "policy"):
+        assert last_epoch.tables[name].tobytes() == full.tables[name].tobytes()
 
 
 def test_fixed_policy_override_controls_the_run(reduced_cfg):
@@ -461,13 +494,13 @@ def test_fixed_policy_override_controls_the_run(reduced_cfg):
 
 def test_policy_actor_validates_shape(reduced_model):
     with pytest.raises(ConfigError):
-        PolicyActor(reduced_model, np.zeros(5, dtype=np.int64), 0.0)
+        PolicyActor(reduced_model, np.zeros(5, dtype=np.int64))
 
 
 def test_policy_actor_refuses_policies_it_cannot_follow(reduced_model):
     m = reduced_model
     stay_off = np.zeros(m.n_s, dtype=np.int64)  # z = 0: feasible everywhere
-    PolicyActor(m, stay_off, 0.0)
+    PolicyActor(m, stay_off)
     send_one = int(np.flatnonzero(m.action_z == 1)[0])
     empty_on = m.encode(0, 0, 1)  # nothing to send
     full_off = m.encode(m.n_b - 1, 0, 0)  # cannot send while off
@@ -481,7 +514,7 @@ def test_policy_actor_refuses_policies_it_cannot_follow(reduced_model):
     ]
     for policy in bad:
         with pytest.raises(TableFormatError):
-            PolicyActor(m, policy, 0.0)
+            PolicyActor(m, policy)
 
 
 def test_exact_policy_runner_reports_its_tables():

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from greentx.config import reduced_profile
 from greentx.env import SlotOutcome
 from greentx.errors import ConfigError
+from greentx.harness import OBSERVATIONS, load_checkpoint, run_experiment
 from greentx.learners import (
     ALPHA_TABLE_START,
     LearningSchedule,
@@ -126,6 +128,28 @@ def test_multiplier_validation():
         MultiplierState(mu=2.0, mu_max=1.0)
     with pytest.raises(ConfigError):
         MultiplierState(target=-1.0)
+    # mu_max bounds only a price that moves; a fixed one need only be finite and nonnegative
+    assert MultiplierState(mu=2.0, mu_max=1.0, fixed=True).mu == 2.0
+    for mu in (-0.5, np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            MultiplierState(mu=mu, mu_max=1.0, fixed=True)
+
+
+def _raw_prices(cfg, tmp_path):
+    """The price and realized buffer cost of each slot of a run, as recorded (not windowed)."""
+    ck = tmp_path / "run.ckpt"
+    run_experiment(cfg, checkpoint_path=ck, checkpoint_every=cfg.horizon)
+    obs = load_checkpoint(ck)["observations"]
+    return obs[:, OBSERVATIONS.index("mu")], obs[:, OBSERVATIONS.index("g_realized")]
+
+
+def _assert_the_loop_steps_the_price(cfg, mu, g):
+    """Slot n + 1's price is ``mu_update`` of slot n's with beta(n), bit for bit."""
+    beta = cfg.schedules().beta
+    assert mu[0] == cfg.mu
+    for n in range(len(mu) - 1):
+        price = MultiplierState(mu=mu[n], target=cfg.g_bar, mu_max=cfg.mu_max)
+        assert np.float64(mu_update(price, g[n], beta(n))).tobytes() == mu[n + 1].tobytes()
 
 
 # ---- conventional Q-learning ------------------------------------------------
@@ -158,44 +182,34 @@ def test_epsilon_greedy_modes():
 
 def test_q_learner_first_visit_writes_sampled_target(reduced_model):
     m = reduced_model
-    learner = QLearner(
-        m,
-        default_schedules(),
-        MultiplierState(mu=0.0, target=4.0, mu_max=100.0),
-        np.random.default_rng(5),
-    )
+    learner = QLearner(m, default_schedules(), np.random.default_rng(5))
     s = State(3, 1, PowerState.ON)
     si = m.state_index(s)
-    ai = learner.act(si)
+    ai = learner.act(si, 0, 0.5)
     out = _outcome(m, s, ai, f=m.actions[ai].z, l=2)
-    learner.learn(out)
-    # alpha(0) = 1 and the table started at zero, so the entry is the bare cost
-    assert learner.q[si, ai] == out.power_w + 0.0 * out.g_realized
-    assert learner.visits[si, ai] == 1 and learner.n == 1
-    # multiplier moved by beta(0) * (g - target)
-    assert learner.multiplier.mu == max(0.0, 1.0 * (out.g_realized - 4.0))
+    learner.learn(out, 0, 0.5)
+    # alpha(0) = 1 and the table started at zero, so the entry is the bare
+    # cost, priced at the mu the slot was handed
+    assert learner.q[si, ai] == out.power_w + 0.5 * out.g_realized
+    assert learner.visits[si, ai] == 1
 
 
 def test_q_learner_second_visit_uses_per_pair_rate(reduced_model):
     m = reduced_model
     sched = default_schedules()
-    learner = QLearner(
-        m, sched, MultiplierState(mu=0.0, target=4.0, mu_max=100.0),
-        np.random.default_rng(5),
-    )
+    learner = QLearner(m, sched, np.random.default_rng(5))
     s = State(3, 1, PowerState.ON)
     si = m.state_index(s)
-    ai = learner.act(si)
+    ai = learner.act(si, 0, 0.0)
     out = _outcome(m, s, ai, f=m.actions[ai].z, l=2)
-    learner.learn(out)
+    learner.learn(out, 0, 0.0)
     q_old = learner.q[si, ai]
-    mu_before = learner.multiplier.mu
     sn = out.s_next
     best_next = learner.q[sn][feasible_sa(m)[sn]].min()
-    learner.learn(out)
+    learner.learn(out, 1, 0.5)
     alpha = sched.alpha(1)  # second visit of this pair
     want = (1.0 - alpha) * q_old + alpha * (
-        out.power_w + mu_before * out.g_realized + m.gamma * best_next
+        out.power_w + 0.5 * out.g_realized + m.gamma * best_next
     )
     assert learner.q[si, ai] == want
 
@@ -295,60 +309,51 @@ def test_ve_off_batch_slot_updates_single_entry(reduced_model_mu1):
     m = reduced_model_mu1
     f = FactoredDynamics(m)
     v0 = np.full((m.n_b, m.n_h, m.n_x), 5.0)
-    sched, price = default_schedules(), MultiplierState(mu=1.0, target=4.0, mu_max=5.0)
-    learner = PdsLearner(f, v0, sched, price, ve_period=10)
-    learner.n = 7  # not a multiple of the period
+    sched = default_schedules()
+    learner = PdsLearner(f, v0, sched, ve_period=10)
+    # slot 7: not a multiple of the period
     # stay on with nothing sent or arriving; the channel moves from 0 to 1
     out = _outcome(m, State(3, 0, PowerState.ON), 1, h_next=1)
-    learner.learn(out)
+    learner.learn(out, 7, 1.0)
     v = learner.v_tilde
     assert learner.visits.sum() == 1
     assert np.count_nonzero(v != v0) == 1 and v[3, 0, 1] != v0[3, 0, 1]
     # switched off during the slot: the entry is keyed by the radio after it
-    learner.learn(_outcome(m, State(3, 0, PowerState.ON), 0, x_next=PowerState.OFF, h_next=1))
+    out = _outcome(m, State(3, 0, PowerState.ON), 0, x_next=PowerState.OFF, h_next=1)
+    learner.learn(out, 8, 1.0)
     assert learner.visits[3, 0, 0] == 1 and learner.visits.sum() == 2
     with pytest.raises(ConfigError):
-        PdsLearner(f, v0, sched, price, ve_period=0)
+        PdsLearner(f, v0, sched, ve_period=0)
 
 
-def test_pds_learner_updates_table_and_price(reduced_model_mu1):
+def test_pds_learner_updates_table_and_price(reduced_model_mu1, tmp_path):
     m = reduced_model_mu1
     f = FactoredDynamics(m)
     v0 = np.zeros((m.n_b, m.n_h, m.n_x))
-    learner = PdsLearner(
-        f, v0, default_schedules(), MultiplierState(mu=1.0, target=4.0, mu_max=5.0)
-    )
+    learner = PdsLearner(f, v0, default_schedules())
     s = State(8, 1, PowerState.ON)
-    a = learner.act(m.state_index(s))
+    a = learner.act(m.state_index(s), 0, 1.0)
     assert a == f.greedy_row(8, 1, 1, learner.v_tilde, 1.0)[1]
-    # deliver only part of the backlog so the buffer-cost sample exceeds 4
     out = _outcome(m, s, a, f=min(m.actions[a].z, 3), l=0)
-    mu_before = learner.multiplier.mu
-    learner.learn(out)
-    assert learner.n == 1
-    assert learner.multiplier.mu == np.clip(
-        mu_before + 1.0 * (out.g_realized - 4.0), 0.0, 5.0
-    )
-    assert learner.multiplier.mu > mu_before
+    learner.learn(out, 0, 1.0)
     assert np.count_nonzero(learner.v_tilde) == 1  # unbatched single write
     assert learner.v_tilde is not v0  # defensive copy of the initial table
+    # the learner holds no price: the run loop steps it after every slot
+    cfg = reduced_profile(algorithm="pds", mu=1.0, horizon=300, seed=3)
+    mu, g = _raw_prices(cfg, tmp_path)
+    _assert_the_loop_steps_the_price(cfg, mu, g)
+    steps = np.diff(mu)
+    assert (steps > 0).any() and (steps < 0).any()
 
 
-def test_pds_learner_mu_is_clipped_at_its_cap(reduced_model_mu1):
-    f = FactoredDynamics(reduced_model_mu1)
-    m = reduced_model_mu1
-    learner = PdsLearner(
-        f,
-        np.zeros((m.n_b, m.n_h, m.n_x)),
-        default_schedules(),
-        MultiplierState(mu=4.9, target=4.0, mu_max=5.0),
-        ve_period=1,
+def test_pds_learner_mu_is_clipped_at_its_cap(tmp_path):
+    # target 0: every slot that holds a packet pushes the price up, from a full buffer
+    cfg = reduced_profile(
+        algorithm="pds_ve", mu=4.99, mu_max=5.0, g_bar=0.0, b_init=10, horizon=60, seed=1
     )
-    s = State(10, 0, PowerState.ON)
-    a = learner.act(m.state_index(s))
-    out = _outcome(m, s, a, f=0, l=10)  # heavy burst, large g sample
-    learner.learn(out)
-    assert learner.multiplier.mu == 5.0
+    mu, g = _raw_prices(cfg, tmp_path)
+    _assert_the_loop_steps_the_price(cfg, mu, g)
+    assert mu.max() == 5.0 and (mu == 5.0).sum() > 1
 
 
 def test_pds_learner_steps_each_entry_on_its_own_count(reduced_model_mu1):
@@ -356,19 +361,19 @@ def test_pds_learner_steps_each_entry_on_its_own_count(reduced_model_mu1):
     f = FactoredDynamics(m)
     sched = default_schedules()
     v0 = np.random.default_rng(3).uniform(0.0, 50.0, size=(m.n_b, m.n_h, m.n_x))
-    learner = PdsLearner(f, v0, sched, MultiplierState(mu=1.0, target=4.0, mu_max=5.0))
-    learner.n = 10_000  # late in a run, where the global alpha(n) is small
+    learner = PdsLearner(f, v0, sched)
+    n = 10_000  # late in a run, where the global alpha(n) is small
     s = State(5, 1, PowerState.ON)
-    out = _outcome(m, s, learner.act(m.state_index(s)), f=0, l=1)
+    out = _outcome(m, s, learner.act(m.state_index(s), n, 1.0), f=0, l=1)
     entry = (5, 1, 1)  # (holding, channel of s, radio after the slot)
     for visit in (0, 1):
         want = learner.v_tilde.copy()
-        pds_update(want, *entry, 1, 1, sched.alpha(visit), learner.multiplier.mu, f)
-        learner.learn(out)
+        pds_update(want, *entry, 1, 1, sched.alpha(visit), 1.0, f)
+        learner.learn(out, n + visit, 1.0)
         assert np.array_equal(learner.v_tilde, want)
         assert learner.visits[entry] == visit + 1
     # the second write blends with alpha(1), far above alpha(10_001)
-    assert sched.alpha(1) > 10 * sched.alpha(learner.n)
+    assert sched.alpha(1) > 10 * sched.alpha(n + 1)
     assert learner.visits.sum() == 2
 
 
@@ -377,23 +382,20 @@ def test_ve_learner_batch_slot_steps_fresh_entries_fully(reduced_model_mu1):
     f = FactoredDynamics(m)
     sched = default_schedules()
     v0 = np.random.default_rng(4).uniform(0.0, 50.0, size=(m.n_b, m.n_h, m.n_x))
-    learner = PdsLearner(
-        f, v0, sched, MultiplierState(mu=1.0, target=4.0, mu_max=5.0), ve_period=5
-    )
-    learner.n = 10  # a batch slot
+    learner = PdsLearner(f, v0, sched, ve_period=5)
+    n, mu = 10, 1.0  # a batch slot
     s = State(6, 2, PowerState.ON)
-    out = _outcome(m, s, learner.act(m.state_index(s)), f=0, l=2, h_next=3)
+    out = _outcome(m, s, learner.act(m.state_index(s), n, mu), f=0, l=2, h_next=3)
     h = s.h
     learner.visits[3, h, 1] = 7  # written before: steps with alpha(7)
     learner.visits[0, h + 1, 0] = 4  # another channel: not written this slot
     visits0 = learner.visits.copy()
-    mu = learner.multiplier.mu
 
     want = v0.copy()
     ve_batch_update(want, h, 3, 2, sched.alpha(visits0[:, h, :]), mu, f)
     full = v0.copy()
     ve_batch_update(full, h, 3, 2, 1.0, mu, f)
-    learner.learn(out)
+    learner.learn(out, n, mu)
     assert np.array_equal(learner.v_tilde, want)
     fresh = visits0[:, h, :] == 0
     # never written before: alpha(0) = 1 lands each entry on its target
@@ -405,7 +407,7 @@ def test_ve_learner_batch_slot_steps_fresh_entries_fully(reduced_model_mu1):
 
     # off-batch slot: exactly the observed entry counts one more write
     visits1 = learner.visits.copy()
-    learner.learn(out)
+    learner.learn(out, n + 1, mu)
     grew = learner.visits - visits1
     assert grew[6, h, 1] == 1 and grew.sum() == 1
 
@@ -417,7 +419,6 @@ def test_pds_learner_rejects_a_nonpositive_period(reduced_model_mu1):
             FactoredDynamics(m),
             np.zeros((m.n_b, m.n_h, m.n_x)),
             default_schedules(),
-            MultiplierState(),
             ve_period=0,
         )
 
@@ -459,10 +460,10 @@ def test_pds_slot_equals_the_array_formulas_byte_for_byte(reduced_model, data):
         )
 
     for period in (1, None):
-        price = MultiplierState(mu=mu, target=4.0, mu_max=mu_max)
-        learner = PdsLearner(f, v0, sched, price, ve_period=period)
+        learner = PdsLearner(f, v0, sched, ve_period=period)
         learner.visits[...] = visits0
         v, visits = v0.copy(), visits0.copy()
+        # the run loop's price, which moves between slots
         ref_price = MultiplierState(mu=mu, target=4.0, mu_max=mu_max)
         for slot in range(3):
             h, h_next, x = (int(i) for i in rng.integers((m.n_h, m.n_h, m.n_x)))
@@ -473,8 +474,9 @@ def test_pds_slot_equals_the_array_formulas_byte_for_byte(reduced_model, data):
                 learner.visits[holding, h, x] = visits[holding, h, x] = big
             out = outcome(h, h_next, x, holding, l)
             s = m.encode(holding, h, x)
-            assert learner.act(s) == greedy_row_by_argmax(f, holding, h, x, v, ref_price.mu)[1]
-            learner.learn(out)
+            act = learner.act(s, slot, ref_price.mu)
+            assert act == greedy_row_by_argmax(f, holding, h, x, v, ref_price.mu)[1]
+            learner.learn(out, slot, ref_price.mu)
             if period == 1:
                 alpha = alpha_by_power(visits[:, h, :], power)
                 ve_batch_by_fancy_index(v, h, h_next, l, alpha, ref_price.mu, f)
@@ -489,4 +491,3 @@ def test_pds_slot_equals_the_array_formulas_byte_for_byte(reduced_model, data):
             mu_update(ref_price, out.g_realized, sched.beta(slot))
             assert learner.v_tilde.tobytes() == v.tobytes()
             assert learner.visits.tobytes() == visits.tobytes()
-            assert learner.multiplier.mu == ref_price.mu
