@@ -391,9 +391,9 @@ class SuboptimalActor:
     Arrival and channel transition frequencies get add-one smoothing so the
     estimated laws are proper distributions from slot zero. Plans with exact
     value iteration against the estimates (or the true statistics when
-    injected), warm-starting each solve from the previous value table. It
-    solves once at the configured starting price, and again on the first
-    slot of each later epoch (``n % epoch_slots == 0``), at that slot's price.
+    injected), warm-starting each solve from the previous value table, on the
+    first slot of each epoch (``n % epoch_slots == 0``) at that slot's price;
+    a resumed run keeps its policy until then.
     """
 
     def __init__(self, cfg: ExperimentConfig, model: JointModel, *, true_stats: bool = False) -> None:
@@ -403,20 +403,15 @@ class SuboptimalActor:
         self.support = model.arrivals.pmf.size
         self.arrival_counts = np.zeros(self.support, dtype=np.int64)
         self.channel_counts = np.zeros((model.n_h, model.n_h), dtype=np.int64)
-        self._v = None
-        self._solved_mu = None
-        self._solve(cfg.mu)
+        self._v, self.policy = np.zeros(model.n_s), np.zeros(model.n_s, np.int64)
+        self._solved_mu = -1.0  # none: slot 0 solves unless restored
 
     def _estimated_model(self, mu: float) -> JointModel:
         raw_a = (self.arrival_counts + 1).astype(np.float64)
         pmf = raw_a / raw_a.sum()
         raw_p = (self.channel_counts + 1).astype(np.float64)
         p = raw_p / raw_p.sum(axis=1, keepdims=True)
-        return (
-            self.model.with_arrivals(ArrivalDistribution(pmf))
-            .with_channel(p)
-            .with_mu(mu)
-        )
+        return self.model.with_arrivals(ArrivalDistribution(pmf)).with_channel(p).with_mu(mu)
 
     def _solve(self, mu: float) -> None:
         if self.true_stats:
@@ -431,7 +426,7 @@ class SuboptimalActor:
         self._solved_mu = mu
 
     def act(self, s: int, n: int, mu: float) -> int:
-        if n > 0 and n % self.epoch == 0:
+        if n % self.epoch == 0 and (n > 0 or self._solved_mu < 0):
             self._solve(mu)
         return int(self.policy[s])
 
@@ -442,13 +437,13 @@ class SuboptimalActor:
         self.channel_counts[h, h_next] += 1
 
     def tables(self) -> dict:
-        return {"v": np.asarray(self._v).copy(), "policy": self.policy.copy()}
+        return {"v": self._v.copy(), "policy": self.policy.copy()}
 
     def snapshot(self) -> dict:
         return {
             "arrival_counts": self.arrival_counts.copy(),
             "channel_counts": self.channel_counts.copy(),
-            "v": np.asarray(self._v).copy(),
+            "v": self._v.copy(),
             "policy": self.policy.copy(),
             "solved_mu": self._solved_mu,
         }

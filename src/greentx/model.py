@@ -20,14 +20,16 @@ minimum, so infeasible triples are never computed.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .phy import BepLevel, PhyConfig, bits_per_symbol, goodput_pmf, snr_for_bep
+from .phy import BepLevel, PhyConfig, bits_per_symbol, snr_for_bep
 from .power import PmAction, PowerProfile, PowerState, pm_transition_pmf
-from .queueing import ArrivalDistribution, QueueConfig, expected_overflow
+from .queueing import ArrivalDistribution, QueueConfig
 
 
 @dataclass(frozen=True)
@@ -167,55 +169,56 @@ class JointModel:
         self.bep_levels = tuple(
             BepLevel.from_plr(p, self.phy.packet_bits) for p in self.plr_grid
         )
-        placeholder = self.bep_levels[0]
-        actions: list[Action] = [
-            Action(placeholder, PmAction.S_OFF, 0),
-            Action(placeholder, PmAction.S_ON, 0),
-        ]
-        for z in range(1, self.z_max + 1):
-            for lvl in self.bep_levels:
-                actions.append(Action(lvl, PmAction.S_ON, z))
-        self.actions = tuple(actions)
-        self.n_a = len(actions)
-        self.action_index = {a: i for i, a in enumerate(actions)}
-        self.action_z = np.array([a.z for a in actions], dtype=np.int64)
-        self.action_y = np.array([int(a.y) for a in actions], dtype=np.int64)
-        self.action_plr = np.array([a.bep.plr for a in actions])
+        # canonical order: S_OFF, S_ON sending nothing (PLR level 0), then z ascending, level fastest
+        n_plr = len(self.plr_grid)
+        self.n_a = 2 + self.z_max * n_plr
+        self.action_z = np.r_[0, 0, np.repeat(np.arange(1, self.z_max + 1), n_plr)]
+        self.action_y = np.r_[int(PmAction.S_OFF), np.full(self.n_a - 1, int(PmAction.S_ON))]
+        self.action_level = np.r_[0, 0, np.tile(np.arange(n_plr), self.z_max)]
+        self.action_plr = np.array(self.plr_grid)[self.action_level]
+
+    @cached_property
+    def actions(self) -> tuple[Action, ...]:
+        """The Action of each index, built on first use: the solvers read the action_* arrays."""
+        return tuple(
+            Action(self.bep_levels[lvl], PmAction(y), z)
+            for y, z, lvl in zip(self.action_y.tolist(), self.action_z.tolist(), self.action_level.tolist())
+        )
+
+    @cached_property
+    def action_index(self) -> dict:
+        return {a: i for i, a in enumerate(self.actions)}
 
     def _build_tables(self) -> None:
         """Every table that the arrivals, channel matrix and mu leave alone.
 
         ``G_stack[a, b, b - f]``, the chance that action a delivers f of its
-        packets from buffer b, is written one subdiagonal f at a time from a
-        (n_a, z_max + 1) table of ``goodput_pmf`` rows; an action sending more
-        than b packets keeps the buffer (masked infeasible, kept stochastic).
-        ``px_stack`` picks each action's radio law from the two command laws.
+        packets from buffer b, is one indexed write of ``goodput_pmf``'s rows,
+        formed as its products in its order from powers taken once per (PLR,
+        exponent) by Python's ``**`` (``np.power`` differs in the last bit). An
+        action sending more than b packets keeps the buffer (masked infeasible,
+        kept stochastic). ``px_stack`` picks each action's radio law from the two laws.
         """
         n_b, n_h, n_x, n_a = self.n_b, self.n_h, self.n_x, self.n_a
-
-        goodput = np.zeros((n_a, self.z_max + 1))
-        for i, (z, plr) in enumerate(zip(self.action_z.tolist(), self.action_plr.tolist())):
-            goodput[i, : z + 1] = goodput_pmf(z, plr)
+        e = range(self.z_max + 1)
+        ok_pow = np.array([[(1.0 - p) ** k for k in e] for p in self.plr_grid])
+        plr_pow = np.array([[p**k for k in e] for p in self.plr_grid])
+        comb = np.array([[math.comb(z, f) for f in e] for z in e], dtype=np.float64)
+        z, lvl, f = self.action_z[:, None], self.action_level[:, None], np.arange(self.z_max + 1)
+        # comb is 0 past f = z, which zeroes those entries
+        goodput = comb[z, f] * ok_pow[lvl, f] * plr_pow[lvl, np.maximum(z - f, 0)]
+        delivered = np.arange(n_b)[:, None] - np.arange(n_b)
+        b, b_to = np.nonzero((delivered >= 0) & (delivered <= self.z_max))
         self.G_stack = np.zeros((n_a, n_b, n_b))
-        diagonals = self.G_stack.reshape(n_a, n_b * n_b)  # (b, b - f) at f * n_b + (b - f) * (n_b + 1)
-        for f in range(self.z_max + 1):
-            b = np.arange(f, n_b)
-            diagonals[:, f * n_b :: n_b + 1] = np.where(
-                b >= self.action_z[:, None], goodput[:, f, None], 1.0 if f == 0 else 0.0
-            )
-        laws = np.array([
-            [pm_transition_pmf(x, y, self.profile.theta) for x in (PowerState.OFF, PowerState.ON)]
-            for y in (PmAction.S_OFF, PmAction.S_ON)
-        ])
-        self.px_stack = laws[self.action_y]
-
+        self.G_stack[:, b, b_to] = np.where(b >= self.action_z[:, None], goodput[:, b - b_to], b == b_to)
+        laws = [[pm_transition_pmf(x, y, self.profile.theta) for x in PowerState] for y in PmAction]
+        self.px_stack = np.array(laws)[self.action_y]
         # transmit power per (channel, action) as (snr * noise) / gain, in
         # that order, so that it equals the scalar rule bit for bit
         noise = self.phy.noise_power_w
-        snr_noise = np.array([
-            0.0 if a.z == 0 else snr_for_bep(a.bep.bep, bits_per_symbol(a.z, self.phy)) * noise
-            for a in self.actions
-        ])
+        betas = [bits_per_symbol(z, self.phy) for z in range(1, self.z_max + 1)]
+        snr_noise = np.zeros(n_a)
+        snr_noise[2:] = [snr_for_bep(lvl.bep, beta) * noise for beta in betas for lvl in self.bep_levels]
         gain = np.array([10.0 ** (g / 10.0) for g in self.gains_db.tolist()])
         self.tx_ha = snr_noise[None, :] / gain[:, None]
         # power draw per (channel, radio state, action); impossible combos -> inf
@@ -227,20 +230,14 @@ class JointModel:
         self.rho_hxa[:, off, self.action_z > 0] = np.inf
 
         # expected holding per (buffer, action)
-        bs = np.arange(n_b, dtype=np.float64)[:, None]
-        self.hold_ba = bs - (self.action_z * (1.0 - self.action_plr))[None, :]
-
+        self.hold_ba = np.arange(n_b, dtype=np.float64)[:, None] - self.action_z * (1.0 - self.action_plr)
         z_ok = self.action_z[None, None, :] <= np.arange(n_b)[:, None, None]
-        on_needed = (self.action_z[None, None, :] == 0) | (
-            np.arange(n_x)[None, :, None] == on
-        )
+        on_needed = (self.action_z[None, None, :] == 0) | (np.arange(n_x)[None, :, None] == on)
         self.feasible_bxa = z_ok & on_needed
 
     def _build_arrival_tables(self) -> None:
         """The tables that depend on the arrivals: A_clamp and o_exp."""
-        n_b = self.n_b
-        cap = self.queue.capacity
-
+        n_b, cap = self.n_b, self.queue.capacity
         # arrivals with the capacity clamp, rows indexed by post-transmission
         # level b: l arrivals land on column b + l, and the cap column holds
         # the tail from l = cap - b on, summed row by row (numpy's pairwise
@@ -251,9 +248,11 @@ class JointModel:
         self.A_clamp = np.where(band, pmf[np.clip(l, 0, self.arrivals.l_max)], 0.0)
         self.A_clamp[:, cap] = [pmf[cap - b :].sum() for b in range(n_b)]
 
-        self.o_exp = np.array(
-            [expected_overflow(b, self.arrivals, cap) for b in range(n_b)]
-        )
+        # expected drops per level, expected_overflow's one dot per level that can overflow
+        l_max, excess = self.arrivals.l_max, np.arange(1, self.arrivals.pmf.size)
+        self.o_exp = np.zeros(n_b)
+        for b in range(max(cap - l_max + 1, 0), n_b):
+            self.o_exp[b] = pmf[cap - b + 1 :] @ excess[: l_max - cap + b]
 
     def _freeze(self) -> None:
         """Make every table read-only: derived models share them (see _clone)."""

@@ -76,7 +76,7 @@ def bellman_fixed_point(
     Modified policy iteration (Puterman, ch. 6.5): after each minimizing
     sweep the greedy packed row of every state is found with the tie rule;
     when two sweeps in a row pick the same rows, that policy is evaluated
-    (``_evaluate_rows``, GMRES on its linear system) before minimizing
+    (``_evaluate_rows``, GMRES with CGS2 on its linear system) before minimizing
     again. Only minimizing sweeps append their sup-norm step to
     ``residuals``, and only one whose step is below tol returns, so the
     stopping rule and error bound are value iteration's. ``max_iters`` caps
@@ -157,21 +157,19 @@ def _evaluate_rows(
 def _gmres(apply, b: np.ndarray, x: np.ndarray, tol: float, max_matvecs: int) -> tuple[np.ndarray, int]:
     """Restarted GMRES (Saad & Schultz 1986) for apply(x) = b, starting at x.
 
-    Each cycle runs Arnoldi with modified Gram-Schmidt for at most RESTART
-    steps. Givens rotations keep the Hessenberg least-squares problem
+    Each cycle runs at most RESTART Arnoldi steps, each orthogonalized by
+    classical Gram-Schmidt done twice (CGS2; Giraud et al. 2005, Numer. Math.
+    101): two BLAS products with the basis, which stays orthogonal to working
+    precision. Givens rotations keep the Hessenberg least-squares problem
     triangular, so its residual norm is known after every step and its
-    solution is one back-substitution. Stops when the 2-norm of
-    b - apply(x) is at most tol, when a cycle ends no closer than the one
-    before it (the rounding floor), or after max_matvecs calls of
-    ``apply``. Returns (x, calls of ``apply``).
+    solution is one back-substitution. Stops when the 2-norm of b - apply(x)
+    is at most tol, when a cycle ends no closer than the one before it (the
+    rounding floor), or after max_matvecs calls of ``apply``. Returns (x, calls).
     """
     basis = np.empty((RESTART + 1, b.size))
     hess = np.zeros((RESTART + 1, RESTART))
-    cs = np.empty(RESTART)
-    sn = np.empty(RESTART)
-    g = np.empty(RESTART + 1)
-    matvecs = 0
-    last = np.inf
+    cs, sn, g = [0.0] * RESTART, [0.0] * RESTART, [0.0] * (RESTART + 1)  # Python floats
+    matvecs, last = 0, np.inf
     while matvecs < max_matvecs:
         r = b - apply(x)
         matvecs += 1
@@ -185,18 +183,20 @@ def _gmres(apply, b: np.ndarray, x: np.ndarray, tol: float, max_matvecs: int) ->
         while k < RESTART and matvecs < max_matvecs:
             w = apply(basis[k])
             matvecs += 1
-            col = hess[:, k]
-            for i in range(k + 1):
-                col[i] = w @ basis[i]
-                w -= col[i] * basis[i]
+            v = basis[: k + 1]
+            h1 = v @ w
+            w -= h1 @ v
+            h2 = v @ w
+            w -= h2 @ v
+            col = (h1 + h2).tolist()
             h_next = float(np.linalg.norm(w))
             for i in range(k):
                 col[i], col[i + 1] = cs[i] * col[i] + sn[i] * col[i + 1], cs[i] * col[i + 1] - sn[i] * col[i]
             d = math.hypot(col[k], h_next)
             cs[k], sn[k] = col[k] / d, h_next / d
             col[k] = d
-            g[k + 1] = -sn[k] * g[k]
-            g[k] *= cs[k]
+            hess[: k + 1, k] = col
+            g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
             k += 1
             if not (abs(g[k]) > tol and h_next > 0.0):
                 break

@@ -42,8 +42,10 @@ checked against them:
   ``greedy_row_by_argmax`` and ``ve_batch_by_fancy_index``, which the
   learner's cached views and in-place writes must match byte for byte;
 - solvers: ``action_value`` through the joint pmf, ``policy_evaluate`` (a
-  per-state evaluation loop) and ``dense_value_iteration`` (dense tabular
-  value iteration);
+  per-state evaluation loop), ``dense_value_iteration`` (dense tabular
+  value iteration) and ``gmres_mgs`` (restarted GMRES whose Arnoldi step
+  orthogonalizes by modified Gram-Schmidt, one basis vector at a time: the
+  routine the package's CGS2 Arnoldi step replaced, kept as its reference);
 - runs: ``RunningSumMetrics``, the metric rows kept by running sums slot by
   slot, and ``per_step_suboptimal``, the re-planning reference as a run;
 - the plant: ``ScalarDrawEnv``, a slot with one scalar draw per random
@@ -78,7 +80,7 @@ from greentx.phy import (
     goodput_pmf,
     snr_for_bep,
 )
-from greentx.planner import TIE_TOL, action_free_values, known_lookahead
+from greentx.planner import RESTART, TIE_TOL, action_free_values, known_lookahead
 from greentx.power import PmAction, PowerProfile, PowerState, pm_transition_pmf
 from greentx.queueing import ArrivalDistribution, expected_overflow
 
@@ -579,6 +581,57 @@ def policy_evaluate(
         if resid < tol:
             return values[0], values[1], values[2]
     raise ConvergenceError(f"policy evaluation stuck at residual {resid!r}")
+
+
+def gmres_mgs(apply, b: np.ndarray, x: np.ndarray, tol: float, max_matvecs: int) -> tuple[np.ndarray, int]:
+    """``planner._gmres`` with modified Gram-Schmidt in its Arnoldi step.
+
+    Same restarts, Givens rotations, stopping rules and matvec count; only
+    the orthogonalization differs: 2(k + 1) vector operations at step k, one
+    basis vector at a time, where the package makes two BLAS products with
+    the whole basis twice (CGS2).
+    """
+    basis = np.empty((RESTART + 1, b.size))
+    hess = np.zeros((RESTART + 1, RESTART))
+    cs = np.empty(RESTART)
+    sn = np.empty(RESTART)
+    g = np.empty(RESTART + 1)
+    matvecs = 0
+    last = np.inf
+    while matvecs < max_matvecs:
+        r = b - apply(x)
+        matvecs += 1
+        beta = float(np.linalg.norm(r))
+        if not (tol < beta < last):
+            break
+        last = beta
+        basis[0] = r / beta
+        g[0] = beta
+        k = 0
+        while k < RESTART and matvecs < max_matvecs:
+            w = apply(basis[k])
+            matvecs += 1
+            col = hess[:, k]
+            for i in range(k + 1):
+                col[i] = w @ basis[i]
+                w -= col[i] * basis[i]
+            h_next = float(np.linalg.norm(w))
+            for i in range(k):
+                col[i], col[i + 1] = cs[i] * col[i] + sn[i] * col[i + 1], cs[i] * col[i + 1] - sn[i] * col[i]
+            d = math.hypot(col[k], h_next)
+            cs[k], sn[k] = col[k] / d, h_next / d
+            col[k] = d
+            g[k + 1] = -sn[k] * g[k]
+            g[k] *= cs[k]
+            k += 1
+            if not (abs(g[k]) > tol and h_next > 0.0):
+                break
+            basis[k] = w / h_next
+        y = np.empty(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - hess[i, i + 1 : k] @ y[i + 1 :]) / hess[i, i]
+        x = x + y @ basis[:k]
+    return x, matvecs
 
 
 def dense_value_iteration(

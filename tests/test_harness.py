@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from greentx import harness
 from greentx.config import reduced_profile, table_profile
 from greentx.errors import ConfigError, TableFormatError
 from greentx.harness import (
@@ -237,6 +238,27 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, algorithm):
         assert resumed.tables.keys() == full.tables.keys()
         for name, table in full.tables.items():
             assert np.array_equal(resumed.tables[name], table)
+
+
+def test_a_resumed_reference_run_makes_no_start_solve(tmp_path, monkeypatch):
+    # resumed at slot 300, the first slot of an epoch: its re-solve decides
+    # every later action, so it is the only solve the resumed run makes
+    cfg = table_profile(algorithm="suboptimal", seed=1, horizon=350)
+    ck = tmp_path / "run.ckpt"
+    full = run_experiment(cfg, checkpoint_path=ck, checkpoint_every=300)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[0].mu)
+        return value_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "value_iteration", counted)
+    resumed = run_experiment(cfg, resume_from=ck)
+    assert len(solves) == 1
+    assert resumed.csv_text() == full.csv_text()
+    assert resumed.tables.keys() == full.tables.keys()
+    for name, table in full.tables.items():
+        assert np.array_equal(resumed.tables[name], table)
 
 
 @pytest.mark.parametrize("options", [

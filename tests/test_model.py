@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from greentx.errors import ConfigError, FeasibilityError
 from greentx.model import Action, JointModel, State
-from greentx.phy import PhyConfig
+from greentx.phy import PhyConfig, bits_per_symbol, goodput_pmf, snr_for_bep
 from greentx.power import PmAction, PowerProfile, PowerState
-from greentx.queueing import ArrivalDistribution, QueueConfig
+from greentx.queueing import ArrivalDistribution, QueueConfig, expected_overflow
 from oracles import (
     all_states,
     buffer_cost,
@@ -288,6 +288,47 @@ def test_diagonal_build_equals_the_slice_by_slice_build(data):
         got = getattr(m, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+def _canonical_actions(m):
+    """S_OFF and S_ON sending nothing, then S_ON with z ascending and the PLR level fastest."""
+    lvl0 = m.bep_levels[0]
+    sends = [Action(lvl, PmAction.S_ON, z) for z in range(1, m.z_max + 1) for lvl in m.bep_levels]
+    return (Action(lvl0, PmAction.S_OFF, 0), Action(lvl0, PmAction.S_ON, 0), *sends)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_table_build_equals_the_scalar_rules_byte_for_byte(data):
+    m = _random_model(data)
+    # arrival supports shorter and longer than the capacity
+    n_l = data.draw(st.integers(1, 2 * m.queue.capacity + 3))
+    m = m.with_arrivals(ArrivalDistribution(_stochastic(data.draw, 1, n_l)[0]))
+    cap = m.queue.capacity
+    noise, gain = m.phy.noise_power_w, [10.0 ** (g / 10.0) for g in m.gains_db.tolist()]
+    for i, a in enumerate(_canonical_actions(m)):
+        assert (m.action_z[i], m.action_y[i], m.action_plr[i]) == (a.z, int(a.y), a.bep.plr)
+        # from a full buffer every packet count can be delivered: G_stack[a, cap, cap - f]
+        rows = m.G_stack[i, cap, cap - a.z : cap + 1][::-1]
+        assert rows.tobytes() == goodput_pmf(a.z, a.bep.plr).tobytes(), a
+        snr = 0.0 if a.z == 0 else snr_for_bep(a.bep.bep, bits_per_symbol(a.z, m.phy))
+        want = np.array([snr * noise / g for g in gain])
+        assert m.tx_ha[:, i].tobytes() == want.tobytes(), a
+    want = np.array([expected_overflow(b, m.arrivals, cap) for b in range(m.n_b)])
+    assert m.o_exp.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_actions_are_built_on_first_use_and_survive_clones(data):
+    m = _random_model(data)
+    early = m.with_mu(1.0)  # cloned before anyone asked for the actions
+    want = _canonical_actions(m)
+    assert m.actions == want and early.actions == want
+    assert m.action_index == early.action_index == {a: i for i, a in enumerate(want)}
+    late = m.with_arrivals(ArrivalDistribution.deterministic(1)).with_channel(m.channel_matrix)
+    assert late.actions is m.actions and late.action_index is m.action_index
+    assert len(m.actions) == m.n_a
 
 
 @settings(max_examples=60, deadline=None)

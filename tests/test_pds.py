@@ -1,10 +1,13 @@
 """Known/unknown factorization of the slot dynamics and the split solver."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greentx.config import STOCK_GAINS_DB, reduced_profile
+from greentx import planner
+from greentx.config import STOCK_GAINS_DB, reduced_profile, table_profile
 from greentx.errors import ConvergenceError, FeasibilityError, InitializationError
 from greentx.model import State
 from greentx.pds import (
@@ -31,6 +34,7 @@ from oracles import (
     feasible_sa,
     flat_q,
     g_ba,
+    gmres_mgs,
     greedy_from_q,
     joint_transition_pmf,
     known_cost,
@@ -360,6 +364,27 @@ def test_both_solvers_match_the_dense_oracle_on_random_models(m):
     assert np.array_equal(policy_from_pds(v_tilde, m), pol_ref)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
     np.testing.assert_allclose(v_pds.reshape(m.n_s), v_ref, rtol=0, atol=bound)
+
+
+def _assert_vi_matches_the_mgs_reference(m):
+    """Value iteration with the package's CGS2 GMRES against the same solve
+    with the modified Gram-Schmidt reference: same policy, values within 1e-10."""
+    v, pol = value_iteration(m)
+    with mock.patch.object(planner, "_gmres", gmres_mgs):
+        v_ref, pol_ref = value_iteration(m)
+    assert np.array_equal(pol, pol_ref)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models())
+def test_cgs2_solves_match_the_mgs_reference_on_random_models(m):
+    _assert_vi_matches_the_mgs_reference(m)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.015, 0.05, 1.0, 5.0])
+def test_cgs2_solves_match_the_mgs_reference_on_the_table_profile(mu):
+    _assert_vi_matches_the_mgs_reference(table_profile(mu=mu).build_model())
 
 
 @settings(max_examples=40, deadline=None)

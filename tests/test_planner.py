@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from greentx import planner
+from greentx.config import table_profile
 from greentx.errors import ConvergenceError
 from greentx.model import State
 from greentx.power import PowerState
-from greentx.planner import TIE_TOL, value_iteration
+from greentx.planner import RESTART, TIE_TOL, _gmres, value_iteration
 from oracles import (
     action_value,
     all_states,
@@ -154,3 +156,111 @@ def test_vi_from_a_nan_start_raises_convergence_error(reduced_model_mu1):
     v0 = np.full(reduced_model_mu1.n_s, np.nan)
     with pytest.raises(ConvergenceError):
         value_iteration(reduced_model_mu1, v0=v0, max_iters=50)
+
+
+def _random_system(n, radius, seed):
+    """I + radius * G / sqrt(n), G standard normal: nonsymmetric, its spectrum
+    fills the disk of that radius around 1, so it is well conditioned."""
+    rng = np.random.default_rng(seed)
+    return np.eye(n) + radius * rng.standard_normal((n, n)) / np.sqrt(n), rng.standard_normal(n)
+
+
+class _Counted:
+    """apply(x) = a @ x, keeping a copy of every vector it is applied to."""
+
+    def __init__(self, a):
+        self.a, self.seen = a, []
+
+    def __call__(self, x):
+        self.seen.append(x.copy())
+        return self.a @ x
+
+
+@pytest.mark.parametrize("n, radius", [(RESTART // 2, 0.9), (3 * RESTART, 0.8)])
+def test_gmres_solves_nonsymmetric_systems_below_and_above_the_restart_length(n, radius):
+    a, b = _random_system(n, radius, seed=n)
+    assert np.linalg.cond(a) < 50
+    apply = _Counted(a)
+    tol = 1e-10 * np.linalg.norm(b)
+    x, used = _gmres(apply, b, np.zeros(n), tol, 10_000)
+    assert used == len(apply.seen)
+    assert np.linalg.norm(b - a @ x) <= tol
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-8)
+    if n < RESTART:
+        # n Arnoldi steps span the space: the start's residual, n steps, the final residual
+        assert used == n + 2
+    else:
+        assert used > RESTART + 1  # at least one restart
+
+
+def test_gmres_stops_at_tol():
+    a, b = _random_system(30, 0.5, seed=1)
+    x_star = np.linalg.solve(a, b)
+    # a start within tol costs one matvec, its residual, and comes back unchanged
+    x, used = _gmres(_Counted(a), b, x_star, 1e-8, 100)
+    assert used == 1 and np.array_equal(x, x_star)
+    # a loose tol stops the first cycle early, within tol
+    tol = 0.1 * np.linalg.norm(b)
+    apply = _Counted(a)
+    x, used = _gmres(apply, b, np.zeros(30), tol, 100)
+    assert used == len(apply.seen) < 10
+    assert np.linalg.norm(b - a @ x) <= tol
+
+
+def test_gmres_stops_at_the_rounding_floor():
+    # no float64 residual reaches tol = 0: once a cycle ends no closer than
+    # the one before, the solve stops, after whole cycles of RESTART steps
+    a, b = _random_system(RESTART // 2, 0.9, seed=3)
+    x, used = _gmres(_Counted(a), b, np.zeros(a.shape[0]), 0.0, 10**6)
+    assert (used - 1) % (RESTART + 1) == 0 and used <= 10 * (RESTART + 1)
+    assert np.linalg.norm(b - a @ x) <= 1e-14 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, RESTART + 1, RESTART + 5])
+def test_gmres_takes_exactly_max_matvecs(cap):
+    a, b = _random_system(3 * RESTART, 0.8, seed=4)
+    apply = _Counted(a)
+    x, used = _gmres(apply, b, np.zeros(a.shape[0]), 0.0, cap)
+    assert used == len(apply.seen) == cap
+    if cap == 1:
+        assert not x.any()  # only the start's residual was taken
+    else:
+        assert np.linalg.norm(b - a @ x) < np.linalg.norm(b)
+
+
+def _assert_orthonormal_cycles(seen):
+    """Split the vectors applied in full cycles of RESTART steps into cycles
+    (each starts with its iterate) and check each cycle's Arnoldi basis:
+    |V V^T - I| <= 1e-12 entrywise. Returns the number of basis vectors checked."""
+    n_checked = 0
+    while seen:
+        basis = np.array(seen[1 : RESTART + 1])
+        if len(basis):
+            assert np.max(np.abs(basis @ basis.T - np.eye(len(basis)))) <= 1e-12
+            n_checked += len(basis)
+        seen = seen[RESTART + 1 :]
+    return n_checked
+
+
+def test_the_arnoldi_basis_is_orthonormal_on_a_random_system():
+    a, b = _random_system(3 * RESTART, 0.8, seed=5)
+    apply = _Counted(a)
+    _gmres(apply, b, np.zeros(a.shape[0]), 0.0, 3 * (RESTART + 1))
+    assert _assert_orthonormal_cycles(apply.seen) == 3 * RESTART
+
+
+def test_the_arnoldi_basis_is_orthonormal_on_a_policy_evaluation_system(monkeypatch):
+    # the first evaluation system of a solve at table_profile(mu = 0.015), the
+    # operating price, taken through two full cycles
+    systems = []
+
+    def capture(apply, b, x, tol, max_matvecs):
+        systems.append((apply, b, x))
+        return _gmres(apply, b, x, tol, max_matvecs)
+
+    monkeypatch.setattr(planner, "_gmres", capture)
+    value_iteration(table_profile(mu=0.015).build_model())
+    apply, b, x = systems[0]
+    seen = []
+    _gmres(lambda v: seen.append(v.copy()) or apply(v), b, x, 0.0, 2 * (RESTART + 1))
+    assert _assert_orthonormal_cycles(seen) == 2 * RESTART
