@@ -145,7 +145,6 @@ class ExperimentConfig:
             plr_grid=self.plr_grid,
             z_max=self.z_max,
             gamma=self.gamma,
-            mu=self.mu,
         )
 
     def build_channel_model(self) -> ChannelModel:
@@ -251,11 +250,12 @@ class ExperimentConfig:
 
 
 def _reader(tp):
-    """The value a field annotated ``tp`` stores for a JSON value: a float for a
-    float, a JSON integer included, so that ``1`` and ``1.0`` give one config;
-    an integer for an int (``true`` is neither); a tuple for an array; null
-    only for ``X | None``; a dataclass's object as is (read on its own).
-    Raises ``TypeError`` for a value of another type."""
+    """The value a field annotated ``tp`` stores for a JSON value: a finite float
+    for a float, a JSON integer included, so that ``1`` and ``1.0`` give one
+    config; an integer for an int (``true`` is neither); a tuple for an array;
+    null only for ``X | None``; a dataclass's object as is (read on its own).
+    Raises ``TypeError`` for a value of another type and ``ValueError`` for
+    ``NaN``, ``Infinity`` and ``-Infinity``, which Python's ``json`` reads."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
         read = _reader(args[0])
@@ -276,6 +276,8 @@ def _reader(tp):
     def read_scalar(v):
         if type(v) not in kinds:
             raise TypeError
+        if tp is float and not -np.inf < v < np.inf:  # NaN fails both comparisons
+            raise ValueError
         return tp(v)
 
     return read_scalar
@@ -306,8 +308,8 @@ def _fields_of(cls, d, what: str) -> dict:
     for key, value in d.items():
         try:
             fields[key] = readers[key](value)
-        except (TypeError, OverflowError):  # OverflowError: an integer past float range
-            kind = cls.__dataclass_fields__[key].type
+        except (TypeError, ValueError, OverflowError) as exc:  # an int past float range overflows
+            kind = "finite" if type(exc) is ValueError else cls.__dataclass_fields__[key].type
             raise ConfigError(f"{what} key {key!r} must be {kind}, got {value!r}") from None
     return fields
 

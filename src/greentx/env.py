@@ -173,6 +173,8 @@ class ChannelModel:
             raise ConfigError(f"unknown channel mode {mode!r}")
         self.mode = mode
         self.perturb_magnitude = float(perturb_magnitude)
+        if not np.isfinite(2.0 * self.perturb_magnitude):  # the noise spans twice the magnitude
+            raise ConfigError(f"perturb_magnitude {perturb_magnitude!r} is too large for uniform noise")
         self.cum_head = _cum_head(self.matrix)  # [h] -> row h, see _cum_head
 
     def step(self, h: int, rng: np.random.Generator | BlockUniforms) -> int:

@@ -406,23 +406,21 @@ class SuboptimalActor:
         self._v, self.policy = np.zeros(model.n_s), np.zeros(model.n_s, np.int64)
         self._solved_mu = -1.0  # none: slot 0 solves unless restored
 
-    def _estimated_model(self, mu: float) -> JointModel:
+    def _estimated_model(self) -> JointModel:
         raw_a = (self.arrival_counts + 1).astype(np.float64)
         pmf = raw_a / raw_a.sum()
         raw_p = (self.channel_counts + 1).astype(np.float64)
         p = raw_p / raw_p.sum(axis=1, keepdims=True)
-        return self.model.with_arrivals(ArrivalDistribution(pmf)).with_channel(p).with_mu(mu)
+        return self.model.with_statistics(ArrivalDistribution(pmf), p)
 
     def _solve(self, mu: float) -> None:
         if self.true_stats:
             if self._solved_mu == mu:
                 return
-            m = self.model.with_mu(mu)
-            tol = 1e-9
+            m, tol = self.model, 1e-9
         else:
-            m = self._estimated_model(mu)
-            tol = SOLVE_TOL
-        self._v, self.policy = value_iteration(m, tol=tol, v0=self._v)
+            m, tol = self._estimated_model(), SOLVE_TOL
+        self._v, self.policy = value_iteration(m, mu, tol=tol, v0=self._v)
         self._solved_mu = mu
 
     def act(self, s: int, n: int, mu: float) -> int:
@@ -465,7 +463,7 @@ class SuboptimalActor:
 def _build_actor(cfg: ExperimentConfig, model: JointModel, env: Environment, *, true_stats: bool):
     alg = cfg.algorithm
     if alg == "vi":
-        v, policy = value_iteration(model)
+        v, policy = value_iteration(model, cfg.mu)
         return PolicyActor(model, policy, {"v": v})
     if alg == "threshold":
         k = cfg.threshold_k
@@ -653,10 +651,10 @@ def solve_tables(cfg: ExperimentConfig, method: str = "vi") -> dict:
     """Exact solutions from true statistics, as a named-table bundle."""
     model = cfg.build_model()
     if method == "vi":
-        v, policy = value_iteration(model)
+        v, policy = value_iteration(model, cfg.mu)
         return {"v": v, "policy": policy}
     if method == "pds":
-        v_tilde, v = pds_value_iteration(model)
-        policy = policy_from_pds(v_tilde, model)
+        v_tilde, v = pds_value_iteration(model, cfg.mu)
+        policy = policy_from_pds(v_tilde, model, cfg.mu)
         return {"v_tilde": v_tilde, "v": v.reshape(model.n_s), "policy": policy}
     raise ConfigError(f"unknown solve method {method!r}")

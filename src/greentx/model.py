@@ -15,7 +15,8 @@ switch, with their power and holding costs) is also available as one packed
 operator, ``known_operator``: only the feasible (buffer, radio, action) rows,
 grouped by (buffer, radio) block. Every solver sweep and every post-decision
 lookahead multiplies by it, adds its packed costs and takes each block's
-minimum, so infeasible triples are never computed.
+minimum, so infeasible triples are never computed. The model holds no
+price: the Lagrangian is one MDP per multiplier mu, which every solver takes.
 """
 from __future__ import annotations
 
@@ -97,7 +98,7 @@ class KnownOperator:
 
 
 class JointModel:
-    """Finite MDP assembled from the channel, queue, radio, and PHY pieces."""
+    """Finite MDP assembled from the channel, queue, radio, and PHY pieces, at no price."""
 
     def __init__(
         self,
@@ -111,7 +112,6 @@ class JointModel:
         plr_grid,
         z_max: int,
         gamma: float,
-        mu: float = 0.0,
     ) -> None:
         self.gains_db = np.array(gains_db, dtype=np.float64)
         self.channel_matrix = np.array(channel_matrix, dtype=np.float64)
@@ -122,12 +122,11 @@ class JointModel:
         self.plr_grid = tuple(float(p) for p in plr_grid)
         self.z_max = int(z_max)
         self.gamma = float(gamma)
-        self.mu = float(mu)
         self._validate()
         self._build_grids()
         self._build_tables()
         self._build_arrival_tables()
-        # derived models share the lazily built known operator (see _clone)
+        # derived models share the lazily built known operator (see with_statistics)
         self._known: dict = {}
         self._freeze()
 
@@ -143,8 +142,6 @@ class JointModel:
             raise ConfigError("channel matrix rows must sum to 1")
         if not (0.0 <= self.gamma < 1.0):
             raise ConfigError("gamma must lie in [0, 1)")
-        if not 0.0 <= self.mu < np.inf:
-            raise ConfigError("mu must be finite and nonnegative")
         if self.z_max < 1:
             raise ConfigError("z_max must be at least 1")
         if len(self.plr_grid) == 0 or any(
@@ -190,14 +187,14 @@ class JointModel:
         return {a: i for i, a in enumerate(self.actions)}
 
     def _build_tables(self) -> None:
-        """Every table that the arrivals, channel matrix and mu leave alone.
+        """Every table that the arrivals and the channel matrix leave alone.
 
         ``G_stack[a, b, b - f]``, the chance that action a delivers f of its
-        packets from buffer b, is one indexed write of ``goodput_pmf``'s rows,
-        formed as its products in its order from powers taken once per (PLR,
-        exponent) by Python's ``**`` (``np.power`` differs in the last bit). An
-        action sending more than b packets keeps the buffer (masked infeasible,
-        kept stochastic). ``px_stack`` picks each action's radio law from the two laws.
+        packets from buffer b, is one indexed write of the rows of the oracle
+        ``goodput_pmf`` (tests), formed as its products in its order from powers
+        taken once per (PLR, exponent) by Python's ``**`` (``np.power`` differs
+        in the last bit). An action sending more than b packets keeps the
+        buffer (masked infeasible, kept stochastic). ``px_stack`` picks each action's radio law from the two laws.
         """
         n_b, n_h, n_x, n_a = self.n_b, self.n_h, self.n_x, self.n_a
         e = range(self.z_max + 1)
@@ -248,14 +245,14 @@ class JointModel:
         self.A_clamp = np.where(band, pmf[np.clip(l, 0, self.arrivals.l_max)], 0.0)
         self.A_clamp[:, cap] = [pmf[cap - b :].sum() for b in range(n_b)]
 
-        # expected drops per level, expected_overflow's one dot per level that can overflow
+        # expected drops per level, the oracle expected_overflow's one dot per level that can overflow
         l_max, excess = self.arrivals.l_max, np.arange(1, self.arrivals.pmf.size)
         self.o_exp = np.zeros(n_b)
         for b in range(max(cap - l_max + 1, 0), n_b):
             self.o_exp[b] = pmf[cap - b + 1 :] @ excess[: l_max - cap + b]
 
     def _freeze(self) -> None:
-        """Make every table read-only: derived models share them (see _clone)."""
+        """Make every table read-only: derived models share them (see with_statistics)."""
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -310,28 +307,14 @@ class JointModel:
 
     # ---- derived models ------------------------------------------------------
 
-    def _clone(self, **overrides) -> "JointModel":
-        """Same model with arrivals, channel matrix or mu replaced.
-
-        A shallow copy: the clone holds its parent's read-only tables and
-        its lazily built known operator, since none of the overrides enters
-        them. Only new arrivals rebuild the two tables that depend on them
-        (``_build_arrival_tables``); a new channel matrix or mu changes no
-        table at all.
-        """
+    def with_statistics(self, arrivals: ArrivalDistribution, channel_matrix) -> "JointModel":
+        """Same plant with the arrival law and the channel matrix replaced: a
+        shallow copy that shares its parent's read-only tables and lazily built
+        known operator, and rebuilds the two arrival tables (``_build_arrival_tables``)."""
         clone = copy.copy(self)
-        vars(clone).update(overrides)
+        clone.arrivals = arrivals
+        clone.channel_matrix = np.array(channel_matrix, dtype=np.float64)
         clone._validate()
-        if "arrivals" in overrides:
-            clone._build_arrival_tables()
+        clone._build_arrival_tables()
         clone._freeze()
         return clone
-
-    def with_arrivals(self, arrivals: ArrivalDistribution) -> "JointModel":
-        return self._clone(arrivals=arrivals)
-
-    def with_channel(self, channel_matrix) -> "JointModel":
-        return self._clone(channel_matrix=np.array(channel_matrix, dtype=np.float64))
-
-    def with_mu(self, mu: float) -> "JointModel":
-        return self._clone(mu=float(mu))

@@ -13,16 +13,16 @@ pre-decision tables use the planner's flat layout when exchanged with it.
 
 The exact solvers and the online learner share one precomputed known half,
 ``JointModel.known_operator``, which holds only the feasible (b, x, a) rows
-and their packed power and holding costs. The exact solvers take the model:
-the split solver (``pds_value_iteration``) runs the planner's Bellman core
-on its cost split, as value iteration does, so both return one pre-decision
-table; ``policy_from_pds`` reads a greedy policy off a post-decision table
-with the planner's tie rule, and ``init_pds_values`` solves an assumed model
-for the learner's start table. ``FactoredDynamics`` serves the online
-learner at the price in effect, which every one of its methods takes: its
-greedy rule reads the rows of one (b, x) block (``greedy_row``), and a batch
-slot takes every block's minimum at one channel (``state_values_slice``).
-No function forms a full (b, x, a) table.
+and their packed power and holding costs. The exact solvers take the model
+and the price mu: the split solver (``pds_value_iteration``) runs the
+planner's Bellman core on its cost split, as value iteration does, so both
+return one pre-decision table; ``policy_from_pds`` reads a greedy policy off
+a post-decision table with the planner's tie rule, and ``init_pds_values``
+solves an assumed model for the learner's start table. ``FactoredDynamics``
+serves the online learner at the price in effect, which every one of its
+methods takes: its greedy rule reads the rows of one (b, x) block
+(``greedy_row``), and a batch slot takes every block's minimum at one
+channel (``state_values_slice``). No function forms a full (b, x, a) table.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ class FactoredDynamics:
     """The known half of a JointModel's slot, as the online learner reads it.
 
     Every lookahead takes the price ``mu`` in effect, which moves while the
-    learner runs; the model's own ``mu`` is not read.
+    learner runs.
     """
 
     def __init__(self, model: JointModel) -> None:
@@ -137,6 +137,7 @@ class FactoredDynamics:
 
 def pds_value_iteration(
     model: JointModel,
+    mu: float,
     tol: float = 1e-9,
     max_iters: int = 200_000,
     v0: np.ndarray | None = None,
@@ -144,21 +145,21 @@ def pds_value_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the split recursion exactly; returns (post-decision, pre-decision) cubes.
 
-    Runs ``bellman_fixed_point`` at the price ``model.mu``, as
-    ``value_iteration`` does, so the pre-decision cube is its table; appends
-    each minimizing sweep's residual to ``residuals`` when given.
+    Runs ``bellman_fixed_point`` at the price ``mu``, as ``value_iteration``
+    does, so the pre-decision cube is its table; appends each minimizing
+    sweep's residual to ``residuals`` when given.
     """
-    v = bellman_fixed_point(model, tol, max_iters, v0, residuals)
-    v_tilde = split_costs(model)[1] + model.gamma * action_free_values(model, v)
+    v = bellman_fixed_point(model, mu, tol, max_iters, v0, residuals)
+    v_tilde = split_costs(model, mu)[1] + model.gamma * action_free_values(model, v)
     v_tilde = v_tilde.reshape(model.n_h, model.n_b, model.n_x).transpose(1, 0, 2)
     return np.ascontiguousarray(v_tilde), np.ascontiguousarray(v.transpose(1, 0, 2))
 
 
-def policy_from_pds(v_tilde: np.ndarray, model: JointModel) -> np.ndarray:
+def policy_from_pds(v_tilde: np.ndarray, model: JointModel, mu: float) -> np.ndarray:
     """Greedy policy induced by a post-decision value table (flat layout), priced
-    at ``model.mu`` with the planner's cost split and tie rule, as ``value_iteration``'s."""
+    at ``mu`` with the planner's cost split and tie rule, as ``value_iteration``'s."""
     w = v_tilde.transpose(1, 0, 2).reshape(model.n_h, model.n_b * model.n_x)
-    return greedy_policy(model, known_lookahead(model, split_costs(model)[0], w))
+    return greedy_policy(model, known_lookahead(model, split_costs(model, mu)[0], w))
 
 
 def init_pds_values(
@@ -176,9 +177,9 @@ def init_pds_values(
     retry with a larger assumed arrival rate or a positive mu_init.
     """
     n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
-    assumed = model.with_arrivals(assumed_arrivals).with_channel(np.eye(n_h)).with_mu(mu_init)
-    v_tilde, _ = pds_value_iteration(assumed)
-    policy = policy_from_pds(v_tilde, assumed).reshape(n_b, n_h, n_x)
+    assumed = model.with_statistics(assumed_arrivals, np.eye(n_h))
+    v_tilde, _ = pds_value_iteration(assumed, mu_init)
+    policy = policy_from_pds(v_tilde, assumed, mu_init).reshape(n_b, n_h, n_x)
     wakes = model.action_y[policy[:, :, int(PowerState.OFF)]] == int(PmAction.S_ON)  # (b, h)
     # Walk the off region as the assumed dynamics see it: the channel stays
     # put and the buffer moves by arrival bursts of positive probability.

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 
 # BEP(snr) = BEP_COEF * exp(-SNR_SLOPE * snr / (2^beta - 1)), the standard
@@ -102,21 +100,3 @@ def snr_for_bep(bep: float, beta: int) -> float:
 def bep_of_plr(plr: float, packet_bits: int) -> float:
     """Bit error probability that yields the target packet loss ratio."""
     return -math.expm1(math.log1p(-plr) / packet_bits)
-
-
-def goodput_pmf(z: int, plr: float) -> np.ndarray:
-    """Distribution of the number of packets delivered out of z attempts.
-
-    Packet losses are independent, so goodput is binomial(z, 1 - plr).
-    Index f of the result is P[f packets delivered].
-    """
-    if z < 0:
-        raise ConfigError(f"packet count z={z} is negative")
-    if not (0.0 <= plr < 1.0):
-        raise ConfigError(f"plr {plr} outside [0, 1)")
-    ok = 1.0 - plr
-    pmf = np.array(
-        [math.comb(z, f) * ok**f * plr ** (z - f) for f in range(z + 1)],
-        dtype=np.float64,
-    )
-    return pmf

@@ -14,6 +14,7 @@ post-decision table. Action values are kept packed, one entry per feasible
 (b, x, a), and every greedy policy is read off them with the known
 operator's block minimum and first-row-within-TIE_TOL rule
 (``greedy_policy``); no full (state, action) table is ever formed.
+The model holds no price: every solver takes it as the argument ``mu``.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .model import JointModel
 
 # Values within this distance of the row minimum count as tied.
@@ -31,13 +32,20 @@ TIE_TOL = 1e-9
 RESTART = 40
 
 
-def split_costs(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
-    """The slot cost at ``model.mu``, split at the post-decision point: the
+def split_costs(model: JointModel, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The slot cost at the price ``mu``, split at the post-decision point: the
     known cost ``rho + mu * hold`` per (h, row) of the known operator, and the
-    post cost ``mu * eta * o_exp`` (the expected drops) per post-decision (B, X)."""
+    post cost ``mu * eta * o_exp`` (the expected drops) per post-decision (B, X).
+    ConfigError refuses a negative or non-finite mu, and one at which values overflow."""
+    if not 0.0 <= mu < np.inf:
+        raise ConfigError("mu must be finite and nonnegative")
     op = model.known_operator
-    post = np.repeat(model.mu * model.queue.eta * model.o_exp, model.n_x)
-    return op.rho + model.mu * op.hold, post
+    # costs are nonnegative, so no value exceeds top / (1 - gamma); Python floats overflow quietly
+    top = float(op.rho.max()) + float(mu) * float(op.hold.max() + model.queue.eta * model.o_exp.max())
+    if not top / (1.0 - model.gamma) < np.inf:
+        raise ConfigError(f"the values at mu={mu!r} overflow")
+    post = np.repeat(mu * model.queue.eta * model.o_exp, model.n_x)
+    return op.rho + mu * op.hold, post
 
 
 def action_free_values(model: JointModel, v_hbx: np.ndarray) -> np.ndarray:
@@ -64,11 +72,12 @@ def known_lookahead(model: JointModel, cost: np.ndarray, v_tilde: np.ndarray) ->
 
 
 def bellman_fixed_point(
-    model: JointModel, tol: float, max_iters: int, v0: np.ndarray | None, residuals: list | None
+    model: JointModel, mu: float, tol: float, max_iters: int, v0: np.ndarray | None,
+    residuals: list | None,
 ) -> np.ndarray:
     """Iterate v <- min_a [known + K (post + gamma w(v))] until the step is below tol.
 
-    One solver for both exact planners, on the costs of ``split_costs``.
+    One solver for both exact planners, on the costs of ``split_costs`` at mu.
     ``v0`` uses the flat state layout; the returned table is indexed (h, b, x).
     The minimum over actions is the minimum over each (b, x) block of the
     packed rows, so infeasible actions never enter it.
@@ -81,11 +90,12 @@ def bellman_fixed_point(
     ``residuals``, and only one whose step is below tol returns, so the
     stopping rule and error bound are value iteration's. ``max_iters`` caps
     minimizing sweeps and evaluation matvecs together; past it,
-    ConvergenceError is raised.
+    ConvergenceError is raised, and at once at a step that is not finite (a
+    NaN never leaves the table).
     """
     n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
     op = model.known_operator
-    cost, c_post = split_costs(model)
+    cost, c_post = split_costs(model, mu)
     if v0 is None:
         v = np.zeros((n_h, n_b, n_x))
     else:
@@ -105,6 +115,8 @@ def bellman_fixed_point(
         v = v_new
         if resid < tol:
             return v
+        if not math.isfinite(resid):
+            raise ConvergenceError(f"value iteration reached residual {resid!r} at sweep {sweeps}")
         greedy = op.block_argmin(q, v_min, TIE_TOL)
         if rows is not None and np.array_equal(greedy, rows):
             v, used = _evaluate_rows(model, cost, c_post, rows, v, tol, max_iters - sweeps)
@@ -222,19 +234,20 @@ def greedy_policy(model: JointModel, q: np.ndarray) -> np.ndarray:
 
 def value_iteration(
     model: JointModel,
+    mu: float,
     tol: float = 1e-9,
     max_iters: int = 200_000,
     v0: np.ndarray | None = None,
     residuals: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the discounted control problem to sup-norm residual below tol.
+    """Solve the discounted control problem at the price mu to sup-norm residual below tol.
 
     Returns (value table, greedy policy): the split solver's pre-decision
     table in the flat layout and the policy ``pds.policy_from_pds`` reads off
     its post-decision table. Raises ConvergenceError past max_iters
     minimizing sweeps and evaluation matvecs, counted together.
     """
-    v_hbx = bellman_fixed_point(model, tol, max_iters, v0, residuals)
-    cost, c_post = split_costs(model)
+    v_hbx = bellman_fixed_point(model, mu, tol, max_iters, v0, residuals)
+    cost, c_post = split_costs(model, mu)
     q = known_lookahead(model, cost, c_post + model.gamma * action_free_values(model, v_hbx))
     return v_hbx.transpose(1, 0, 2).reshape(model.n_s), greedy_policy(model, q)

@@ -33,6 +33,8 @@ class PowerProfile:
     def __post_init__(self) -> None:
         if self.p_tr is None:
             object.__setattr__(self, "p_tr", self.p_on)
+        if not all(-np.inf < p < np.inf for p in (self.p_on, self.p_off, self.p_tr)):
+            raise ConfigError("power levels must be finite")
         if not (self.p_off >= 0.0 and self.p_on > self.p_off):
             raise ConfigError("need p_on > p_off >= 0")
         if self.p_tr < self.p_on:

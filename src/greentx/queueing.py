@@ -85,17 +85,6 @@ class QueueConfig:
             raise ConfigError("eta must be nonnegative")
 
 
-def expected_overflow(
-    b_post: int, arrivals: ArrivalDistribution, capacity: int
-) -> float:
-    """Expected packets dropped when arrivals land on a buffer at b_post."""
-    room = capacity - b_post
-    if arrivals.l_max <= room:
-        return 0.0
-    ls = np.arange(room + 1, arrivals.l_max + 1)
-    return float(arrivals.pmf[room + 1 :] @ (ls - room))
-
-
 def overflow_penalty(gamma: float) -> float:
     """Drop weight gamma / (1 - gamma) that makes dropping never cheaper than holding.
 

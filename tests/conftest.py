@@ -16,11 +16,6 @@ def reduced_model(reduced_cfg):
 
 
 @pytest.fixture(scope="session")
-def reduced_model_mu1(reduced_model):
-    return reduced_model.with_mu(1.0)
-
-
-@pytest.fixture(scope="session")
 def full_cfg():
     return gx.table_profile()
 

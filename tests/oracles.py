@@ -6,9 +6,11 @@ one state or one (state, action) pair at a time, so the package can be
 checked against them:
 
 - scalar link-layer and power rules: ``bep_of_snr``, ``plr_of_bep``,
-  ``bep_level_from_bep``, ``tx_power`` and ``required_power``, one number at
-  a time, which the model's ``tx_ha`` and ``rho_hxa`` tables must match;
-- buffer primitives: ``next_buffer``, ``buffer_transition_pmf`` and
+  ``bep_level_from_bep``, ``tx_power``, ``required_power`` and
+  ``goodput_pmf``, one number at a time, which the model's ``tx_ha``,
+  ``rho_hxa`` and ``G_stack`` tables must match;
+- buffer primitives: ``next_buffer``, ``expected_overflow`` (which the
+  model's ``o_exp`` must match), ``buffer_transition_pmf`` and
   ``buffer_cost``, by enumerating deliveries and arrivals;
 - the joint model pair by pair: ``all_states``, ``is_feasible`` (the
   feasibility rule the model's masks encode), ``feasible_action_indices``,
@@ -77,12 +79,11 @@ from greentx.phy import (
     BepLevel,
     PhyConfig,
     bits_per_symbol,
-    goodput_pmf,
     snr_for_bep,
 )
 from greentx.planner import RESTART, TIE_TOL, action_free_values, known_lookahead
 from greentx.power import PmAction, PowerProfile, PowerState, pm_transition_pmf
-from greentx.queueing import ArrivalDistribution, expected_overflow
+from greentx.queueing import ArrivalDistribution
 
 # ---- scalar link-layer and power rules ------------------------------------------
 
@@ -137,6 +138,24 @@ def required_power(
     return profile.p_tr
 
 
+def goodput_pmf(z: int, plr: float) -> np.ndarray:
+    """Distribution of the number of packets delivered out of z attempts.
+
+    Packet losses are independent, so goodput is binomial(z, 1 - plr).
+    Index f of the result is P[f packets delivered].
+    """
+    if z < 0:
+        raise ConfigError(f"packet count z={z} is negative")
+    if not (0.0 <= plr < 1.0):
+        raise ConfigError(f"plr {plr} outside [0, 1)")
+    ok = 1.0 - plr
+    pmf = np.array(
+        [math.comb(z, f) * ok**f * plr ** (z - f) for f in range(z + 1)],
+        dtype=np.float64,
+    )
+    return pmf
+
+
 # ---- buffer primitives ---------------------------------------------------------
 
 
@@ -147,6 +166,17 @@ def next_buffer(b: int, f: int, l: int, capacity: int) -> int:
     if l < 0:
         raise ConfigError("arrivals must be nonnegative")
     return min(b - f + l, capacity)
+
+
+def expected_overflow(
+    b_post: int, arrivals: ArrivalDistribution, capacity: int
+) -> float:
+    """Expected packets dropped when arrivals land on a buffer at b_post."""
+    room = capacity - b_post
+    if arrivals.l_max <= room:
+        return 0.0
+    ls = np.arange(room + 1, arrivals.l_max + 1)
+    return float(arrivals.pmf[room + 1 :] @ (ls - room))
 
 
 def buffer_transition_pmf(
@@ -255,10 +285,9 @@ def expected_buffer_cost(model: JointModel, s: State, a: Action) -> float:
     return float(g_ba(model)[s.b, model.action_index[a]])
 
 
-def lagrangian_cost(model: JointModel, s: State, a: Action, mu: float | None = None) -> float:
+def lagrangian_cost(model: JointModel, s: State, a: Action, mu: float) -> float:
     """Power plus mu-weighted buffer cost for one slot."""
-    m = model.mu if mu is None else mu
-    return power_cost(model, s, a) + m * expected_buffer_cost(model, s, a)
+    return power_cost(model, s, a) + mu * expected_buffer_cost(model, s, a)
 
 
 # ---- the model build slice by slice ------------------------------------------------
@@ -330,16 +359,15 @@ def flat_q(model: JointModel, q_packed: np.ndarray) -> np.ndarray:
     return q.transpose(1, 0, 2, 3).reshape(model.n_s, model.n_a)
 
 
-def q_values(model: JointModel, v: np.ndarray, mu: float | None = None) -> np.ndarray:
+def q_values(model: JointModel, v: np.ndarray, mu: float) -> np.ndarray:
     """One-step lookahead values for every (state, action); infeasible -> +inf.
 
     Prices the slot with the classic pre-decision cost, power plus
     ``mu * g_ba``, and no cost after the post-decision point.
     """
-    m = model.mu if mu is None else mu
     v_hbx = v.reshape(model.n_b, model.n_h, model.n_x).transpose(1, 0, 2)
     v_tilde = model.gamma * action_free_values(model, v_hbx)
-    return flat_q(model, known_lookahead(model, stage_cost_by_pack(model, m * g_ba(model)), v_tilde))
+    return flat_q(model, known_lookahead(model, stage_cost_by_pack(model, mu * g_ba(model)), v_tilde))
 
 
 def action_values_slice(
@@ -381,14 +409,13 @@ def known_pmf(factored: FactoredDynamics, s: State, a: Action) -> np.ndarray:
     return np.einsum("b,h,x->bhx", pb, ph, px).reshape(m.n_s)
 
 
-def known_cost(factored: FactoredDynamics, s: State, a: Action, mu: float | None = None) -> float:
+def known_cost(factored: FactoredDynamics, s: State, a: Action, mu: float) -> float:
     """Power plus mu-weighted expected holding (drops are not known yet)."""
     m = factored.model
     if not is_feasible(m, s, a):
         raise FeasibilityError(f"action {a} infeasible in state {s}")
     ai = m.action_index[a]
-    mu_v = m.mu if mu is None else mu
-    return float(m.rho_hxa[s.h, int(s.x), ai] + mu_v * m.hold_ba[s.b, ai])
+    return float(m.rho_hxa[s.h, int(s.x), ai] + mu * m.hold_ba[s.b, ai])
 
 
 def unknown_pmf(factored: FactoredDynamics, st: PostDecisionState) -> np.ndarray:
@@ -401,11 +428,10 @@ def unknown_pmf(factored: FactoredDynamics, st: PostDecisionState) -> np.ndarray
     return np.einsum("b,h,x->bhx", pb, ph, px).reshape(m.n_s)
 
 
-def unknown_cost(factored: FactoredDynamics, st: PostDecisionState, mu: float | None = None) -> float:
+def unknown_cost(factored: FactoredDynamics, st: PostDecisionState, mu: float) -> float:
     """mu-weighted expected drop penalty for arrivals on this buffer level."""
     m = factored.model
-    mu_v = m.mu if mu is None else mu
-    return float(mu_v * m.queue.eta * m.o_exp[st.b])
+    return float(mu * m.queue.eta * m.o_exp[st.b])
 
 
 def realized_unknown_cost(factored: FactoredDynamics, b_post: int, l: int) -> float:
@@ -525,19 +551,20 @@ def ve_batch_by_fancy_index(
 # ---- solvers and runs ------------------------------------------------------------
 
 
-def action_value(s: State, a: Action, v: np.ndarray, model: JointModel) -> float:
-    """Cost plus discounted expected continuation, via the joint transition pmf."""
+def action_value(s: State, a: Action, v: np.ndarray, model: JointModel, mu: float) -> float:
+    """Cost at price mu plus discounted expected continuation, via the joint transition pmf."""
     pmf = joint_transition_pmf(model, s, a)
-    return lagrangian_cost(model, s, a) + model.gamma * float(pmf @ v)
+    return lagrangian_cost(model, s, a, mu) + model.gamma * float(pmf @ v)
 
 
 def policy_evaluate(
     policy: np.ndarray,
     model: JointModel,
+    mu: float,
     tol: float = 1e-9,
     max_iters: int = 200_000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Discounted (total, power-only, buffer-only) cost of a stationary policy.
+    """Discounted (total at price mu, power-only, buffer-only) cost of a stationary policy.
 
     The three value vectors satisfy total = power + mu * buffer at the fixed
     point, since the policy is shared and cost splits linearly.
@@ -561,7 +588,7 @@ def policy_evaluate(
         rho_sel[i] = model.rho_hxa[s.h, int(s.x), a]
         g_sel[i] = g_table[s.b, a]
 
-    costs = np.stack([rho_sel + model.mu * g_sel, rho_sel, g_sel])
+    costs = np.stack([rho_sel + mu * g_sel, rho_sel, g_sel])
     values = np.zeros((3, n_s))
     shape = (model.n_b, model.n_h, model.n_x)
     for _ in range(max_iters):

@@ -19,7 +19,6 @@ from greentx.pds import (
     pds_value_iteration,
     policy_from_pds,
 )
-from greentx.phy import goodput_pmf
 from greentx.planner import value_iteration
 from greentx.power import PmAction, PowerState, pm_transition_pmf
 from greentx.queueing import overflow_penalty
@@ -30,6 +29,7 @@ from oracles import (
     buffer_cost,
     buffer_transition_pmf,
     feasible_actions,
+    goodput_pmf,
     joint_transition_pmf,
     known_cost,
     known_pmf,
@@ -85,10 +85,10 @@ def test_criterion_01_direct_and_post_decision_planners_agree(reduced_model):
     t0 = time.monotonic()
     mismatches = {}
     for mu in (0.0, 1.0, 10.0):
-        m = reduced_model.with_mu(mu)
-        _, pol_direct = value_iteration(m)
-        v_tilde, _ = pds_value_iteration(m)
-        pol_split = policy_from_pds(v_tilde, m)
+        m = reduced_model
+        _, pol_direct = value_iteration(m, mu)
+        v_tilde, _ = pds_value_iteration(m, mu)
+        pol_split = policy_from_pds(v_tilde, m, mu)
         mismatches[mu] = int(np.count_nonzero(pol_direct != pol_split))
     dt = time.monotonic() - t0
     ok = all(v == 0 for v in mismatches.values()) and dt < 60.0
@@ -101,19 +101,19 @@ def test_criterion_01_direct_and_post_decision_planners_agree(reduced_model):
 
 
 def test_criterion_02_factored_halves_compose_to_the_joint_model(reduced_model):
-    m = reduced_model.with_mu(1.0)
+    m, mu = reduced_model, 1.0
     fac = FactoredDynamics(m)
     pds_all = [PostDecisionState(s.b, s.h, s.x) for s in all_states(m)]
     unknown = np.stack([unknown_pmf(fac, p) for p in pds_all])
-    unknown_cost = np.array([unknown_cost_of(fac, p) for p in pds_all])
+    unknown_cost = np.array([unknown_cost_of(fac, p, mu) for p in pds_all])
     worst_pmf = worst_cost = 0.0
     pairs = 0
     for s in all_states(m):
         for a in feasible_actions(m, s):
             k = known_pmf(fac, s, a)
             worst_pmf = max(worst_pmf, np.abs(k @ unknown - joint_transition_pmf(m, s, a)).max())
-            composed = known_cost(fac, s, a) + k @ unknown_cost
-            worst_cost = max(worst_cost, abs(composed - lagrangian_cost(m, s, a)))
+            composed = known_cost(fac, s, a, mu) + k @ unknown_cost
+            worst_cost = max(worst_cost, abs(composed - lagrangian_cost(m, s, a, mu)))
             pairs += 1
     ok = worst_pmf <= 1e-12 and worst_cost <= 1e-12
     print(
@@ -137,7 +137,7 @@ def test_criterion_04_online_table_reaches_the_offline_fixed_point():
         algorithm="pds_ve", ve_period=1, horizon=200_000, mu=1.0, init_mu=1.0
     )
     result = run_experiment(cfg, fixed_mu=True)
-    v_star, _ = pds_value_iteration(cfg.build_model().with_mu(1.0))
+    v_star, _ = pds_value_iteration(cfg.build_model(), 1.0)
     rel = np.abs(result.tables["v_tilde"] - v_star).max() / np.abs(v_star).max()
     dt = time.monotonic() - t0
     ok = rel < 0.05 and dt < 300.0

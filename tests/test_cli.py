@@ -149,6 +149,24 @@ def test_negative_mu_is_reported(tmp_path, cfg_file, capsys, command):
     assert err.startswith("error: ") and "mu" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mu", ["nan", "1e306", "1e308"])
+def test_a_price_the_solvers_cannot_use_is_refused_at_once(tmp_path, capsys, mu):
+    # 1e306 used to sweep NaNs for 200 000 sweeps before it failed
+    rc = main(["solve", "--mu", mu, "--out", str(tmp_path / "x.npz")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "mu" in err
+    assert not (tmp_path / "x.npz").exists()
+
+
+def test_a_negative_start_table_price_is_refused(tmp_path, capsys):
+    path = tmp_path / "init_mu.json"
+    path.write_text('{"init_mu": -1.0}')
+    rc = main(["learn", "--algorithm", "pds", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: mu must be finite and nonnegative\n"
+
+
 def test_a_fixed_price_is_not_bounded_by_mu_max(tmp_path, capsys):
     assert table_profile().mu_max == 5.0
     out = tmp_path / "k3.csv"
@@ -280,8 +298,18 @@ def test_table_files_keep_the_name_they_were_given(tmp_path, cfg_file, capsys):
     ('{"capacity": "25"}', []),  # a numeric string for an integer
     ('{"gains_db": 3}', []),  # a number for an array
     ('{"power": {}}', []),  # a nested object without its required p_on
+    ('{"g_bar": NaN}', []),  # Python's json reads NaN and Infinity
+    ('{"power": {"p_on": 0.32, "p_tr": NaN}}', []),
+    ('{"arrival_rate_pkts_per_s": NaN}', []),
+    ('{"eta": Infinity}', []),
+    ('{"channel_mode": "perturbed", "perturb_magnitude": NaN}', []),
+    ('{"channel_mode": "perturbed", "perturb_magnitude": 1e308}', []),  # noise span overflows
+    ("{}", ["--p-on", "inf"]),
+    ("{}", ["--p-on", "nan"]),
 ], ids=["unknown-key", "unknown-nested-key", "malformed-json", "not-an-object", "negative-seed",
-        "string-seed", "string-capacity", "scalar-gains", "power-without-p-on"])
+        "string-seed", "string-capacity", "scalar-gains", "power-without-p-on", "nan-g-bar",
+        "nan-p-tr", "nan-arrival-rate", "infinite-eta", "nan-perturbation", "overflowing-perturbation",
+        "infinite-p-on-flag", "nan-p-on-flag"])
 def test_bad_configs_end_in_one_error_line(tmp_path, capsys, text, flags):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -1,4 +1,8 @@
 """Config construction, validation, serialization, and wiring."""
+import json
+import types
+import typing
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from greentx.config import (
 )
 from greentx.env import birth_death_matrix
 from greentx.errors import ConfigError
+from greentx.phy import PhyConfig
 from greentx.power import PowerProfile, PowerState
 
 
@@ -49,6 +54,55 @@ def test_json_integers_in_float_fields_are_stored_as_floats():
     for bad in ({"mu": True}, {"gains_db": [1, True]}, {"mu": 10**400}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
+
+
+def _holding(tp, number):
+    """A JSON value of the field type ``tp`` whose float is ``number``; None if ``tp`` holds no float."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is float:
+        return number
+    if origin is types.UnionType:  # X | None
+        return _holding(args[0], number)
+    if origin is tuple:
+        inner = _holding(args[0], number)
+        return None if inner is None else [inner]
+    return None
+
+
+# (section, key, field type) of every field that holds a float, alone or in a tuple
+FLOAT_FIELDS = [
+    (section, key, tp)
+    for section, cls in ((None, ExperimentConfig), ("phy", PhyConfig), ("power", PowerProfile))
+    for key, tp in typing.get_type_hints(cls).items()
+    if _holding(tp, 0.0) is not None
+]
+
+
+def test_every_kind_of_float_field_is_listed():
+    keys = {key for _, key, _ in FLOAT_FIELDS}
+    assert {"g_bar", "eta", "plr_grid", "channel_matrix", "slot_seconds", "p_on", "p_tr"} <= keys
+    assert len(FLOAT_FIELDS) == 31  # 23 top-level, 4 phy, 4 power
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section, key, tp", FLOAT_FIELDS, ids=[f"{s or 'config'}.{k}" for s, k, _ in FLOAT_FIELDS])
+def test_a_non_finite_number_is_refused_in_every_float_field(section, key, tp, number):
+    # Python's json reads NaN, Infinity and -Infinity, which json.dumps writes
+    given = {key: _holding(tp, number)}
+    if section == "power":
+        given = {"p_on": 0.32, **given}
+    text = json.dumps(given if section is None else {section: given})
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ConfigError, match=f"{key!r} must be finite"):
+        ExperimentConfig.from_json(text)
+
+
+@pytest.mark.parametrize("levels", [{"p_on": float("inf")}, {"p_on": 0.32, "p_tr": float("inf")},
+                                    {"p_on": 0.32, "p_tr": float("nan")}])
+def test_power_levels_must_be_finite(levels):
+    with pytest.raises(ConfigError):
+        PowerProfile(**levels)
 
 
 def test_round_trip_with_explicit_channel_matrix():

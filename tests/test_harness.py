@@ -249,7 +249,7 @@ def test_a_resumed_reference_run_makes_no_start_solve(tmp_path, monkeypatch):
     solves = []
 
     def counted(*args, **kwargs):
-        solves.append(args[0].mu)
+        solves.append(args[1])
         return value_iteration(*args, **kwargs)
 
     monkeypatch.setattr(harness, "value_iteration", counted)
@@ -545,7 +545,7 @@ def test_exact_policy_runner_reports_its_tables():
     assert set(res.tables) == {"policy", "v"}
     assert res.mu_final == 1.0
     assert np.all(res.column("mu_window") == 1.0)
-    v, pol = value_iteration(cfg.build_model())
+    v, pol = value_iteration(cfg.build_model(), cfg.mu)
     assert np.array_equal(res.tables["policy"], pol)
     assert np.allclose(res.tables["v"], v)
 
@@ -563,7 +563,7 @@ def test_threshold_run_sleeps_and_wakes():
 def test_true_stats_reference_follows_the_exact_policy():
     cfg = reduced_profile(algorithm="suboptimal", mu=1.0, horizon=250, seed=9)
     res = run_experiment(cfg, fixed_mu=True, true_stats=True)
-    v, pol = value_iteration(cfg.build_model().with_mu(1.0))
+    v, pol = value_iteration(cfg.build_model(), 1.0)
     assert np.array_equal(res.tables["policy"], pol)
     assert res.mu_final == 1.0
 

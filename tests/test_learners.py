@@ -217,8 +217,8 @@ def test_q_learner_second_visit_uses_per_pair_rate(reduced_model):
 # ---- post-decision learning --------------------------------------------------
 
 
-def test_pds_greedy_is_deterministic_and_canonical(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_pds_greedy_is_deterministic_and_canonical(reduced_model):
+    m = reduced_model
     f = FactoredDynamics(m)
     v = np.zeros((m.n_b, m.n_h, m.n_x))
     s = State(6, 2, PowerState.ON)
@@ -229,8 +229,8 @@ def test_pds_greedy_is_deterministic_and_canonical(reduced_model_mu1):
     assert a1 == int(np.argmin(np.where(np.isinf(q), np.inf, q)))
 
 
-def test_pds_update_full_step_hits_target(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_pds_update_full_step_hits_target(reduced_model):
+    m = reduced_model
     f = FactoredDynamics(m)
     v = np.zeros((m.n_b, m.n_h, m.n_x))
     # 8 arrivals on 4 held packets overflow capacity 10 by 2
@@ -242,8 +242,8 @@ def test_pds_update_full_step_hits_target(reduced_model_mu1):
     assert np.count_nonzero(v) == 1  # single-entry update
 
 
-def test_pds_update_blends_with_alpha(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_pds_update_blends_with_alpha(reduced_model):
+    m = reduced_model
     f = FactoredDynamics(m)
     v = np.full((m.n_b, m.n_h, m.n_x), 10.0)
     off = int(PowerState.OFF)
@@ -274,8 +274,8 @@ def test_virtual_tuples_cover_every_buffer_and_radio(reduced_model):
     assert real.s_pds in {t.s_pds for t in vts}
 
 
-def test_ve_batch_matches_sequential_virtual_updates(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_ve_batch_matches_sequential_virtual_updates(reduced_model):
+    m = reduced_model
     f = FactoredDynamics(m)
     rng = np.random.default_rng(9)
     v0 = rng.uniform(0.0, 50.0, size=(m.n_b, m.n_h, m.n_x))
@@ -305,8 +305,8 @@ def test_ve_batch_matches_sequential_virtual_updates(reduced_model_mu1):
     assert np.array_equal(batched[:, other, :], v0[:, other, :])
 
 
-def test_ve_off_batch_slot_updates_single_entry(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_ve_off_batch_slot_updates_single_entry(reduced_model):
+    m = reduced_model
     f = FactoredDynamics(m)
     v0 = np.full((m.n_b, m.n_h, m.n_x), 5.0)
     sched = default_schedules()
@@ -326,8 +326,8 @@ def test_ve_off_batch_slot_updates_single_entry(reduced_model_mu1):
         PdsLearner(f, v0, sched, ve_period=0)
 
 
-def test_pds_learner_updates_table_and_price(reduced_model_mu1, tmp_path):
-    m = reduced_model_mu1
+def test_pds_learner_updates_table_and_price(reduced_model, tmp_path):
+    m = reduced_model
     f = FactoredDynamics(m)
     v0 = np.zeros((m.n_b, m.n_h, m.n_x))
     learner = PdsLearner(f, v0, default_schedules())
@@ -356,8 +356,8 @@ def test_pds_learner_mu_is_clipped_at_its_cap(tmp_path):
     assert mu.max() == 5.0 and (mu == 5.0).sum() > 1
 
 
-def test_pds_learner_steps_each_entry_on_its_own_count(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_pds_learner_steps_each_entry_on_its_own_count(reduced_model):
+    m = reduced_model
     f = FactoredDynamics(m)
     sched = default_schedules()
     v0 = np.random.default_rng(3).uniform(0.0, 50.0, size=(m.n_b, m.n_h, m.n_x))
@@ -377,8 +377,8 @@ def test_pds_learner_steps_each_entry_on_its_own_count(reduced_model_mu1):
     assert learner.visits.sum() == 2
 
 
-def test_ve_learner_batch_slot_steps_fresh_entries_fully(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_ve_learner_batch_slot_steps_fresh_entries_fully(reduced_model):
+    m = reduced_model
     f = FactoredDynamics(m)
     sched = default_schedules()
     v0 = np.random.default_rng(4).uniform(0.0, 50.0, size=(m.n_b, m.n_h, m.n_x))
@@ -412,8 +412,8 @@ def test_ve_learner_batch_slot_steps_fresh_entries_fully(reduced_model_mu1):
     assert grew[6, h, 1] == 1 and grew.sum() == 1
 
 
-def test_pds_learner_rejects_a_nonpositive_period(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_pds_learner_rejects_a_nonpositive_period(reduced_model):
+    m = reduced_model
     with pytest.raises(ConfigError):
         PdsLearner(
             FactoredDynamics(m),

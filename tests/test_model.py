@@ -6,18 +6,20 @@ from hypothesis import strategies as st
 
 from greentx.errors import ConfigError, FeasibilityError
 from greentx.model import Action, JointModel, State
-from greentx.phy import PhyConfig, bits_per_symbol, goodput_pmf, snr_for_bep
+from greentx.phy import PhyConfig, bits_per_symbol, snr_for_bep
 from greentx.power import PmAction, PowerProfile, PowerState
-from greentx.queueing import ArrivalDistribution, QueueConfig, expected_overflow
+from greentx.queueing import ArrivalDistribution, QueueConfig
 from oracles import (
     all_states,
     buffer_cost,
     buffer_transition_pmf,
     expected_buffer_cost,
+    expected_overflow,
     feasible_action_indices,
     feasible_actions,
     feasible_sa,
     g_ba,
+    goodput_pmf,
     is_feasible,
     joint_transition_pmf,
     known_matrix_by_broadcast,
@@ -186,26 +188,25 @@ def test_holding_term_formula(reduced_model):
             )
 
 
-def test_lagrangian_combines_power_and_buffer(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_lagrangian_combines_power_and_buffer(reduced_model):
+    m = reduced_model
     s = State(6, 1, PowerState.ON)
     for a in feasible_actions(m, s):
         want = power_cost(m, s, a) + 1.0 * expected_buffer_cost(m, s, a)
-        assert lagrangian_cost(m, s, a) == pytest.approx(want, rel=1e-12)
+        assert lagrangian_cost(m, s, a, 1.0) == pytest.approx(want, rel=1e-12)
         scaled = power_cost(m, s, a) + 2.5 * expected_buffer_cost(m, s, a)
         assert lagrangian_cost(m, s, a, mu=2.5) == pytest.approx(scaled, rel=1e-12)
 
 
 def test_clones_leave_the_original_untouched(reduced_model):
-    base_mu = reduced_model.mu
-    m2 = reduced_model.with_mu(base_mu + 2.0)
-    assert m2.mu == base_mu + 2.0 and reduced_model.mu == base_mu
+    # the model is the plant alone: the price is every solver's argument
+    assert not hasattr(reduced_model, "mu")
+    m2 = reduced_model.with_statistics(ArrivalDistribution.deterministic(1), np.eye(reduced_model.n_h))
     assert m2 is not reduced_model
-    m3 = reduced_model.with_arrivals(ArrivalDistribution.deterministic(1))
-    assert m3.arrivals.mean == 1.0
+    assert m2.arrivals.mean == 1.0
+    assert np.array_equal(m2.channel_matrix, np.eye(reduced_model.n_h))
     assert reduced_model.arrivals.mean == pytest.approx(2.0, abs=1e-7)
-    m4 = reduced_model.with_channel(np.eye(reduced_model.n_h))
-    assert np.array_equal(m4.channel_matrix, np.eye(reduced_model.n_h))
+    assert reduced_model.channel_matrix[0, 0] == 0.8
 
 
 def _stochastic(draw, n_rows, n_cols):
@@ -224,8 +225,7 @@ def test_clones_equal_a_fresh_build_and_share_their_tables(reduced_model, data):
     m = reduced_model
     arrivals = ArrivalDistribution(_stochastic(data.draw, 1, data.draw(st.integers(1, m.n_b + 2)))[0])
     channel = _stochastic(data.draw, m.n_h, m.n_h)
-    mu = data.draw(st.floats(0.0, 10.0))
-    clone = m.with_arrivals(arrivals).with_channel(channel).with_mu(mu)
+    clone = m.with_statistics(arrivals, channel)
     fresh = JointModel(
         gains_db=m.gains_db,
         channel_matrix=channel,
@@ -236,30 +236,27 @@ def test_clones_equal_a_fresh_build_and_share_their_tables(reduced_model, data):
         plr_grid=m.plr_grid,
         z_max=m.z_max,
         gamma=m.gamma,
-        mu=mu,
     )
-    assert clone.mu == fresh.mu
     want = _tables(fresh)
     got = _tables(clone)
     assert got.keys() == want.keys()
     for name, table in want.items():
         assert np.array_equal(got[name], table), name
-    # mu and the channel matrix enter no table: both clones hold the parent's
-    by_mu = m.with_mu(mu)
-    by_channel = m.with_channel(channel)
+    # the statistics enter only their own tables: the clone holds the parent's others
     for name, table in _tables(m).items():
-        assert getattr(by_mu, name) is table, name
-        if name != "channel_matrix":
-            assert getattr(by_channel, name) is table, name
-    assert by_mu.known_operator is m.known_operator
+        if name not in ("channel_matrix", "A_clamp", "o_exp"):
+            assert getattr(clone, name) is table, name
+    assert clone.known_operator is m.known_operator
     with pytest.raises(ValueError):
         fresh.o_exp[0] = 1.0
     with pytest.raises(ValueError):
-        by_mu.rho_hxa[0, 0, 0] = 1.0
+        clone.rho_hxa[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        by_channel.G_stack[0, 0, 0] = 0.5
+        clone.A_clamp[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        clone.channel_matrix[0, 0] = 0.5
     with pytest.raises(ConfigError):
-        m.with_channel(channel * 0.5)
+        m.with_statistics(arrivals, channel * 0.5)
 
 
 def _random_model(data):
@@ -303,7 +300,7 @@ def test_table_build_equals_the_scalar_rules_byte_for_byte(data):
     m = _random_model(data)
     # arrival supports shorter and longer than the capacity
     n_l = data.draw(st.integers(1, 2 * m.queue.capacity + 3))
-    m = m.with_arrivals(ArrivalDistribution(_stochastic(data.draw, 1, n_l)[0]))
+    m = m.with_statistics(ArrivalDistribution(_stochastic(data.draw, 1, n_l)[0]), m.channel_matrix)
     cap = m.queue.capacity
     noise, gain = m.phy.noise_power_w, [10.0 ** (g / 10.0) for g in m.gains_db.tolist()]
     for i, a in enumerate(_canonical_actions(m)):
@@ -322,11 +319,11 @@ def test_table_build_equals_the_scalar_rules_byte_for_byte(data):
 @given(st.data())
 def test_actions_are_built_on_first_use_and_survive_clones(data):
     m = _random_model(data)
-    early = m.with_mu(1.0)  # cloned before anyone asked for the actions
+    early = m.with_statistics(m.arrivals, m.channel_matrix)  # cloned before anyone asked for the actions
     want = _canonical_actions(m)
     assert m.actions == want and early.actions == want
     assert m.action_index == early.action_index == {a: i for i, a in enumerate(want)}
-    late = m.with_arrivals(ArrivalDistribution.deterministic(1)).with_channel(m.channel_matrix)
+    late = m.with_statistics(ArrivalDistribution.deterministic(1), m.channel_matrix)
     assert late.actions is m.actions and late.action_index is m.action_index
     assert len(m.actions) == m.n_a
 
@@ -352,12 +349,8 @@ def test_validation_rejects_bad_inputs():
         _tiny_model(channel_matrix=((1.0, 0.0),))  # shape mismatch
     with pytest.raises(ConfigError):
         _tiny_model(gamma=1.0)
-    with pytest.raises(ConfigError):
-        _tiny_model(mu=-0.1)
-    with pytest.raises(ConfigError):
-        _tiny_model(mu=float("nan"))
-    with pytest.raises(ConfigError):
-        _tiny_model(mu=float("inf"))
+    with pytest.raises(TypeError):
+        _tiny_model(mu=1.0)  # the model takes no price
     with pytest.raises(ConfigError):
         _tiny_model(plr_grid=(0.02, 0.01))
     with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greentx import planner
-from greentx.config import STOCK_GAINS_DB, reduced_profile, table_profile
+from greentx.config import STOCK_GAINS_DB, reduced_profile
 from greentx.errors import ConvergenceError, FeasibilityError, InitializationError
 from greentx.model import State
 from greentx.pds import (
@@ -86,24 +86,24 @@ def _unknown_matrix(factored):
     return rows
 
 
-def test_slot_pmf_factors_through_the_split(reduced_model_mu1):
-    f = FactoredDynamics(reduced_model_mu1)
+def test_slot_pmf_factors_through_the_split(reduced_model):
+    f = FactoredDynamics(reduced_model)
     u = _unknown_matrix(f)
-    for s, a in _random_feasible_pairs(reduced_model_mu1, 200, seed=1):
-        joint = joint_transition_pmf(reduced_model_mu1, s, a)
+    for s, a in _random_feasible_pairs(reduced_model, 200, seed=1):
+        joint = joint_transition_pmf(reduced_model, s, a)
         composed = known_pmf(f, s, a) @ u
         assert np.allclose(joint, composed, atol=1e-14)
 
 
-def test_slot_cost_factors_through_the_split(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_slot_cost_factors_through_the_split(reduced_model):
+    m, mu = reduced_model, 1.0
     f = FactoredDynamics(m)
     c_u = np.array(
-        [unknown_cost(f, PostDecisionState(s.b, s.h, s.x)) for s in all_states(m)]
+        [unknown_cost(f, PostDecisionState(s.b, s.h, s.x), mu) for s in all_states(m)]
     )
     for s, a in _random_feasible_pairs(m, 200, seed=2):
-        total = known_cost(f, s, a) + float(known_pmf(f, s, a) @ c_u)
-        assert total == pytest.approx(lagrangian_cost(m, s, a), rel=1e-12)
+        total = known_cost(f, s, a, mu) + float(known_pmf(f, s, a) @ c_u)
+        assert total == pytest.approx(lagrangian_cost(m, s, a, mu), rel=1e-12)
 
 
 def test_known_pmf_properties(reduced_model):
@@ -141,21 +141,21 @@ def test_realized_unknown_cost(reduced_model):
     assert realized_unknown_cost(f, 9, 1) == 0.0
 
 
-def test_split_solver_agrees_with_direct_solver(reduced_model_mu1):
-    m = reduced_model_mu1
-    v_tilde, v_pre = pds_value_iteration(m)
-    v_direct, pol_direct = value_iteration(m)
+def test_split_solver_agrees_with_direct_solver(reduced_model):
+    m = reduced_model
+    v_tilde, v_pre = pds_value_iteration(m, 1.0)
+    v_direct, pol_direct = value_iteration(m, 1.0)
     assert np.allclose(v_pre.reshape(m.n_s), v_direct, atol=1e-6)
-    assert np.array_equal(policy_from_pds(v_tilde, m), pol_direct)
+    assert np.array_equal(policy_from_pds(v_tilde, m, 1.0), pol_direct)
 
 
-def test_split_solver_q_agrees_across_routes(reduced_model_mu1):
-    m = reduced_model_mu1
+def test_split_solver_q_agrees_across_routes(reduced_model):
+    m, mu = reduced_model, 1.0
     f = FactoredDynamics(m)
-    v_tilde, v_pre = pds_value_iteration(m)
-    q_direct = q_values(m, v_pre.reshape(m.n_s))
+    v_tilde, v_pre = pds_value_iteration(m, mu)
+    q_direct = q_values(m, v_pre.reshape(m.n_s), mu)
     for h in range(m.n_h):
-        q_slice = action_values_slice(f, h, v_tilde, m.mu)  # (n_b, n_x, n_a)
+        q_slice = action_values_slice(f, h, v_tilde, mu)  # (n_b, n_x, n_a)
         for b in range(m.n_b):
             for x in range(m.n_x):
                 i = (b * m.n_h + h) * m.n_x + x
@@ -166,29 +166,29 @@ def test_split_solver_q_agrees_across_routes(reduced_model_mu1):
                 assert np.all(np.isinf(q_slice[b, x, ~feas]))
 
 
-def test_post_decision_table_is_contraction_of_pre(reduced_model_mu1):
-    m = reduced_model_mu1
-    v_tilde, v_pre = pds_value_iteration(m)
+def test_post_decision_table_is_contraction_of_pre(reduced_model):
+    m, mu = reduced_model, 1.0
+    v_tilde, v_pre = pds_value_iteration(m, mu)
     for b, h, x in [(0, 0, 0), (5, 2, 1), (10, 3, 0), (7, 1, 1)]:
         ev = 0.0
         for bn in range(m.n_b):
             for hn in range(m.n_h):
                 ev += m.A_clamp[b, bn] * m.channel_matrix[h, hn] * v_pre[bn, hn, x]
-        want = m.mu * m.queue.eta * m.o_exp[b] + m.gamma * ev
+        want = mu * m.queue.eta * m.o_exp[b] + m.gamma * ev
         assert v_tilde[b, h, x] == pytest.approx(want, rel=1e-12)
 
 
-def test_split_solver_residuals_contract_geometrically(reduced_model_mu1):
+def test_split_solver_residuals_contract_geometrically(reduced_model):
     resids = []
-    pds_value_iteration(reduced_model_mu1, tol=1e-6, residuals=resids)
+    pds_value_iteration(reduced_model, 1.0, tol=1e-6, residuals=resids)
     r = np.array(resids)
     assert r[-1] < 1e-6 <= r[-2]
-    assert np.all(r[1:] <= reduced_model_mu1.gamma * r[:-1] + 1e-12)
+    assert np.all(r[1:] <= reduced_model.gamma * r[:-1] + 1e-12)
 
 
-def test_split_solver_raises_when_capped(reduced_model_mu1):
+def test_split_solver_raises_when_capped(reduced_model):
     with pytest.raises(ConvergenceError):
-        pds_value_iteration(reduced_model_mu1, max_iters=2)
+        pds_value_iteration(reduced_model, 1.0, max_iters=2)
 
 
 def test_offline_init_returns_table_under_heavy_assumed_traffic(reduced_model):
@@ -277,19 +277,20 @@ def small_models(draw):
         power=PowerProfile(
             p_on=0.32, p_off=draw(st.floats(0.001, 0.1)), theta=draw(st.floats(0.2, 0.95))
         ),
-        mu=draw(st.floats(0.05, 5.0)),
     )
+    channel = _stochastic_rows(draw, n_h, n_h)
     n_l = draw(st.integers(1, capacity + 2))
-    return (
-        cfg.build_model()
-        .with_channel(_stochastic_rows(draw, n_h, n_h))
-        .with_arrivals(ArrivalDistribution(_stochastic_rows(draw, 1, n_l)[0]))
-    )
+    arrivals = ArrivalDistribution(_stochastic_rows(draw, 1, n_l)[0])
+    return cfg.build_model().with_statistics(arrivals, channel)
+
+
+# the price of a random model's solves
+prices = st.floats(0.05, 5.0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_models())
-def test_known_operator_matches_the_einsum_route_on_random_models(m):
+@given(small_models(), prices)
+def test_known_operator_matches_the_einsum_route_on_random_models(m, mu):
     op = m.known_operator
     # packed rows: exactly the feasible (b, x, a), canonical order, no empty block
     index = np.flatnonzero(m.feasible_bxa)
@@ -298,17 +299,17 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m):
     assert np.all(np.diff(op.bounds) > 0)
     assert np.array_equal(index // m.n_a, np.repeat(np.arange(m.n_b * m.n_x), np.diff(op.bounds)))
     f = FactoredDynamics(m)
-    v_tilde, v = pds_value_iteration(m)
+    v_tilde, v = pds_value_iteration(m, mu)
     for h in range(m.n_h):
-        q = action_values_slice(f, h, v_tilde, m.mu)
-        np.testing.assert_allclose(q, _einsum_slice(m, h, v_tilde, m.mu), rtol=0, atol=1e-12)
+        q = action_values_slice(f, h, v_tilde, mu)
+        np.testing.assert_allclose(q, _einsum_slice(m, h, v_tilde, mu), rtol=0, atol=1e-12)
         # the batch slot's block minima are the full slice's minima, bit for bit
-        vals = f.state_values_slice(h, v_tilde, m.mu)
+        vals = f.state_values_slice(h, v_tilde, mu)
         assert np.array_equal(vals, q.min(axis=2))
         for b in range(m.n_b):
             for x in range(m.n_x):
                 # the row and the slice may sum in different orders (last ulp)
-                val, a = f.greedy_row(b, h, x, v_tilde, m.mu)
+                val, a = f.greedy_row(b, h, x, v_tilde, mu)
                 assert m.feasible_bxa[b, x, a]
                 assert a == greedy_from_q(q[b, x][None], m.feasible_bxa[b, x][None])[0]
                 assert val == pytest.approx(vals[b, x], rel=0, abs=1e-12)
@@ -316,20 +317,20 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m):
     # bit, and against the classic form that prices the drops before the
     # post-decision point, up to rounding
     v_hbx = v.transpose(1, 0, 2) + 0.5  # off the fixed point, so the sweep moves
-    swept = bellman_fixed_point(m, np.inf, 1, v_hbx.transpose(1, 0, 2), None)
-    c_u = np.repeat(m.mu * m.queue.eta * m.o_exp, m.n_x)
-    assert swept.tobytes() == _masked_sweep(m, v_hbx, c_u, m.mu * m.hold_ba).tobytes()
-    classic = _masked_sweep(m, v_hbx, 0.0, m.mu * g_ba(m))
+    swept = bellman_fixed_point(m, mu, np.inf, 1, v_hbx.transpose(1, 0, 2), None)
+    c_u = np.repeat(mu * m.queue.eta * m.o_exp, m.n_x)
+    assert swept.tobytes() == _masked_sweep(m, v_hbx, c_u, mu * m.hold_ba).tobytes()
+    classic = _masked_sweep(m, v_hbx, 0.0, mu * g_ba(m))
     np.testing.assert_allclose(swept, classic, rtol=0, atol=1e-12)
-    _, pol_vi = value_iteration(m)
-    assert np.array_equal(policy_from_pds(v_tilde, m), pol_vi)
+    _, pol_vi = value_iteration(m, mu)
+    assert np.array_equal(policy_from_pds(v_tilde, m, mu), pol_vi)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_models(), st.sampled_from([0.0, 0.37, 1.0, 3.3]), st.integers(0, 2**32 - 1))
 def test_packed_costs_equal_the_full_table_formulas_on_random_models(m, mu, seed):
     # the split's known cost, against the full power and holding tables packed
-    known, _ = split_costs(m.with_mu(mu))
+    known, _ = split_costs(m, mu)
     assert known.tobytes() == stage_cost_by_pack(m, mu * m.hold_ba).tobytes()
     f = FactoredDynamics(m)
     v_tilde = np.random.default_rng(seed).normal(size=(m.n_b, m.n_h, m.n_x))
@@ -343,61 +344,60 @@ def test_packed_costs_equal_the_full_table_formulas_on_random_models(m, mu, seed
 def test_value_iteration_is_the_split_solve_on_random_models(m, mu):
     # one Bellman equation on one cost split: value iteration's table is the
     # split solver's pre-decision table, and both read the same policy
-    m = m.with_mu(mu)
-    v, pol = value_iteration(m)
-    v_tilde, v_pds = pds_value_iteration(m)
+    v, pol = value_iteration(m, mu)
+    v_tilde, v_pds = pds_value_iteration(m, mu)
     assert v.tobytes() == v_pds.reshape(m.n_s).tobytes()
-    assert np.array_equal(pol, policy_from_pds(v_tilde, m))
+    assert np.array_equal(pol, policy_from_pds(v_tilde, m, mu))
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_models())
-def test_both_solvers_match_the_dense_oracle_on_random_models(m):
-    costs, trans = _dense_problem(m)
+@given(small_models(), prices)
+def test_both_solvers_match_the_dense_oracle_on_random_models(m, mu):
+    costs, trans = _dense_problem(m, mu)
     v_ref, _, pol_ref = dense_value_iteration(
         costs, trans, m.gamma, tol=1e-12, feasible=feasible_sa(m)
     )
     bound = 1e-9
-    v, pol = value_iteration(m)
-    v_tilde, v_pds = pds_value_iteration(m)
+    v, pol = value_iteration(m, mu)
+    v_tilde, v_pds = pds_value_iteration(m, mu)
     assert np.array_equal(pol, pol_ref)
-    assert np.array_equal(policy_from_pds(v_tilde, m), pol_ref)
+    assert np.array_equal(policy_from_pds(v_tilde, m, mu), pol_ref)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
     np.testing.assert_allclose(v_pds.reshape(m.n_s), v_ref, rtol=0, atol=bound)
 
 
-def _assert_vi_matches_the_mgs_reference(m):
+def _assert_vi_matches_the_mgs_reference(m, mu):
     """Value iteration with the package's CGS2 GMRES against the same solve
     with the modified Gram-Schmidt reference: same policy, values within 1e-10."""
-    v, pol = value_iteration(m)
+    v, pol = value_iteration(m, mu)
     with mock.patch.object(planner, "_gmres", gmres_mgs):
-        v_ref, pol_ref = value_iteration(m)
+        v_ref, pol_ref = value_iteration(m, mu)
     assert np.array_equal(pol, pol_ref)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_models())
-def test_cgs2_solves_match_the_mgs_reference_on_random_models(m):
-    _assert_vi_matches_the_mgs_reference(m)
+@given(small_models(), prices)
+def test_cgs2_solves_match_the_mgs_reference_on_random_models(m, mu):
+    _assert_vi_matches_the_mgs_reference(m, mu)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.015, 0.05, 1.0, 5.0])
-def test_cgs2_solves_match_the_mgs_reference_on_the_table_profile(mu):
-    _assert_vi_matches_the_mgs_reference(table_profile(mu=mu).build_model())
+def test_cgs2_solves_match_the_mgs_reference_on_the_table_profile(full_model, mu):
+    _assert_vi_matches_the_mgs_reference(full_model, mu)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_models(), st.integers(0, 2**32 - 1))
-def test_packed_greedy_rule_equals_the_full_table_rule_on_random_models(m, seed):
+@given(small_models(), prices, st.integers(0, 2**32 - 1))
+def test_packed_greedy_rule_equals_the_full_table_rule_on_random_models(m, price, seed):
     feasible = feasible_sa(m)
     # at the fixed points, for value iteration and the split solver
-    v, pol = value_iteration(m)
-    assert np.array_equal(pol, greedy_from_q(q_values(m, v), feasible))
-    v_tilde, _ = pds_value_iteration(m)
+    v, pol = value_iteration(m, price)
+    assert np.array_equal(pol, greedy_from_q(q_values(m, v, price), feasible))
+    v_tilde, _ = pds_value_iteration(m, price)
     w = v_tilde.transpose(1, 0, 2).reshape(m.n_h, m.n_b * m.n_x)
-    q = known_lookahead(m, split_costs(m)[0], w)
-    assert np.array_equal(policy_from_pds(v_tilde, m), greedy_from_q(flat_q(m, q), feasible))
+    q = known_lookahead(m, split_costs(m, price)[0], w)
+    assert np.array_equal(policy_from_pds(v_tilde, m, price), greedy_from_q(flat_q(m, q), feasible))
     # off them, on values with exact ties, gaps just inside and outside TIE_TOL and NaN rows
     rng = np.random.default_rng(seed)
     n_rows = m.known_operator.action.size

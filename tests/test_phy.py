@@ -13,10 +13,9 @@ from greentx.phy import (
     PhyConfig,
     bep_of_plr,
     bits_per_symbol,
-    goodput_pmf,
     snr_for_bep,
 )
-from oracles import bep_level_from_bep, bep_of_snr, plr_of_bep, tx_power
+from oracles import bep_level_from_bep, bep_of_snr, goodput_pmf, plr_of_bep, tx_power
 
 PACKET_BITS = 5000
 

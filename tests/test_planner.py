@@ -4,10 +4,10 @@ import pytest
 
 from greentx import planner
 from greentx.config import table_profile
-from greentx.errors import ConvergenceError
+from greentx.errors import ConfigError, ConvergenceError
 from greentx.model import State
 from greentx.power import PowerState
-from greentx.planner import RESTART, TIE_TOL, _gmres, value_iteration
+from greentx.planner import RESTART, TIE_TOL, _gmres, split_costs, value_iteration
 from oracles import (
     action_value,
     all_states,
@@ -64,23 +64,23 @@ def test_greedy_tie_rule_prefers_earliest_within_tol():
     assert TIE_TOL == 1e-9
 
 
-def _dense_problem(model):
+def _dense_problem(model, mu):
     costs = np.full((model.n_s, model.n_a), np.inf)
     trans = np.zeros((model.n_s, model.n_a, model.n_s))
     for i, s in enumerate(all_states(model)):
         for j, a in enumerate(model.actions):
             if feasible_sa(model)[i, j]:
-                costs[i, j] = lagrangian_cost(model, s, a)
+                costs[i, j] = lagrangian_cost(model, s, a, mu)
                 trans[i, j] = joint_transition_pmf(model, s, a)
             else:
                 trans[i, j, i] = 1.0  # masked out, kept stochastic
     return costs, trans
 
 
-def test_vi_agrees_with_dense_reference(reduced_model_mu1):
-    m = reduced_model_mu1
-    v, pol = value_iteration(m)
-    costs, trans = _dense_problem(m)
+def test_vi_agrees_with_dense_reference(reduced_model):
+    m = reduced_model
+    v, pol = value_iteration(m, 1.0)
+    costs, trans = _dense_problem(m, 1.0)
     v_ref, _, pol_ref = dense_value_iteration(
         costs, trans, m.gamma, feasible=feasible_sa(m)
     )
@@ -88,45 +88,45 @@ def test_vi_agrees_with_dense_reference(reduced_model_mu1):
     assert np.array_equal(pol, pol_ref)
 
 
-def test_vi_residuals_contract_geometrically(reduced_model_mu1):
+def test_vi_residuals_contract_geometrically(reduced_model):
     resids = []
-    value_iteration(reduced_model_mu1, tol=1e-6, residuals=resids)
+    value_iteration(reduced_model, 1.0, tol=1e-6, residuals=resids)
     r = np.array(resids)
-    assert np.all(r[1:] <= reduced_model_mu1.gamma * r[:-1] + 1e-12)
+    assert np.all(r[1:] <= reduced_model.gamma * r[:-1] + 1e-12)
 
 
-def test_vi_raises_when_capped(reduced_model_mu1):
+def test_vi_raises_when_capped(reduced_model):
     with pytest.raises(ConvergenceError):
-        value_iteration(reduced_model_mu1, max_iters=3)
+        value_iteration(reduced_model, 1.0, max_iters=3)
 
 
-def test_optimal_policy_evaluates_to_optimal_value(reduced_model_mu1):
-    m = reduced_model_mu1
-    v, pol = value_iteration(m)
-    total, power, buf = policy_evaluate(pol, m)
-    assert np.allclose(total, power + m.mu * buf, rtol=1e-9)
+def test_optimal_policy_evaluates_to_optimal_value(reduced_model):
+    m, mu = reduced_model, 1.0
+    v, pol = value_iteration(m, mu)
+    total, power, buf = policy_evaluate(pol, m, mu)
+    assert np.allclose(total, power + mu * buf, rtol=1e-9)
     assert np.allclose(total, v, atol=1e-6)
     assert np.all(power >= 0.0) and np.all(buf >= 0.0)
 
 
-def test_action_value_matches_q_table(reduced_model_mu1):
-    m = reduced_model_mu1
-    v, _ = value_iteration(m)
-    q = q_values(m, v)
+def test_action_value_matches_q_table(reduced_model):
+    m = reduced_model
+    v, _ = value_iteration(m, 1.0)
+    q = q_values(m, v, 1.0)
     rng = np.random.default_rng(11)
     for _ in range(60):
         i = int(rng.integers(m.n_s))
         s = m.state_of(i)
         j = int(rng.choice(feasible_action_indices(m, s)))
-        assert action_value(s, m.actions[j], v, m) == pytest.approx(
+        assert action_value(s, m.actions[j], v, m, 1.0) == pytest.approx(
             q[i, j], rel=1e-10
         )
     assert np.all(np.isinf(q[~feasible_sa(m)]))
 
 
-def test_q_values_mu_override(reduced_model_mu1):
-    m = reduced_model_mu1
-    v, _ = value_iteration(m)
+def test_q_values_mu_override(reduced_model):
+    m = reduced_model
+    v, _ = value_iteration(m, 1.0)
     q0 = q_values(m, v, mu=0.0)
     s = State(4, 2, PowerState.ON)
     i = m.state_index(s)
@@ -137,25 +137,55 @@ def test_q_values_mu_override(reduced_model_mu1):
     assert q0[i, j] == pytest.approx(want, rel=1e-10)
 
 
-def test_vi_settles_in_few_minimizing_sweeps_and_caps_evaluation(reduced_model_mu1):
+def test_vi_settles_in_few_minimizing_sweeps_and_caps_evaluation(reduced_model):
     # plain value iteration records 976 residuals here; evaluating each
     # settled greedy policy leaves only a handful of minimizing sweeps
     resids = []
-    value_iteration(reduced_model_mu1, residuals=resids)
+    value_iteration(reduced_model, 1.0, residuals=resids)
     assert len(resids) <= 20
     # the evaluation's matvecs between them count against the cap too: the
     # solve is 4 minimizing sweeps plus 10 matvecs, so 12 is too few, while a
     # solver that left its matvecs uncharged would finish within it
     with pytest.raises(ConvergenceError):
-        value_iteration(reduced_model_mu1, max_iters=12)
+        value_iteration(reduced_model, 1.0, max_iters=12)
 
 
-def test_vi_from_a_nan_start_raises_convergence_error(reduced_model_mu1):
-    # no row is within the tie window of a NaN minimum; the solver must still
-    # pick one per state and stop at the cap rather than fail on an index
-    v0 = np.full(reduced_model_mu1.n_s, np.nan)
-    with pytest.raises(ConvergenceError):
-        value_iteration(reduced_model_mu1, v0=v0, max_iters=50)
+def test_vi_from_a_nan_start_raises_convergence_error(reduced_model):
+    # a NaN never leaves the table, so the first sweep's residual stops the solve
+    v0 = np.full(reduced_model.n_s, np.nan)
+    resids = []
+    with pytest.raises(ConvergenceError, match="nan"):
+        value_iteration(reduced_model, 1.0, v0=v0, max_iters=50, residuals=resids)
+    assert len(resids) == 1
+
+
+@pytest.mark.parametrize("mu", [-0.1, float("nan"), float("inf")])
+def test_split_costs_refuses_a_price_that_is_negative_or_not_finite(reduced_model, mu):
+    with pytest.raises(ConfigError, match="mu must be finite and nonnegative"):
+        split_costs(reduced_model, mu)
+
+
+def test_split_costs_refuses_a_price_at_which_a_cost_overflows(reduced_model):
+    known, post = split_costs(reduced_model, 1e300)
+    assert np.isfinite(known).all() and np.isfinite(post).all()
+    for mu in (1e306, 1e308):
+        with pytest.raises(ConfigError, match=r"mu=1e\+30[68]"):
+            split_costs(reduced_model, mu)
+        with pytest.raises(ConfigError, match="mu="):
+            value_iteration(reduced_model, mu)
+
+
+def test_block_argmin_gives_a_block_without_a_near_row_its_first_row(reduced_model):
+    # a NaN in a block makes its minimum NaN, and no row is within the tie
+    # window of a NaN: that block still gets one row, its first
+    op = reduced_model.known_operator
+    q = -np.arange(op.action.size, dtype=np.float64)  # each block's minimum is its last row
+    q[op.bounds[3] + 1] = np.nan
+    q_min = op.block_min(q)
+    assert np.isnan(q_min[3]) and np.isnan(q_min).sum() == 1
+    want = op.bounds[1:] - 1
+    want[3] = op.bounds[3]
+    assert np.array_equal(op.block_argmin(q, q_min, TIE_TOL), want)
 
 
 def _random_system(n, radius, seed):
@@ -259,7 +289,7 @@ def test_the_arnoldi_basis_is_orthonormal_on_a_policy_evaluation_system(monkeypa
         return _gmres(apply, b, x, tol, max_matvecs)
 
     monkeypatch.setattr(planner, "_gmres", capture)
-    value_iteration(table_profile(mu=0.015).build_model())
+    value_iteration(table_profile().build_model(), 0.015)
     apply, b, x = systems[0]
     seen = []
     _gmres(lambda v: seen.append(v.copy()) or apply(v), b, x, 0.0, 2 * (RESTART + 1))

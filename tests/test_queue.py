@@ -7,14 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greentx.errors import ConfigError
-from greentx.phy import goodput_pmf
-from greentx.queueing import (
-    ArrivalDistribution,
-    QueueConfig,
-    expected_overflow,
-    overflow_penalty,
-)
-from oracles import buffer_cost, buffer_transition_pmf, next_buffer
+from greentx.queueing import ArrivalDistribution, QueueConfig, overflow_penalty
+from oracles import buffer_cost, buffer_transition_pmf, expected_overflow, goodput_pmf, next_buffer
 
 
 def test_poisson_truncation_point():

@@ -112,3 +112,22 @@ def test_suboptimal_run_traces_each_slot_and_each_solve(tracer):
     # one build; the solve at start and one per epoch run on clones of it
     assert spans.count("model.build") == 1
     assert spans.count("planner.vi") == 1 + cfg.horizon // cfg.epoch_slots
+
+
+def test_the_tracer_finds_value_iterations_sweep_hook(tracer):
+    # the sweep count is read off value_iteration's residuals parameter, found by name
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert tr.no_sweep_hook == []
+    finally:
+        tr.restore()
+
+
+def test_every_traced_solve_records_its_sweeps(tracer):
+    cfg = reduced_profile(algorithm="suboptimal", epoch_slots=15, horizon=40, seed=1)
+    with tracer.Tracer() as tr:
+        run_experiment(cfg)
+    sweeps = [row[4] for row in tr.spans if row[0] == "planner.vi"]
+    assert len(sweeps) == 1 + cfg.horizon // cfg.epoch_slots
+    assert all(n > 0 for n in sweeps)
