@@ -14,8 +14,10 @@ The known half of the slot dynamics (transmission goodput and the radio
 switch, with their power and holding costs) is also available as one packed
 operator, ``known_operator``: only the feasible (buffer, radio, action) rows,
 grouped by (buffer, radio) block. Every solver sweep and every post-decision
-lookahead multiplies by it, adds its packed costs and takes each block's
-minimum, so infeasible triples are never computed. The model holds no
+lookahead applies it, adds its packed costs and takes each block's minimum,
+so infeasible triples are never computed. Each row is a goodput pmf times a
+radio law, and the exact solvers apply it in that form; only the online
+learner reads it as a dense matrix, built on first use. The model holds no
 price: the Lagrangian is one MDP per multiplier mu, which every solver takes.
 """
 from __future__ import annotations
@@ -58,27 +60,41 @@ class Action:
 class KnownOperator:
     """Transmission goodput and radio switch for every feasible (b, x, a).
 
-    Row r is the r-th feasible triple in canonical order (``action[r]`` is
-    its global action index): the distribution ``G_stack[a, b, B] *
-    px_stack[a, x, X]`` of the post-decision (buffer, radio) pair reached by
-    action a from buffer b and radio x. Infeasible triples have no row.
-    ``matrix`` stores row r as column r, shape (n_b * n_x, n_rows), so that
-    a table of post-decision values times ``matrix`` keeps the rows on the
-    last, contiguous axis. ``matrix`` is F-ordered, each column contiguous
-    (strides (8, 8 * n_b * n_x)), and that layout is part of every solver's
-    bytes: BLAS sums ``v @ matrix`` in an order that depends on it, so a
-    C-contiguous copy, or one column block at a time, differs in the last
-    bits. The rows leaving (b, x) are ``bounds[k]:bounds[k + 1]`` with
-    k = b * n_x + x; no block is empty, since z = 0 is always feasible.
-    ``rho`` (n_h, n_rows) and ``hold`` (n_rows,) are each row's power draw
-    per channel and expected holding, the costs of the known half.
+    Row r is the r-th feasible triple ``(b[r], x[r], action[r])`` in
+    canonical order: the distribution ``G[a, b, B] * laws[law[r], X]`` of the
+    post-decision (buffer, radio) pair (B, X) reached by action a from
+    buffer b and radio x. ``G[a, b, b - f] = goodput[a, f]`` is the chance
+    that a delivers f of its packets, and ``law[r] = y * n_x + x`` picks the
+    radio law of the command y from the state x out of ``laws`` (n_laws,
+    n_x). Every transmitting row keeps the radio on, so it has the one law
+    ``tx_law``. Infeasible triples have no row. The rows leaving (b, x) are
+    ``bounds[k]:bounds[k + 1]`` with k = b * n_x + x; no block is empty,
+    since z = 0 is always feasible. ``rho`` (n_h, n_rows) and ``hold``
+    (n_rows,) are each row's power draw per channel and expected holding,
+    the costs of the known half.
+
+    The exact solvers use this factorization and never form the operator:
+    ``apply`` is the lookahead and ``buffer_rows`` the goodput rows that a
+    policy evaluation reads. ``matrix`` is the dense operator, which only the
+    online learner reads, built on first use. It stores row r as column r,
+    shape (n_b * n_x, n_rows), so that a table of post-decision values times
+    ``matrix`` keeps the rows on the last, contiguous axis. ``matrix`` is
+    F-ordered, each column contiguous (strides (8, 8 * n_b * n_x)), and that
+    layout is part of the learner's bytes: BLAS sums ``v @ matrix`` in an
+    order that depends on it, so a C-contiguous copy, or one column block at
+    a time, differs in the last bits.
     """
 
-    matrix: np.ndarray
     action: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+    law: np.ndarray
     bounds: np.ndarray
     rho: np.ndarray
     hold: np.ndarray
+    goodput: np.ndarray
+    laws: np.ndarray
+    tx_law: int
 
     def block_min(self, q: np.ndarray) -> np.ndarray:
         """Minimum over each (b, x) block of the last axis: (..., n_b * n_x)."""
@@ -95,6 +111,90 @@ class KnownOperator:
         near = q <= np.repeat(q_min, np.diff(self.bounds), axis=-1) + tie_tol
         first = np.minimum.reduceat(np.where(near, np.arange(n_rows), n_rows), starts, axis=-1)
         return np.where(first < n_rows, first, starts)
+
+    @cached_property
+    def _shape(self) -> tuple[int, int, int]:
+        """(n_b, n_x, z_max)."""
+        n_x = self.laws.shape[1]
+        return (self.bounds.size - 1) // n_x, n_x, self.goodput.shape[1] - 1
+
+    @cached_property
+    def _shifts(self) -> np.ndarray:
+        """G without forming it: ``_shifts[a, b]`` is the row G[a, b], a view.
+
+        The length-n_b windows of each action's goodput row, reversed and
+        zero-padded so that entry c - f holds goodput[a, f], taken in
+        reverse: window c - b starts b entries before goodput[a, 0].
+        """
+        n_b, _, z_max = self._shape
+        c = max(n_b - 1, z_max)
+        pad = np.zeros((self.goodput.shape[0], c + n_b))
+        pad[:, c - z_max : c + 1] = self.goodput[:, ::-1]
+        return np.lib.stride_tricks.sliding_window_view(pad, n_b, axis=1)[:, ::-1]
+
+    def buffer_rows(self, rows) -> np.ndarray:
+        """The goodput rows G[action[r], b[r]] of the packed rows ``rows``, (len(rows), n_b)."""
+        return self._shifts[self.action[rows], self.b[rows]]
+
+    @cached_property
+    def _spread(self) -> tuple[np.ndarray, np.ndarray]:
+        """What ``apply`` reads: each row's column of the flat (n_b, n_laws +
+        n_a) table that it fills, and the block-diagonal right operand of its
+        GEMM, the laws (n_x, n_laws) over the reversed goodput (z_max + 1, n_a)."""
+        _, n_x, z_max = self._shape
+        n_laws, n_a = self.laws.shape[0], self.goodput.shape[0]
+        col = np.where(self.law == self.tx_law, n_laws + self.action, self.law)
+        take = self.b * (n_laws + n_a) + col
+        right = np.zeros((n_x + z_max + 1, n_laws + n_a))
+        right[:n_x, :n_laws] = self.laws.T
+        right[n_x:, n_laws:] = self.goodput[:, ::-1].T
+        for arr in (take, right):
+            arr.flags.writeable = False
+        return take, right
+
+    def apply(self, v_tilde: np.ndarray) -> np.ndarray:
+        """``K v_tilde`` in packed row order, (n_h, n_rows), for a post-decision
+        table ``v_tilde`` indexed (h, (B, X)).
+
+        A row of another law than ``tx_law`` sends nothing, so its value is
+        its radio law applied to v_tilde[h, b]. Every other row sums
+        goodput[a, f] times the ``tx_law`` value at b - f, f = 0..z_max (zero
+        below an empty buffer). So one GEMM fills a (n_h * n_b, n_laws + n_a)
+        table: each (h, b) row of v_tilde next to the (z_max + 1) window of
+        tx_law values ending at b, times ``_spread``'s block-diagonal
+        operand. One ``take`` puts each row's entry in packed order.
+        """
+        n_b, n_x, z_max = self._shape
+        n_h = v_tilde.shape[0]
+        take, right = self._spread
+        v = v_tilde.reshape(n_h, n_b, n_x)
+        on = np.zeros((n_h, z_max + n_b))
+        on[:, z_max:] = v @ self.laws[self.tx_law]
+        left = np.empty((n_h, n_b, n_x + z_max + 1))
+        left[:, :, :n_x] = v
+        step_h, step_b = on.strides
+        left[:, :, n_x:] = np.lib.stride_tricks.as_strided(
+            on, (n_h, n_b, z_max + 1), (step_h, step_b, step_b), writeable=False
+        )
+        table = left.reshape(n_h * n_b, -1) @ right
+        return np.take(table.reshape(n_h, -1), take, axis=1)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense operator, (n_b * n_x, n_rows) F-ordered; see the class docstring."""
+        n_b, n_x, _ = self._shape
+        n_rows = self.action.size
+        # written one radio column at a time into (n_rows, n_b, n_x): its
+        # transpose has the layout the class docstring requires, and each
+        # multiply runs n_b wide, where one broadcast over all columns
+        # runs n_x wide and takes three times as long
+        g, px = self.buffer_rows(slice(None)), self.laws[self.law]
+        prod = np.empty((n_rows, n_b, n_x))
+        for k in range(n_x):
+            np.multiply(g, px[:, k, None], out=prod[:, :, k])
+        matrix = prod.reshape(n_rows, n_b * n_x).T
+        matrix.flags.writeable = False
+        return matrix
 
 
 class JointModel:
@@ -133,6 +233,8 @@ class JointModel:
     def _validate(self) -> None:
         if self.gains_db.ndim != 1 or self.gains_db.size == 0:
             raise ConfigError("gains_db must be a nonempty vector")
+        if not np.isfinite(self.gains_db).all():
+            raise ConfigError("gains_db must be finite")
         n_h = self.gains_db.size
         if self.channel_matrix.shape != (n_h, n_h):
             raise ConfigError("channel matrix must be square and match gains_db")
@@ -189,12 +291,13 @@ class JointModel:
     def _build_tables(self) -> None:
         """Every table that the arrivals and the channel matrix leave alone.
 
-        ``G_stack[a, b, b - f]``, the chance that action a delivers f of its
-        packets from buffer b, is one indexed write of the rows of the oracle
-        ``goodput_pmf`` (tests), formed as its products in its order from powers
-        taken once per (PLR, exponent) by Python's ``**`` (``np.power`` differs
-        in the last bit). An action sending more than b packets keeps the
-        buffer (masked infeasible, kept stochastic). ``px_stack`` picks each action's radio law from the two laws.
+        ``goodput[a, f]``, the chance that action a delivers f of its
+        packets (zero past f = z), holds the rows of the oracle
+        ``goodput_pmf`` (tests), formed as its products in its order from
+        powers taken once per (PLR, exponent) by Python's ``**``
+        (``np.power`` differs in the last bit). ``radio_laws[y, x]`` is the
+        law of the next radio state under the command y from the state x,
+        and ``px_stack`` picks each action's pair of laws from it.
         """
         n_b, n_h, n_x, n_a = self.n_b, self.n_h, self.n_x, self.n_a
         e = range(self.z_max + 1)
@@ -203,21 +306,28 @@ class JointModel:
         comb = np.array([[math.comb(z, f) for f in e] for z in e], dtype=np.float64)
         z, lvl, f = self.action_z[:, None], self.action_level[:, None], np.arange(self.z_max + 1)
         # comb is 0 past f = z, which zeroes those entries
-        goodput = comb[z, f] * ok_pow[lvl, f] * plr_pow[lvl, np.maximum(z - f, 0)]
-        delivered = np.arange(n_b)[:, None] - np.arange(n_b)
-        b, b_to = np.nonzero((delivered >= 0) & (delivered <= self.z_max))
-        self.G_stack = np.zeros((n_a, n_b, n_b))
-        self.G_stack[:, b, b_to] = np.where(b >= self.action_z[:, None], goodput[:, b - b_to], b == b_to)
+        self.goodput = comb[z, f] * ok_pow[lvl, f] * plr_pow[lvl, np.maximum(z - f, 0)]
         laws = [[pm_transition_pmf(x, y, self.profile.theta) for x in PowerState] for y in PmAction]
-        self.px_stack = np.array(laws)[self.action_y]
+        self.radio_laws = np.array(laws)
+        self.px_stack = self.radio_laws[self.action_y]
         # transmit power per (channel, action) as (snr * noise) / gain, in
         # that order, so that it equals the scalar rule bit for bit
         noise = self.phy.noise_power_w
         betas = [bits_per_symbol(z, self.phy) for z in range(1, self.z_max + 1)]
         snr_noise = np.zeros(n_a)
         snr_noise[2:] = [snr_for_bep(lvl.bep, beta) * noise for beta in betas for lvl in self.bep_levels]
-        gain = np.array([10.0 ** (g / 10.0) for g in self.gains_db.tolist()])
-        self.tx_ha = snr_noise[None, :] / gain[:, None]
+        try:
+            gain = np.array([10.0 ** (g / 10.0) for g in self.gains_db.tolist()])
+        except OverflowError:
+            raise ConfigError("gains_db holds a gain above the float range") from None
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self.tx_ha = snr_noise[None, :] / gain[:, None]
+        bad = np.flatnonzero(~np.isfinite(self.tx_ha).all(axis=1))
+        if bad.size:
+            h = int(bad[0])
+            raise ConfigError(
+                f"gains_db[{h}]={self.gains_db[h]!r} dB needs a transmit power that is not finite"
+            )
         # power draw per (channel, radio state, action); impossible combos -> inf
         on, off = int(PowerState.ON), int(PowerState.OFF)
         keep_on = self.action_y == int(PmAction.S_ON)
@@ -261,28 +371,23 @@ class JointModel:
     def known_operator(self) -> KnownOperator:
         """The feasible rows of the known half of the slot dynamics.
 
-        Built on first use from ``G_stack``, ``px_stack``, ``rho_hxa`` and
-        ``hold_ba``; see KnownOperator.
+        Built on first use from ``feasible_bxa``, ``goodput``,
+        ``radio_laws``, ``rho_hxa`` and ``hold_ba``, none of which the
+        arrivals or the channel move; see KnownOperator.
         """
         op = self._known.get("K")
         if op is None:
             index = np.flatnonzero(self.feasible_bxa)
             bx, a = np.divmod(index, self.n_a)
             b, x = np.divmod(bx, self.n_x)
-            # written one radio column at a time into (n_rows, n_b, n_x): its
-            # transpose has the layout the class docstring requires, and each
-            # multiply runs n_b wide, where one broadcast over all columns
-            # runs n_x wide and takes three times as long
-            g, px = self.G_stack[a, b], self.px_stack[a, x]
-            prod = np.empty((index.size, self.n_b, self.n_x))
-            for k in range(self.n_x):
-                np.multiply(g, px[:, k, None], out=prod[:, :, k])
-            matrix = prod.reshape(index.size, self.n_b * self.n_x).T
+            law = self.action_y[a] * self.n_x + x
             bounds = np.searchsorted(bx, np.arange(self.n_b * self.n_x + 1))
             rho, hold = self.rho_hxa[:, x, a], self.hold_ba[b, a]
-            for arr in (matrix, a, bounds, rho, hold):
+            for arr in (a, b, x, law, bounds, rho, hold):
                 arr.flags.writeable = False
-            op = KnownOperator(matrix, a, bounds, rho, hold)
+            laws = self.radio_laws.reshape(-1, self.n_x)
+            tx_law = int(PmAction.S_ON) * self.n_x + int(PowerState.ON)
+            op = KnownOperator(a, b, x, law, bounds, rho, hold, self.goodput, laws, tx_law)
             self._known["K"] = op
         return op
 

@@ -13,10 +13,11 @@ pre-decision tables use the planner's flat layout when exchanged with it.
 
 The exact solvers and the online learner share one precomputed known half,
 ``JointModel.known_operator``, which holds only the feasible (b, x, a) rows
-and their packed power and holding costs. The exact solvers take the model
-and the price mu: the split solver (``pds_value_iteration``) runs the
-planner's Bellman core on its cost split, as value iteration does, so both
-return one pre-decision table; ``policy_from_pds`` reads a greedy policy off
+and their packed power and holding costs; the solvers apply it in factored
+form, and ``FactoredDynamics`` alone reads its dense ``matrix``. The exact
+solvers take the model and the price mu: the split solver
+(``pds_value_iteration``) runs the planner's Bellman core on its cost split,
+as value iteration does, so both return one pre-decision table; ``policy_from_pds`` reads a greedy policy off
 a post-decision table with the planner's tie rule, and ``init_pds_values``
 solves an assumed model for the learner's start table. ``FactoredDynamics``
 serves the online learner at the price in effect, which every one of its
@@ -149,8 +150,9 @@ def pds_value_iteration(
     does, so the pre-decision cube is its table; appends each minimizing
     sweep's residual to ``residuals`` when given.
     """
-    v = bellman_fixed_point(model, mu, tol, max_iters, v0, residuals)
-    v_tilde = split_costs(model, mu)[1] + model.gamma * action_free_values(model, v)
+    costs = split_costs(model, mu)
+    v = bellman_fixed_point(model, costs, tol, max_iters, v0, residuals)
+    v_tilde = costs[1] + model.gamma * action_free_values(model, v)
     v_tilde = v_tilde.reshape(model.n_h, model.n_b, model.n_x).transpose(1, 0, 2)
     return np.ascontiguousarray(v_tilde), np.ascontiguousarray(v.transpose(1, 0, 2))
 

@@ -33,10 +33,16 @@ class PhyConfig:
         if self.packet_bits <= 0:
             raise ConfigError("packet_bits must be positive")
         for name in ("symbol_rate_hz", "slot_seconds", "noise_psd_w_per_hz", "bandwidth_hz"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.max_bits_per_symbol < 1:
             raise ConfigError("max_bits_per_symbol must be at least 1")
+        if self.max_bits_per_symbol > 1023:  # snr_for_bep's 2**beta is a float
+            raise ConfigError("max_bits_per_symbol must be at most 1023")
+        if not self.symbols_per_slot < math.inf:
+            raise ConfigError("symbol_rate_hz * slot_seconds overflows")
+        if not self.noise_power_w < math.inf:
+            raise ConfigError("noise_psd_w_per_hz * bandwidth_hz overflows")
 
     @property
     def symbols_per_slot(self) -> float:

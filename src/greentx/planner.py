@@ -14,7 +14,12 @@ post-decision table. Action values are kept packed, one entry per feasible
 (b, x, a), and every greedy policy is read off them with the known
 operator's block minimum and first-row-within-TIE_TOL rule
 (``greedy_policy``); no full (state, action) table is ever formed.
-The model holds no price: every solver takes it as the argument ``mu``.
+The known operator enters through its factorization, a goodput row times a
+radio law per row (``KnownOperator``): a lookahead is one small GEMM and one
+``take`` (``known_lookahead``), and a policy evaluation one GEMM of the
+chosen goodput rows (``_evaluate_rows``). No solver forms its dense matrix.
+The model holds no price: every solver takes it as the argument ``mu``, and
+prices it once per solve (``split_costs``).
 """
 from __future__ import annotations
 
@@ -30,6 +35,10 @@ TIE_TOL = 1e-9
 
 # Krylov basis length of a policy evaluation before GMRES restarts.
 RESTART = 40
+
+# A minimizing sweep's step at most this times the table's largest entry is
+# the table's own rounding: no evaluation brings a sweep closer than that.
+ROUNDING = 64 * np.finfo(np.float64).eps
 
 
 def split_costs(model: JointModel, mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -63,22 +72,24 @@ def known_lookahead(model: JointModel, cost: np.ndarray, v_tilde: np.ndarray) ->
     """Action values ``cost + K v_tilde`` indexed (h, row).
 
     ``v_tilde`` is a post-decision table indexed (h, (B, X)) and K the
-    model's packed known operator, so only feasible (b, x, a) rows are
-    computed, each (b, x) block contiguous on the last axis.
+    model's packed known operator, applied through its factorization
+    (``KnownOperator.apply``), so only feasible (b, x, a) rows are computed,
+    each (b, x) block contiguous on the last axis.
     """
-    q = v_tilde @ model.known_operator.matrix
+    q = model.known_operator.apply(v_tilde)
     q += cost
     return q
 
 
 def bellman_fixed_point(
-    model: JointModel, mu: float, tol: float, max_iters: int, v0: np.ndarray | None,
-    residuals: list | None,
+    model: JointModel, costs: tuple[np.ndarray, np.ndarray], tol: float, max_iters: int,
+    v0: np.ndarray | None, residuals: list | None,
 ) -> np.ndarray:
     """Iterate v <- min_a [known + K (post + gamma w(v))] until the step is below tol.
 
-    One solver for both exact planners, on the costs of ``split_costs`` at mu.
-    ``v0`` uses the flat state layout; the returned table is indexed (h, b, x).
+    One solver for both exact planners, on the pair (known, post) that
+    ``split_costs`` returns at the price of the solve. ``v0`` uses the flat
+    state layout; the returned table is indexed (h, b, x).
     The minimum over actions is the minimum over each (b, x) block of the
     packed rows, so infeasible actions never enter it.
 
@@ -86,7 +97,9 @@ def bellman_fixed_point(
     sweep the greedy packed row of every state is found with the tie rule;
     when two sweeps in a row pick the same rows, that policy is evaluated
     (``_evaluate_rows``, GMRES with CGS2 on its linear system) before minimizing
-    again. Only minimizing sweeps append their sup-norm step to
+    again, unless the step is already within the table's own rounding
+    (``ROUNDING``), where only sweeps can reach a table that they map to
+    itself exactly. Only minimizing sweeps append their sup-norm step to
     ``residuals``, and only one whose step is below tol returns, so the
     stopping rule and error bound are value iteration's. ``max_iters`` caps
     minimizing sweeps and evaluation matvecs together; past it,
@@ -95,7 +108,7 @@ def bellman_fixed_point(
     """
     n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
     op = model.known_operator
-    cost, c_post = split_costs(model, mu)
+    cost, c_post = costs
     if v0 is None:
         v = np.zeros((n_h, n_b, n_x))
     else:
@@ -118,7 +131,7 @@ def bellman_fixed_point(
         if not math.isfinite(resid):
             raise ConvergenceError(f"value iteration reached residual {resid!r} at sweep {sweeps}")
         greedy = op.block_argmin(q, v_min, TIE_TOL)
-        if rows is not None and np.array_equal(greedy, rows):
+        if rows is not None and np.array_equal(greedy, rows) and resid > ROUNDING * np.max(np.abs(v)):
             v, used = _evaluate_rows(model, cost, c_post, rows, v, tol, max_iters - sweeps)
             sweeps += used
         rows = greedy
@@ -138,22 +151,31 @@ def _evaluate_rows(
 ) -> tuple[np.ndarray, int]:
     """Solve (I - gamma K_pi A_clamp P) v = c_pi for the packed rows ``rows``.
 
-    ``rows`` (h, (b, x)) picks one known-operator row per state; its
-    cost is ``cost + K c_post`` and its transition the row with the arrival
-    clamp and the discount folded in, so a matvec is one channel move and
-    one (n_b n_x)-square matrix-vector product per channel. Restarted GMRES
-    from ``v`` (``_gmres``) stops once the residual's 2-norm is at most
-    tol (1 - gamma), which bounds the sup-norm error of the evaluation by
-    tol. A non-finite solution is dropped and ``v`` returned, so the
-    minimizing sweeps carry on from where they were. Returns the (h, b, x)
-    table and the number of matvecs taken.
+    ``rows`` (h, (b, x)) picks one known-operator row per state. Each row is
+    a goodput row G[a, b] over B times a radio law over X, so its cost is
+    ``cost + G c_post`` (the post cost does not depend on X) and its
+    transition with the arrival clamp and the discount folded in is the
+    product of ``G A_clamp`` and ``gamma`` times the law: one GEMM of the
+    chosen goodput rows and one multiply per radio column. A matvec is then
+    one channel move and one (n_b n_x)-square matrix-vector product per
+    channel. Restarted GMRES from ``v`` (``_gmres``) stops once the
+    residual's 2-norm is at most tol (1 - gamma), which bounds the sup-norm
+    error of the evaluation by tol. A non-finite solution is dropped and
+    ``v`` returned, so the minimizing sweeps carry on from where they were.
+    Returns the (h, b, x) table and the number of matvecs taken.
     """
-    n_h = model.n_h
-    n_bx = model.n_b * model.n_x
-    k_pi = model.known_operator.matrix.T[rows]  # (h, (b, x), (B, X))
-    c_pi = np.take_along_axis(cost, rows, axis=1) + k_pi @ c_post
-    k_pi = model.A_clamp.T @ k_pi.reshape(n_h, n_bx, model.n_b, model.n_x)
-    k_pi = (model.gamma * k_pi).reshape(n_h, n_bx, n_bx)
+    n_h, n_b, n_x = model.n_h, model.n_b, model.n_x
+    n_bx = n_b * n_x
+    op = model.known_operator
+    flat = rows.ravel()
+    g = op.buffer_rows(flat)  # (h (b, x), B)
+    c_pi = np.take_along_axis(cost, rows, axis=1) + (g @ c_post[::n_x]).reshape(n_h, n_bx)
+    g_a = g @ model.A_clamp
+    law = model.gamma * op.laws[op.law[flat]]
+    k_pi = np.empty((flat.size, n_b, n_x))
+    for k in range(n_x):
+        np.multiply(g_a, law[:, k, None], out=k_pi[:, :, k])
+    k_pi = k_pi.reshape(n_h, n_bx, n_bx)
     p = model.channel_matrix
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -164,6 +186,21 @@ def _evaluate_rows(
     if not np.all(np.isfinite(x)):
         return v, matvecs
     return x.reshape(v.shape), matvecs
+
+
+def _norm(r: np.ndarray) -> float:
+    """The 2-norm of ``r``, squared without overflow: ``r`` is scaled by the power
+    of two nearest its largest entry first, which changes no bit of the result
+    unless a square would overflow or fall below the normal range. It is inf
+    only if the norm itself is."""
+    top = float(np.max(np.abs(r)))
+    if not 0.0 < top < np.inf:
+        return top  # zero, inf or NaN
+    e = math.frexp(top)[1]
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(r, -e))), e)
+    except OverflowError:
+        return math.inf
 
 
 def _gmres(apply, b: np.ndarray, x: np.ndarray, tol: float, max_matvecs: int) -> tuple[np.ndarray, int]:
@@ -185,7 +222,7 @@ def _gmres(apply, b: np.ndarray, x: np.ndarray, tol: float, max_matvecs: int) ->
     while matvecs < max_matvecs:
         r = b - apply(x)
         matvecs += 1
-        beta = float(np.linalg.norm(r))
+        beta = _norm(r)
         if not (tol < beta < last):
             break
         last = beta
@@ -247,7 +284,7 @@ def value_iteration(
     its post-decision table. Raises ConvergenceError past max_iters
     minimizing sweeps and evaluation matvecs, counted together.
     """
-    v_hbx = bellman_fixed_point(model, mu, tol, max_iters, v0, residuals)
     cost, c_post = split_costs(model, mu)
+    v_hbx = bellman_fixed_point(model, (cost, c_post), tol, max_iters, v0, residuals)
     q = known_lookahead(model, cost, c_post + model.gamma * action_free_values(model, v_hbx))
     return v_hbx.transpose(1, 0, 2).reshape(model.n_s), greedy_policy(model, q)

@@ -8,7 +8,7 @@ checked against them:
 - scalar link-layer and power rules: ``bep_of_snr``, ``plr_of_bep``,
   ``bep_level_from_bep``, ``tx_power``, ``required_power`` and
   ``goodput_pmf``, one number at a time, which the model's ``tx_ha``,
-  ``rho_hxa`` and ``G_stack`` tables must match;
+  ``rho_hxa`` and ``goodput`` tables must match;
 - buffer primitives: ``next_buffer``, ``expected_overflow`` (which the
   model's ``o_exp`` must match), ``buffer_transition_pmf`` and
   ``buffer_cost``, by enumerating deliveries and arrivals;
@@ -20,12 +20,18 @@ checked against them:
   expected drops per (buffer, action), the drops priced before the
   post-decision point. The package prices them after it (``split_costs``),
   so this is an independent route to the same Bellman equation;
-- the model build slice by slice: ``tables_by_slices``, the goodput, radio
-  and clamped-arrival tables one (action, buffer level) slice and one radio
-  law at a time, which the model's diagonal writes must match byte for byte,
-  and ``known_matrix_by_broadcast``, the known operator's matrix as one
-  broadcast product, which the column-by-column build must match (the
-  layout contract is the ``KnownOperator`` docstring's);
+- the model build slice by slice: ``tables_by_slices``, the dense goodput
+  table ``G_stack[a, b, B]`` (which the model never forms), the radio and
+  the clamped-arrival tables one (action, buffer level) slice and one radio
+  law at a time, which the model's tables must match byte for byte
+  (``dense_tables`` keeps them per model), and ``known_matrix_by_broadcast``,
+  the known operator's dense matrix as one broadcast product of them, which
+  the column-by-column build must match (the layout contract is the
+  ``KnownOperator`` docstring's);
+- the exact solver's two products through that dense matrix:
+  ``dense_lookahead`` and ``dense_evaluate_rows``, the routes that the
+  factored ``planner.known_lookahead`` and ``planner._evaluate_rows``
+  replaced, which a solve must match when patched in;
 - full (state, action) tables and the greedy rule over them: ``feasible_sa``,
   ``pack``, ``unpack``, ``flat_q``, ``q_values`` (priced with ``g_ba``),
   ``action_values_slice`` and ``greedy_from_q``, the route the packed block
@@ -60,6 +66,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -81,6 +88,7 @@ from greentx.phy import (
     bits_per_symbol,
     snr_for_bep,
 )
+from greentx import planner
 from greentx.planner import RESTART, TIE_TOL, action_free_values, known_lookahead
 from greentx.power import PmAction, PowerProfile, PowerState, pm_transition_pmf
 from greentx.queueing import ArrivalDistribution
@@ -274,7 +282,7 @@ def g_ba(model: JointModel) -> np.ndarray:
     The drops of the arrivals after a transmission from buffer b, averaged
     over the goodput: ``hold_ba + eta * sum_B G_stack[a, b, B] o_exp[B]``.
     """
-    ovf_ba = np.einsum("abB,B->ba", model.G_stack, model.o_exp)
+    ovf_ba = np.einsum("abB,B->ba", dense_tables(model)["G_stack"], model.o_exp)
     return model.hold_ba + model.queue.eta * ovf_ba
 
 
@@ -317,13 +325,66 @@ def tables_by_slices(model: JointModel) -> dict:
     return {"G_stack": g_stack, "px_stack": px_stack, "A_clamp": a_clamp}
 
 
+_DENSE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def dense_tables(model: JointModel) -> dict:
+    """``tables_by_slices(model)``, built once per model object."""
+    tables = _DENSE.get(model)
+    if tables is None:
+        tables = _DENSE[model] = tables_by_slices(model)
+    return tables
+
+
 def known_matrix_by_broadcast(model: JointModel) -> np.ndarray:
-    """The known operator's (n_b * n_x, n_rows) matrix as one broadcast product."""
-    index = np.flatnonzero(model.feasible_bxa)
-    bx, a = np.divmod(index, model.n_a)
-    b, x = np.divmod(bx, model.n_x)
-    matrix = model.G_stack[a, b].T[:, None, :] * model.px_stack[a, x].T[None, :, :]
-    return matrix.reshape(model.n_b * model.n_x, index.size)
+    """The known operator's dense (n_b * n_x, n_rows) matrix as one broadcast
+    product of the slice-by-slice ``G_stack`` and ``px_stack``, kept per model."""
+    tables = dense_tables(model)
+    matrix = tables.get("matrix")
+    if matrix is None:
+        index = np.flatnonzero(model.feasible_bxa)
+        bx, a = np.divmod(index, model.n_a)
+        b, x = np.divmod(bx, model.n_x)
+        matrix = tables["G_stack"][a, b].T[:, None, :] * tables["px_stack"][a, x].T[None, :, :]
+        matrix = tables["matrix"] = matrix.reshape(model.n_b * model.n_x, index.size)
+        matrix.flags.writeable = False
+    return matrix
+
+
+def dense_lookahead(model: JointModel, cost: np.ndarray, v_tilde: np.ndarray) -> np.ndarray:
+    """``planner.known_lookahead`` as a product with the dense matrix."""
+    q = v_tilde @ known_matrix_by_broadcast(model)
+    q += cost
+    return q
+
+
+def dense_evaluate_rows(
+    model: JointModel,
+    cost: np.ndarray,
+    c_post: np.ndarray,
+    rows: np.ndarray,
+    v: np.ndarray,
+    tol: float,
+    max_matvecs: int,
+) -> tuple[np.ndarray, int]:
+    """``planner._evaluate_rows`` through the dense matrix: the policy's
+    columns gathered from it, its cost summed over (B, X) and the arrival
+    clamp applied to each row by a batched product."""
+    n_h, n_bx = model.n_h, model.n_b * model.n_x
+    k_pi = known_matrix_by_broadcast(model).T[rows]  # (h, (b, x), (B, X))
+    c_pi = np.take_along_axis(cost, rows, axis=1) + k_pi @ c_post
+    k_pi = model.A_clamp.T @ k_pi.reshape(n_h, n_bx, model.n_b, model.n_x)
+    k_pi = (model.gamma * k_pi).reshape(n_h, n_bx, n_bx)
+    p = model.channel_matrix
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        x = x.reshape(n_h, n_bx)
+        return (x - (k_pi @ (p @ x)[:, :, None])[:, :, 0]).ravel()
+
+    x, matvecs = planner._gmres(apply, c_pi.ravel(), v.ravel(), tol * (1.0 - model.gamma), max_matvecs)
+    if not np.all(np.isfinite(x)):
+        return v, matvecs
+    return x.reshape(v.shape), matvecs
 
 
 # ---- full (state, action) tables and the greedy rule over them ----------------------
@@ -402,7 +463,7 @@ def known_pmf(factored: FactoredDynamics, s: State, a: Action) -> np.ndarray:
     if not is_feasible(m, s, a):
         raise FeasibilityError(f"action {a} infeasible in state {s}")
     ai = m.action_index[a]
-    pb = m.G_stack[ai, s.b]  # transmission only, no arrivals
+    pb = dense_tables(m)["G_stack"][ai, s.b]  # transmission only, no arrivals
     ph = np.zeros(m.n_h)
     ph[s.h] = 1.0  # channel has not moved yet
     px = m.px_stack[ai, int(s.x)]
@@ -571,7 +632,7 @@ def policy_evaluate(
     """
     n_s = model.n_s
     states = all_states(model)
-    pb_stack = model.G_stack @ model.A_clamp  # buffer law per (action, level)
+    pb_stack = dense_tables(model)["G_stack"] @ model.A_clamp  # buffer law per (action, level)
     pb_sel = np.empty((n_s, model.n_b))
     ph_sel = np.empty((n_s, model.n_h))
     px_sel = np.empty((n_s, model.n_x))

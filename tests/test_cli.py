@@ -306,10 +306,12 @@ def test_table_files_keep_the_name_they_were_given(tmp_path, cfg_file, capsys):
     ('{"channel_mode": "perturbed", "perturb_magnitude": 1e308}', []),  # noise span overflows
     ("{}", ["--p-on", "inf"]),
     ("{}", ["--p-on", "nan"]),
+    ('{"gains_db": [-4000.0, -10.0]}', []),  # a gain that underflows to 0
+    ('{"phy": {"packet_bits": 1000000, "max_bits_per_symbol": 5000}}', []),  # 2**2000 overflows
 ], ids=["unknown-key", "unknown-nested-key", "malformed-json", "not-an-object", "negative-seed",
         "string-seed", "string-capacity", "scalar-gains", "power-without-p-on", "nan-g-bar",
         "nan-p-tr", "nan-arrival-rate", "infinite-eta", "nan-perturbation", "overflowing-perturbation",
-        "infinite-p-on-flag", "nan-p-on-flag"])
+        "infinite-p-on-flag", "nan-p-on-flag", "underflowing-gain", "overflowing-modulation-order"])
 def test_bad_configs_end_in_one_error_line(tmp_path, capsys, text, flags):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -1,4 +1,6 @@
 """Joint MDP assembly: action ordering, feasibility masks, kernels, costs."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,14 +118,18 @@ def test_joint_transition_rejects_infeasible(reduced_model):
 
 
 def test_pb_stack_matches_reference_pmf(reduced_model):
+    # every (b, a) with z <= b has a row at the radio on, so this covers every
+    # action from every buffer level that it can send from
     m = reduced_model
-    pb_stack = m.G_stack @ m.A_clamp
-    for i, a in enumerate(m.actions):
-        for b in range(a.z, m.n_b):
-            want = buffer_transition_pmf(
-                b, a.z, a.bep.plr, m.arrivals, m.queue.capacity
-            )
-            assert np.allclose(pb_stack[i, b], want, atol=1e-15)
+    op = m.known_operator
+    pb_rows = op.buffer_rows(slice(None)) @ m.A_clamp
+    # the dense operator's columns summed over the next radio state X
+    pb_matrix = op.matrix.reshape(m.n_b, m.n_x, -1).sum(axis=1).T @ m.A_clamp
+    for r, (b, i) in enumerate(zip(op.b.tolist(), op.action.tolist())):
+        a = m.actions[i]
+        want = buffer_transition_pmf(b, a.z, a.bep.plr, m.arrivals, m.queue.capacity)
+        assert np.allclose(pb_rows[r], want, atol=1e-15)
+        assert np.allclose(pb_matrix[r], want, atol=1e-15)
 
 
 def test_power_cost_branches(reduced_model):
@@ -281,10 +287,20 @@ def _random_model(data):
 @given(st.data())
 def test_diagonal_build_equals_the_slice_by_slice_build(data):
     m = _random_model(data)
-    for name, want in tables_by_slices(m).items():
+    want = tables_by_slices(m)
+    for name in ("px_stack", "A_clamp"):
         got = getattr(m, name)
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+        assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
+        assert got.tobytes() == want[name].tobytes(), name
+    # the model never forms G_stack: the goodput rows and radio laws of the
+    # known operator's rows are its rows and px_stack's, byte for byte
+    op = m.known_operator
+    for got, table, index in (
+        (op.buffer_rows(slice(None)), want["G_stack"], (op.action, op.b)),
+        (op.laws[op.law], want["px_stack"], (op.action, op.x)),
+    ):
+        assert got.dtype == table.dtype and got.shape == table[index].shape
+        assert got.tobytes() == table[index].tobytes()
 
 
 def _canonical_actions(m):
@@ -305,9 +321,9 @@ def test_table_build_equals_the_scalar_rules_byte_for_byte(data):
     noise, gain = m.phy.noise_power_w, [10.0 ** (g / 10.0) for g in m.gains_db.tolist()]
     for i, a in enumerate(_canonical_actions(m)):
         assert (m.action_z[i], m.action_y[i], m.action_plr[i]) == (a.z, int(a.y), a.bep.plr)
-        # from a full buffer every packet count can be delivered: G_stack[a, cap, cap - f]
-        rows = m.G_stack[i, cap, cap - a.z : cap + 1][::-1]
-        assert rows.tobytes() == goodput_pmf(a.z, a.bep.plr).tobytes(), a
+        # goodput[a, f] for f = 0..z, and no chance past z
+        assert m.goodput[i, : a.z + 1].tobytes() == goodput_pmf(a.z, a.bep.plr).tobytes(), a
+        assert not m.goodput[i, a.z + 1 :].any(), a
         snr = 0.0 if a.z == 0 else snr_for_bep(a.bep.bep, bits_per_symbol(a.z, m.phy))
         want = np.array([snr * noise / g for g in gain])
         assert m.tx_ha[:, i].tobytes() == want.tobytes(), a
@@ -331,13 +347,23 @@ def test_actions_are_built_on_first_use_and_survive_clones(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_known_matrix_equals_the_broadcast_product_in_bytes_and_layout(data):
-    m = _random_model(data)
+    _assert_matrix_equals_the_broadcast_product(
+        _random_model(data), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    )
+
+
+def test_the_learners_matrix_at_the_table_profile_equals_the_broadcast_product(full_model):
+    _assert_matrix_equals_the_broadcast_product(full_model, np.random.default_rng(7))
+
+
+def _assert_matrix_equals_the_broadcast_product(m, rng):
+    """The dense matrix that FactoredDynamics reads, built from the goodput rows,
+    against the broadcast product of the slice-by-slice G_stack and px_stack."""
     got = m.known_operator.matrix
     want = known_matrix_by_broadcast(m)
     assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
     assert got.tobytes(order="A") == want.tobytes(order="A")
     # BLAS's summation order follows the layout: the products must agree too
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for v in (rng.random(got.shape[0]), rng.standard_normal((m.n_h, got.shape[0]))):
         assert (v @ got).tobytes() == (v @ want).tobytes()
 
@@ -361,6 +387,25 @@ def test_validation_rejects_bad_inputs():
         _tiny_model(z_max=0)
     with pytest.raises(ConfigError):
         _tiny_model(z_max=11)  # needs 11 bits/symbol, above the limit of 10
+
+
+@pytest.mark.parametrize(
+    "gains_db",
+    [
+        (-4000.0, -10.0),  # a gain that underflows to 0: an infinite transmit power
+        (-3200.0,),  # a subnormal gain: the transmit power overflows
+        (4000.0,),  # a gain above the float range
+        (float("nan"),),
+        (float("inf"),),
+    ],
+)
+def test_a_channel_gain_without_a_finite_transmit_power_is_refused_by_name(gains_db):
+    # refused as the plant's fault, before any solve can blame the price, and
+    # without numpy's divide or overflow warnings on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"gains_db"):
+            _tiny_model(gains_db=gains_db, channel_matrix=np.eye(len(gains_db)))
 
 
 def test_tiny_model_smoke():

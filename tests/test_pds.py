@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greentx import planner
+from greentx import pds, planner
 from greentx.config import STOCK_GAINS_DB, reduced_profile
 from greentx.errors import ConvergenceError, FeasibilityError, InitializationError
-from greentx.model import State
+from greentx.harness import run_experiment, solve_tables
+from greentx.model import KnownOperator, State
 from greentx.pds import (
     FactoredDynamics,
     init_pds_values,
@@ -17,6 +18,9 @@ from greentx.pds import (
     policy_from_pds,
 )
 from greentx.planner import (
+    TIE_TOL,
+    _evaluate_rows,
+    action_free_values,
     bellman_fixed_point,
     greedy_policy,
     known_lookahead,
@@ -29,6 +33,9 @@ from oracles import (
     PostDecisionState,
     action_values_slice,
     all_states,
+    dense_evaluate_rows,
+    dense_lookahead,
+    dense_tables,
     dense_value_iteration,
     feasible_action_indices,
     feasible_sa,
@@ -225,8 +232,9 @@ def test_offline_init_accepts_a_single_packet_per_slot(reduced_model):
 
 def _einsum_slice(m, h, v_tilde, mu):
     """Reference lookahead over one channel slice, contracted term by term."""
+    dense = dense_tables(m)
     ev = np.einsum(
-        "abB,axX,BX->bxa", m.G_stack, m.px_stack, v_tilde[:, h, :], optimize=True
+        "abB,axX,BX->bxa", dense["G_stack"], dense["px_stack"], v_tilde[:, h, :], optimize=True
     )
     q = m.rho_hxa[h][None, :, :] + mu * m.hold_ba[:, None, :] + ev
     return np.where(m.feasible_bxa, q, np.inf)
@@ -234,7 +242,8 @@ def _einsum_slice(m, h, v_tilde, mu):
 
 def _masked_sweep(m, v_hbx, c_post, buffer_cost_ba):
     """Reference sweep over every (b, x, a) row, infeasible actions masked to +inf."""
-    k = np.einsum("abB,axX->bxaBX", m.G_stack, m.px_stack).reshape(-1, m.n_b * m.n_x)
+    dense = dense_tables(m)
+    k = np.einsum("abB,axX->bxaBX", dense["G_stack"], dense["px_stack"]).reshape(-1, m.n_b * m.n_x)
     cost = m.rho_hxa[:, None, :, :] + buffer_cost_ba[None, :, None, :]
     cost = np.where(m.feasible_bxa[None], cost, np.inf)
     n_h, n_b, n_x = v_hbx.shape
@@ -313,13 +322,18 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m, mu):
                 assert m.feasible_bxa[b, x, a]
                 assert a == greedy_from_q(q[b, x][None], m.feasible_bxa[b, x][None])[0]
                 assert val == pytest.approx(vals[b, x], rel=0, abs=1e-12)
-    # one packed sweep against the full-row masked sweep on the split, bit for
-    # bit, and against the classic form that prices the drops before the
-    # post-decision point, up to rounding
+    # one packed sweep against the full-row masked sweep on the split: bit for
+    # bit through the dense product, up to rounding through the factored one
+    # (the same terms, summed in another order); and against the classic form
+    # that prices the drops before the post-decision point, up to rounding
     v_hbx = v.transpose(1, 0, 2) + 0.5  # off the fixed point, so the sweep moves
-    swept = bellman_fixed_point(m, mu, np.inf, 1, v_hbx.transpose(1, 0, 2), None)
+    v0, costs = v_hbx.transpose(1, 0, 2), split_costs(m, mu)
+    swept = bellman_fixed_point(m, costs, np.inf, 1, v0, None)
     c_u = np.repeat(mu * m.queue.eta * m.o_exp, m.n_x)
-    assert swept.tobytes() == _masked_sweep(m, v_hbx, c_u, mu * m.hold_ba).tobytes()
+    masked = _masked_sweep(m, v_hbx, c_u, mu * m.hold_ba)
+    with mock.patch.object(planner, "known_lookahead", dense_lookahead):
+        assert bellman_fixed_point(m, costs, np.inf, 1, v0, None).tobytes() == masked.tobytes()
+    np.testing.assert_allclose(swept, masked, rtol=0, atol=1e-12)
     classic = _masked_sweep(m, v_hbx, 0.0, mu * g_ba(m))
     np.testing.assert_allclose(swept, classic, rtol=0, atol=1e-12)
     _, pol_vi = value_iteration(m, mu)
@@ -385,6 +399,70 @@ def test_cgs2_solves_match_the_mgs_reference_on_random_models(m, mu):
 @pytest.mark.parametrize("mu", [0.0, 0.015, 0.05, 1.0, 5.0])
 def test_cgs2_solves_match_the_mgs_reference_on_the_table_profile(full_model, mu):
     _assert_vi_matches_the_mgs_reference(full_model, mu)
+
+
+def _assert_factored_solves_match_the_dense_oracle(m, mu):
+    """Both exact solvers through the factored operator against the same solves
+    with the lookahead and the policy evaluation patched to the dense matrix
+    of the slice-by-slice build: equal policies, values within 1e-10. Then
+    one lookahead and one evaluation of the settled rows, compared directly."""
+    v, pol = value_iteration(m, mu)
+    v_tilde, _ = pds_value_iteration(m, mu)
+    pol_pds = policy_from_pds(v_tilde, m, mu)
+    with (
+        mock.patch.object(planner, "known_lookahead", dense_lookahead),
+        mock.patch.object(pds, "known_lookahead", dense_lookahead),
+        mock.patch.object(planner, "_evaluate_rows", dense_evaluate_rows),
+    ):
+        v_ref, pol_ref = value_iteration(m, mu)
+        v_tilde_ref, _ = pds_value_iteration(m, mu)
+        pol_pds_ref = policy_from_pds(v_tilde_ref, m, mu)
+    assert np.array_equal(pol, pol_ref) and np.array_equal(pol_pds, pol_pds_ref)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(v_tilde, v_tilde_ref, rtol=0, atol=1e-10)
+    cost, c_post = split_costs(m, mu)
+    v_hbx = v.reshape(m.n_b, m.n_h, m.n_x).transpose(1, 0, 2)
+    w = c_post + m.gamma * action_free_values(m, v_hbx)
+    q = known_lookahead(m, cost, w)
+    np.testing.assert_allclose(q, dense_lookahead(m, cost, w), rtol=0, atol=1e-10)
+    op = m.known_operator
+    rows = op.block_argmin(q, op.block_min(q), TIE_TOL)
+    start = np.zeros_like(v_hbx)  # far from the solution, so GMRES has work to do
+    got, _ = _evaluate_rows(m, cost, c_post, rows, start, 1e-12, 10_000)
+    want, _ = dense_evaluate_rows(m, cost, c_post, rows, start, 1e-12, 10_000)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got, v_hbx, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(), prices)
+def test_factored_solves_match_the_dense_oracle_on_random_models(m, mu):
+    _assert_factored_solves_match_the_dense_oracle(m, mu)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.015, 0.05, 1.0, 5.0])
+def test_factored_solves_match_the_dense_oracle_on_the_table_profile(full_model, mu):
+    _assert_factored_solves_match_the_dense_oracle(full_model, mu)
+
+
+def test_only_the_online_learner_builds_the_dense_operator(monkeypatch):
+    built = []
+    real = KnownOperator.__dict__["matrix"].func
+
+    def counted(op):
+        built.append(op)
+        return real(op)
+
+    monkeypatch.setattr(KnownOperator, "matrix", property(counted))
+    cfg = reduced_profile(horizon=200, epoch_slots=50)
+    solve_tables(cfg, "vi")
+    solve_tables(cfg, "pds")
+    for algorithm in ("vi", "suboptimal"):
+        run_experiment(reduced_profile(algorithm=algorithm, horizon=200, epoch_slots=50))
+    run_experiment(reduced_profile(algorithm="suboptimal", horizon=200, epoch_slots=50), true_stats=True)
+    assert built == []
+    run_experiment(reduced_profile(algorithm="pds", horizon=20))
+    assert built
 
 
 @settings(max_examples=40, deadline=None)

@@ -138,4 +138,16 @@ def test_phy_config_validation():
     with pytest.raises(ConfigError):
         PhyConfig(symbol_rate_hz=-1.0)
     assert PhyConfig().noise_power_w == pytest.approx(1e-5, rel=1e-12)
+    with pytest.raises(ConfigError, match="max_bits_per_symbol"):
+        PhyConfig(max_bits_per_symbol=1024)  # 2**1024 is past the float range
+    # the products that the power table divides by must be finite too
+    with pytest.raises(ConfigError, match="noise_psd_w_per_hz"):
+        PhyConfig(noise_psd_w_per_hz=1e300, bandwidth_hz=1e300)
     assert PhyConfig().symbols_per_slot == pytest.approx(5000.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["symbol_rate_hz", "slot_seconds", "noise_psd_w_per_hz", "bandwidth_hz"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_phy_config_refuses_a_plant_field_that_is_not_finite(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+        PhyConfig(**{name: value})

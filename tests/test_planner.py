@@ -1,4 +1,6 @@
 """Solver correctness against closed forms and a dense reference implementation."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from greentx.config import table_profile
 from greentx.errors import ConfigError, ConvergenceError
 from greentx.model import State
 from greentx.power import PowerState
-from greentx.planner import RESTART, TIE_TOL, _gmres, split_costs, value_iteration
+from greentx.planner import RESTART, TIE_TOL, _gmres, _norm, split_costs, value_iteration
 from oracles import (
     action_value,
     all_states,
@@ -148,6 +150,34 @@ def test_vi_settles_in_few_minimizing_sweeps_and_caps_evaluation(reduced_model):
     # solver that left its matvecs uncharged would finish within it
     with pytest.raises(ConvergenceError):
         value_iteration(reduced_model, 1.0, max_iters=12)
+
+
+def test_the_gmres_norm_changes_no_bit_and_cannot_overflow():
+    rng = np.random.default_rng(3)
+    for r in (rng.standard_normal(500), rng.random(7) * 1e-3, rng.standard_normal(40) * 1e150):
+        assert _norm(r) == float(np.linalg.norm(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _norm(np.full(4, 1e300)) == pytest.approx(2e300, rel=1e-15)
+        assert _norm(np.full(4, -1e308)) == np.inf  # 2e308 is past the float range
+    assert _norm(np.zeros(3)) == 0.0
+    assert np.isnan(_norm(np.array([1.0, np.nan])))
+
+
+@pytest.mark.parametrize("mu", [1e6, 1e300])
+def test_a_solve_at_a_large_price_takes_about_as_many_sweeps_as_at_mu_1(full_model, mu):
+    # at 1e6 the table's rounding (values near 1.5e8) is above tol: each
+    # policy evaluation and the sweep after it moved the table by rounding,
+    # round after round, up to the cap of 200000 sweeps and matvecs; at 1e300
+    # the residual's norm also overflowed, GMRES stopped at once and the
+    # solve fell back to 1629 plain sweeps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        at_1, at_big = [], []
+        value_iteration(full_model, 1.0, residuals=at_1)
+        v, _ = value_iteration(full_model, mu, residuals=at_big)
+    assert len(at_big) <= 3 * len(at_1)
+    assert np.isfinite(v).all() and at_big[-1] < 1e-9
 
 
 def test_vi_from_a_nan_start_raises_convergence_error(reduced_model):
