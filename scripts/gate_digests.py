@@ -16,15 +16,24 @@ prints the same lines as its parent.
 The tables digest is that of the npz file ``serialize_tables`` writes,
 header (kind and model fingerprint) included.
 
+Before the runs, stderr gets one line naming numpy's BLAS build and the
+OpenBLAS kernel picked at run time (``OPENBLAS_CORETYPE`` overrides it), so
+two digest runs say whether they are comparable; stdout holds only the
+digest lines. The ``csv=`` fields are expected to hold across kernels; the
+``tables=`` fields differ in their last bits and hold on one kernel only.
+
 Usage (from the root of a checkout):
     PYTHONPATH=src python scripts/gate_digests.py > digests.txt
     PYTHONPATH=src python scripts/gate_digests.py --max-horizon 1000  # smoke run
 """
 import argparse
+import ctypes
 import hashlib
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from greentx.config import table_profile
 from greentx.harness import run_experiment, serialize_tables
@@ -51,6 +60,28 @@ def gate_configs(max_horizon):
     return [(label, {**kw, "horizon": min(kw["horizon"], max_horizon)}) for label, kw in runs]
 
 
+def blas_info() -> str:
+    """numpy's BLAS build and the OpenBLAS kernel in use, each "unknown"
+    where this numpy does not say: the kernel is read off the bundled
+    scipy-openblas library, if there is one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        build = "unknown"
+    core = "unknown"
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+        break
+    return f"blas: {build}, kernel: {core}"
+
+
 def digests(result, path: Path) -> tuple[str, str]:
     cfg = result.config
     serialize_tables(result.tables, path, kind=cfg.algorithm, fingerprint=cfg.model_fingerprint())
@@ -64,6 +95,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-horizon", type=int, default=20_000, help="cap on every run's slots")
     args = ap.parse_args(argv)
+    print(blas_info(), file=sys.stderr, flush=True)
 
     ok = True
     horizon = min(2_000, args.max_horizon)

@@ -28,13 +28,8 @@ from .harness import (
 )
 from .learners import LearningSchedule, MultiplierState, PdsLearner, QLearner
 from .model import Action, JointModel, State
-from .pds import (
-    FactoredDynamics,
-    init_pds_values,
-    pds_value_iteration,
-    policy_from_pds,
-)
-from .planner import value_iteration
+from .pds import FactoredDynamics, init_pds_values, pds_value_iteration
+from .planner import Solution, value_iteration
 from .power import PmAction, PowerProfile, PowerState
 from .queueing import ArrivalDistribution, QueueConfig, overflow_penalty
 
@@ -64,6 +59,7 @@ __all__ = [
     "RngStreams",
     "RunResult",
     "SlotOutcome",
+    "Solution",
     "State",
     "TableFormatError",
     "emit_metrics_csv",
@@ -71,7 +67,6 @@ __all__ = [
     "load_tables",
     "overflow_penalty",
     "pds_value_iteration",
-    "policy_from_pds",
     "reduced_profile",
     "run_experiment",
     "serialize_tables",

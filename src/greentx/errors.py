@@ -54,12 +54,13 @@ def check_snapshot(value, like, where: str = "snapshot") -> None:
 def check_values(snap: dict, counts: tuple, tables: tuple) -> None:
     """Refuse an actor snapshot whose values no run can reach.
 
-    The arrays ``snap[k]`` for k in ``counts`` must be nonnegative and the
-    entries ``snap[k]`` for k in ``tables`` finite; anything else raises
-    ``TableFormatError``. Call it after the layout check.
+    The arrays ``snap[k]`` for k in ``counts`` must lie in [0, 2**53), where
+    a count is still exact as a float and no run's slot count reaches, and
+    the entries ``snap[k]`` for k in ``tables`` must be finite; anything else
+    raises ``TableFormatError``. Call it after the layout check.
     """
-    if any((snap[k] < 0).any() for k in counts):
-        raise TableFormatError(f"actor: negative count in {', '.join(counts)}")
+    if any(((snap[k] < 0) | (snap[k] >= 2**53)).any() for k in counts):
+        raise TableFormatError(f"actor: count outside [0, 2**53) in {', '.join(counts)}")
     for k in tables:
         if not np.isfinite(snap[k]).all():
             raise TableFormatError(f"actor.{k}: non-finite entries")

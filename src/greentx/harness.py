@@ -44,7 +44,7 @@ from .env import Environment, threshold_k_action
 from .errors import ConfigError, TableFormatError, check_snapshot, check_values
 from .learners import MultiplierState, PdsLearner, QLearner, mu_update
 from .model import JointModel
-from .pds import FactoredDynamics, init_pds_values, pds_value_iteration, policy_from_pds
+from .pds import FactoredDynamics, init_pds_values, pds_value_iteration
 from .planner import value_iteration
 from .power import PmAction, PowerState
 from .queueing import ArrivalDistribution
@@ -420,7 +420,8 @@ class SuboptimalActor:
             m, tol = self.model, 1e-9
         else:
             m, tol = self._estimated_model(), SOLVE_TOL
-        self._v, self.policy = value_iteration(m, mu, tol=tol, v0=self._v)
+        sol = value_iteration(m, mu, tol=tol, v0=self._v)
+        self._v, self.policy = sol.v, sol.policy
         self._solved_mu = mu
 
     def act(self, s: int, n: int, mu: float) -> int:
@@ -448,8 +449,8 @@ class SuboptimalActor:
 
     def restore(self, snap: dict) -> None:
         """Reinstate a snapshot. ``TableFormatError`` refuses another layout, a
-        negative count, a value table or solved price that is not finite, and
-        a policy that ``PolicyActor`` refuses."""
+        count outside [0, 2**53), a value table or solved price that is not
+        finite, and a policy that ``PolicyActor`` refuses."""
         check_snapshot(snap, self.snapshot(), "actor")
         check_values(snap, ("arrival_counts", "channel_counts"), ("v", "solved_mu"))
         _check_policy(self.model, snap["policy"])
@@ -463,8 +464,8 @@ class SuboptimalActor:
 def _build_actor(cfg: ExperimentConfig, model: JointModel, env: Environment, *, true_stats: bool):
     alg = cfg.algorithm
     if alg == "vi":
-        v, policy = value_iteration(model, cfg.mu)
-        return PolicyActor(model, policy, {"v": v})
+        sol = value_iteration(model, cfg.mu)
+        return PolicyActor(model, sol.policy, {"v": sol.v})
     if alg == "threshold":
         k = cfg.threshold_k
         table = [
@@ -515,6 +516,15 @@ class RunResult:
 _CHECKPOINT_ENTRIES = ("config", "options", "slot", "mu", "observations", "env", "actor")
 
 
+def _same_json(value, want) -> bool:
+    """Whether two values are one as canonical JSON (a config's tuples come back
+    as lists); never for one that JSON cannot hold, such as a decoded array."""
+    try:
+        return fingerprint_digest(value) == fingerprint_digest(want)
+    except TypeError:
+        return False
+
+
 def _resume(
     payload, cfg: ExperimentConfig, options: dict, price: MultiplierState, acc, env, actor
 ) -> int:
@@ -523,20 +533,19 @@ def _resume(
     A payload that lacks an entry, stops outside ``[0, horizon]``, holds a
     price the run's ``price`` cannot hold (not a float, outside
     ``[0, mu_max]``, or another value than a fixed price's) or observations
-    of another shape than ``(slot, len(OBSERVATIONS))`` is refused with
-    ``TableFormatError``, as is an environment or actor entry that its
-    ``restore`` refuses; one from another config, or run under
-    other ``options`` (``run_experiment``'s ``fixed_mu``, ``true_stats`` and
-    policy digest), with ``ConfigError``.
+    of another shape than ``(slot, len(OBSERVATIONS))`` or whose metrics are
+    not finite is refused with ``TableFormatError``, as is an environment or
+    actor entry that its ``restore`` refuses; one from another config, or run
+    under other ``options`` (``run_experiment``'s ``fixed_mu``,
+    ``true_stats`` and policy digest), with ``ConfigError``.
     """
     if not isinstance(payload, dict) or not set(_CHECKPOINT_ENTRIES) <= set(payload):
         raise TableFormatError(f"checkpoint lacks one of the entries {_CHECKPOINT_ENTRIES}")
     if not isinstance(payload["config"], dict):
         raise TableFormatError("checkpoint config is not a mapping")
-    # compared as canonical JSON: the config's tuples come back as lists
-    if fingerprint_digest(payload["config"]) != fingerprint_digest(cfg.to_dict()):
+    if not _same_json(payload["config"], cfg.to_dict()):
         raise ConfigError("checkpoint was produced by a different config")
-    if payload["options"] != options:
+    if not _same_json(payload["options"], options):
         raise ConfigError(
             f"checkpoint was produced under run options {payload['options']!r}, not {options!r}"
         )
@@ -551,6 +560,10 @@ def _resume(
         raise TableFormatError(f"checkpoint observations are not a float64 {shape} array")
     acc.obs[:slot] = obs
     acc.count = slot
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(acc.history()).all()
+    if not finite:
+        raise TableFormatError("checkpoint observations give metrics that are not finite")
     env.restore(payload["env"])
     actor.restore(payload["actor"])
     price.mu = mu
@@ -648,13 +661,11 @@ def run_experiment(
 
 
 def solve_tables(cfg: ExperimentConfig, method: str = "vi") -> dict:
-    """Exact solutions from true statistics, as a named-table bundle."""
-    model = cfg.build_model()
-    if method == "vi":
-        v, policy = value_iteration(model, cfg.mu)
-        return {"v": v, "policy": policy}
-    if method == "pds":
-        v_tilde, v = pds_value_iteration(model, cfg.mu)
-        policy = policy_from_pds(v_tilde, model, cfg.mu)
-        return {"v_tilde": v_tilde, "v": v.reshape(model.n_s), "policy": policy}
-    raise ConfigError(f"unknown solve method {method!r}")
+    """Exact solutions from true statistics, as a named-table bundle: the
+    pre-decision table and policy, after the post-decision table for ``pds``."""
+    solve = {"vi": value_iteration, "pds": pds_value_iteration}.get(method)
+    if solve is None:
+        raise ConfigError(f"unknown solve method {method!r}")
+    sol = solve(cfg.build_model(), cfg.mu)
+    tables = {"v": sol.v, "policy": sol.policy}
+    return {"v_tilde": sol.v_tilde, **tables} if method == "pds" else tables

@@ -56,6 +56,7 @@ from .pds import FactoredDynamics
 from .planner import TIE_TOL
 
 ALPHA_TABLE_START = 256  # entries of the PDS learner's step-size table at first
+ALPHA_TABLE_MAX = 1 << 20  # and at most: counts past it are stepped without the table
 
 
 @dataclass
@@ -341,13 +342,17 @@ class PdsLearner:
 
         The table holds alpha of 0, 1, ... computed as one array, which
         equals alpha on any array of counts byte for byte; it doubles
-        whenever a count runs past its end.
+        whenever a count runs past its end, up to ``ALPHA_TABLE_MAX`` entries
+        (past them, alpha on the counts, so a restored count cannot blow it up).
         """
         try:
             return self._alpha.take(counts)
         except IndexError:
+            top = int(counts.max())
+            if top >= ALPHA_TABLE_MAX:
+                return self.schedules.alpha(counts)
             size = len(self._alpha)
-            while size <= counts.max():
+            while size <= top:
                 size *= 2
             self._alpha = self.schedules.alpha(np.arange(size))
             return self._alpha.take(counts)

@@ -14,16 +14,14 @@ pre-decision tables use the planner's flat layout when exchanged with it.
 The exact solvers and the online learner share one precomputed known half,
 ``JointModel.known_operator``, which holds only the feasible (b, x, a) rows
 and their packed power and holding costs; the solvers apply it in factored
-form, and ``FactoredDynamics`` alone reads its dense ``matrix``. The exact
-solvers take the model and the price mu: the split solver
-(``pds_value_iteration``) runs the planner's Bellman core on its cost split,
-as value iteration does, so both return one pre-decision table; ``policy_from_pds`` reads a greedy policy off
-a post-decision table with the planner's tie rule, and ``init_pds_values``
-solves an assumed model for the learner's start table. ``FactoredDynamics``
-serves the online learner at the price in effect, which every one of its
-methods takes: its greedy rule reads the rows of one (b, x) block
-(``greedy_row``), and a batch slot takes every block's minimum at one
-channel (``state_values_slice``). No function forms a full (b, x, a) table.
+form, and ``FactoredDynamics`` alone reads its dense ``matrix``. The split
+solver (``pds_value_iteration``) is the planner's one solve at a price mu,
+and returns its record (``planner.Solution``); ``init_pds_values`` solves
+an assumed model for the learner's start table. ``FactoredDynamics`` serves
+the online learner at the price in effect, which every one of its methods
+takes: its greedy rule reads the rows of one (b, x) block (``greedy_row``),
+and a batch slot takes every block's minimum at one channel
+(``state_values_slice``). No function forms a full (b, x, a) table.
 """
 from __future__ import annotations
 
@@ -33,14 +31,7 @@ import numpy as np
 
 from .errors import InitializationError
 from .model import JointModel
-from .planner import (
-    TIE_TOL,
-    action_free_values,
-    bellman_fixed_point,
-    greedy_policy,
-    known_lookahead,
-    split_costs,
-)
+from .planner import TIE_TOL, Solution, bellman_fixed_point
 from .power import PmAction, PowerState
 from .queueing import ArrivalDistribution
 
@@ -137,37 +128,17 @@ class FactoredDynamics:
 
 
 def pds_value_iteration(
-    model: JointModel,
-    mu: float,
-    tol: float = 1e-9,
-    max_iters: int = 200_000,
-    v0: np.ndarray | None = None,
-    residuals: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the split recursion exactly; returns (post-decision, pre-decision) cubes.
-
-    Runs ``bellman_fixed_point`` at the price ``mu``, as ``value_iteration``
-    does, so the pre-decision cube is its table; appends each minimizing
-    sweep's residual to ``residuals`` when given.
-    """
-    costs = split_costs(model, mu)
-    v = bellman_fixed_point(model, costs, tol, max_iters, v0, residuals)
-    v_tilde = costs[1] + model.gamma * action_free_values(model, v)
-    v_tilde = v_tilde.reshape(model.n_h, model.n_b, model.n_x).transpose(1, 0, 2)
-    return np.ascontiguousarray(v_tilde), np.ascontiguousarray(v.transpose(1, 0, 2))
-
-
-def policy_from_pds(v_tilde: np.ndarray, model: JointModel, mu: float) -> np.ndarray:
-    """Greedy policy induced by a post-decision value table (flat layout), priced
-    at ``mu`` with the planner's cost split and tie rule, as ``value_iteration``'s."""
-    w = v_tilde.transpose(1, 0, 2).reshape(model.n_h, model.n_b * model.n_x)
-    return greedy_policy(model, known_lookahead(model, split_costs(model, mu)[0], w))
+    model: JointModel, mu: float, tol: float = 1e-9, max_iters: int = 200_000,
+    v0: np.ndarray | None = None, residuals: list | None = None,
+) -> Solution:
+    """Solve the split recursion exactly at the price ``mu``: the one solve,
+    ``planner.bellman_fixed_point``, as ``value_iteration`` is (whose
+    docstring says why both names stay)."""
+    return bellman_fixed_point(model, mu, tol, max_iters, v0, residuals)
 
 
 def init_pds_values(
-    model: JointModel,
-    assumed_arrivals: ArrivalDistribution,
-    mu_init: float = 1.0,
+    model: JointModel, assumed_arrivals: ArrivalDistribution, mu_init: float = 1.0
 ) -> np.ndarray:
     """Offline starting table from assumed arrival statistics and a still channel.
 
@@ -178,10 +149,9 @@ def init_pds_values(
     leave the off state. That degenerate case raises InitializationError:
     retry with a larger assumed arrival rate or a positive mu_init.
     """
-    n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
-    assumed = model.with_statistics(assumed_arrivals, np.eye(n_h))
-    v_tilde, _ = pds_value_iteration(assumed, mu_init)
-    policy = policy_from_pds(v_tilde, assumed, mu_init).reshape(n_b, n_h, n_x)
+    assumed = model.with_statistics(assumed_arrivals, np.eye(model.n_h))
+    sol = pds_value_iteration(assumed, mu_init)
+    policy = sol.policy.reshape(model.n_b, model.n_h, model.n_x)
     wakes = model.action_y[policy[:, :, int(PowerState.OFF)]] == int(PmAction.S_ON)  # (b, h)
     # Walk the off region as the assumed dynamics see it: the channel stays
     # put and the buffer moves by arrival bursts of positive probability.
@@ -200,4 +170,4 @@ def init_pds_values(
             "assumed statistics never favor switching on from the off state; "
             "increase the assumed arrival rate or mu_init"
         )
-    return v_tilde
+    return sol.v_tilde

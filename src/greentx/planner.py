@@ -5,25 +5,26 @@ policies are int vectors of global action indices. All argmin extraction
 goes through the same tie rule: earliest canonical action within TIE_TOL
 of the minimum, so independently computed solutions pick identical actions.
 
-Value iteration and the post-decision solver in ``pds`` solve one Bellman
-equation with one core, ``bellman_fixed_point``, on one cost split
+Value iteration and the post-decision solver in ``pds`` are one solve,
+``bellman_fixed_point``, of one Bellman equation on one cost split
 (``split_costs``): power and holding are paid before the post-decision
-point, the expected drops after it. So value iteration's table is the split
-solver's pre-decision table, and both read their greedy policy off the same
-post-decision table. Action values are kept packed, one entry per feasible
-(b, x, a), and every greedy policy is read off them with the known
-operator's block minimum and first-row-within-TIE_TOL rule
-(``greedy_policy``); no full (state, action) table is ever formed.
+point, the expected drops after it. It returns one record (``Solution``):
+both tables, the greedy policy and the solve's counts. Action values are
+kept packed, one entry per feasible (b, x, a), and every greedy policy is
+read off them with the known operator's block minimum and
+first-row-within-TIE_TOL rule (``greedy_policy``); no full (state, action)
+table is ever formed.
 The known operator enters through its factorization, a goodput row times a
 radio law per row (``KnownOperator``): a lookahead is one small GEMM and one
 ``take`` (``known_lookahead``), and a policy evaluation one GEMM of the
 chosen goodput rows (``_evaluate_rows``). No solver forms its dense matrix.
-The model holds no price: every solver takes it as the argument ``mu``, and
-prices it once per solve (``split_costs``).
+The model holds no price: the solve takes it as the argument ``mu``, and
+prices it once (``split_costs``).
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,17 +82,28 @@ def known_lookahead(model: JointModel, cost: np.ndarray, v_tilde: np.ndarray) ->
     return q
 
 
+class Solution(NamedTuple):
+    """One exact solve at one price: the pre-decision table ``v`` (flat layout),
+    the post-decision table ``v_tilde`` (an (n_b, n_h, n_x) cube), the greedy
+    ``policy`` read off it, and the minimizing ``sweeps`` and GMRES ``matvecs``."""
+
+    v: np.ndarray
+    v_tilde: np.ndarray
+    policy: np.ndarray
+    sweeps: int
+    matvecs: int
+
+
 def bellman_fixed_point(
-    model: JointModel, costs: tuple[np.ndarray, np.ndarray], tol: float, max_iters: int,
+    model: JointModel, mu: float, tol: float, max_iters: int,
     v0: np.ndarray | None, residuals: list | None,
-) -> np.ndarray:
+) -> Solution:
     """Iterate v <- min_a [known + K (post + gamma w(v))] until the step is below tol.
 
-    One solver for both exact planners, on the pair (known, post) that
-    ``split_costs`` returns at the price of the solve. ``v0`` uses the flat
-    state layout; the returned table is indexed (h, b, x).
-    The minimum over actions is the minimum over each (b, x) block of the
-    packed rows, so infeasible actions never enter it.
+    The one exact solve, on the pair (known, post) that ``split_costs``
+    returns at the price ``mu``; ``v0`` uses the flat state layout. The
+    minimum over actions is the minimum over each (b, x) block of the packed
+    rows, so infeasible actions never enter it.
 
     Modified policy iteration (Puterman, ch. 6.5): after each minimizing
     sweep the greedy packed row of every state is found with the tie rule;
@@ -104,19 +116,18 @@ def bellman_fixed_point(
     stopping rule and error bound are value iteration's. ``max_iters`` caps
     minimizing sweeps and evaluation matvecs together; past it,
     ConvergenceError is raised, and at once at a step that is not finite (a
-    NaN never leaves the table).
+    NaN never leaves the table). The record's policy is read off its
+    post-decision table by one more lookahead.
     """
     n_b, n_h, n_x = model.n_b, model.n_h, model.n_x
     op = model.known_operator
-    cost, c_post = costs
+    cost, c_post = split_costs(model, mu)
     if v0 is None:
         v = np.zeros((n_h, n_b, n_x))
     else:
         v = np.ascontiguousarray(v0.reshape(n_b, n_h, n_x).transpose(1, 0, 2))
-    resid = np.inf
-    rows = None
-    sweeps = 0
-    while sweeps < max_iters:
+    resid, rows, sweeps, matvecs = np.inf, None, 0, 0
+    while sweeps + matvecs < max_iters:
         v_tilde = c_post + model.gamma * action_free_values(model, v)
         q = known_lookahead(model, cost, v_tilde)
         v_min = op.block_min(q)
@@ -127,16 +138,25 @@ def bellman_fixed_point(
         sweeps += 1
         v = v_new
         if resid < tol:
-            return v
+            break
         if not math.isfinite(resid):
             raise ConvergenceError(f"value iteration reached residual {resid!r} at sweep {sweeps}")
         greedy = op.block_argmin(q, v_min, TIE_TOL)
         if rows is not None and np.array_equal(greedy, rows) and resid > ROUNDING * np.max(np.abs(v)):
-            v, used = _evaluate_rows(model, cost, c_post, rows, v, tol, max_iters - sweeps)
-            sweeps += used
+            v, used = _evaluate_rows(model, cost, c_post, rows, v, tol, max_iters - sweeps - matvecs)
+            matvecs += used
         rows = greedy
-    raise ConvergenceError(
-        f"value iteration stuck at residual {resid!r} after {max_iters} sweeps and matvecs"
+    else:
+        raise ConvergenceError(
+            f"value iteration stuck at residual {resid!r} after {max_iters} sweeps and matvecs"
+        )
+    v_tilde = c_post + model.gamma * action_free_values(model, v)
+    return Solution(
+        v=v.transpose(1, 0, 2).reshape(model.n_s),
+        v_tilde=np.ascontiguousarray(v_tilde.reshape(n_h, n_b, n_x).transpose(1, 0, 2)),
+        policy=greedy_policy(model, known_lookahead(model, cost, v_tilde)),
+        sweeps=sweeps,
+        matvecs=matvecs,
     )
 
 
@@ -270,21 +290,16 @@ def greedy_policy(model: JointModel, q: np.ndarray) -> np.ndarray:
 
 
 def value_iteration(
-    model: JointModel,
-    mu: float,
-    tol: float = 1e-9,
-    max_iters: int = 200_000,
-    v0: np.ndarray | None = None,
-    residuals: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    model: JointModel, mu: float, tol: float = 1e-9, max_iters: int = 200_000,
+    v0: np.ndarray | None = None, residuals: list | None = None,
+) -> Solution:
     """Solve the discounted control problem at the price mu to sup-norm residual below tol.
 
-    Returns (value table, greedy policy): the split solver's pre-decision
-    table in the flat layout and the policy ``pds.policy_from_pds`` reads off
-    its post-decision table. Raises ConvergenceError past max_iters
-    minimizing sweeps and evaluation matvecs, counted together.
+    ``bellman_fixed_point`` under value iteration's name, as
+    ``pds.pds_value_iteration`` is under the split solver's. Both names stay:
+    the benchmark's tracer (``perfbench/tracer.py``) times each by name and
+    counts sweeps through this one's ``residuals``, and
+    ``tests/test_tracer_targets.py`` pins them. They can fold into one once
+    the benchmark reads the record's counts instead.
     """
-    cost, c_post = split_costs(model, mu)
-    v_hbx = bellman_fixed_point(model, (cost, c_post), tol, max_iters, v0, residuals)
-    q = known_lookahead(model, cost, c_post + model.gamma * action_free_values(model, v_hbx))
-    return v_hbx.transpose(1, 0, 2).reshape(model.n_s), greedy_policy(model, q)
+    return bellman_fixed_point(model, mu, tol, max_iters, v0, residuals)

@@ -34,8 +34,9 @@ checked against them:
   replaced, which a solve must match when patched in;
 - full (state, action) tables and the greedy rule over them: ``feasible_sa``,
   ``pack``, ``unpack``, ``flat_q``, ``q_values`` (priced with ``g_ba``),
-  ``action_values_slice`` and ``greedy_from_q``, the route the packed block
-  rule must agree with;
+  ``action_values_slice``, ``greedy_from_q`` and ``post_decision_policy``
+  (a post-decision table's greedy policy by these), the route the packed
+  block rule must agree with;
 - packed costs from full tables: ``stage_cost_by_pack`` (the (h, b, x, a)
   table of power plus buffer cost, packed) and ``lookahead_by_pack`` (power
   and holding tables packed one at a time), which the known operator's own
@@ -436,6 +437,18 @@ def action_values_slice(
 ) -> np.ndarray:
     """Lookahead cost of every action from every (b, x) at channel h, +inf where infeasible."""
     return unpack(factored.model, factored.packed_values(h, v_tilde, mu))
+
+
+def post_decision_policy(model: JointModel, v_tilde: np.ndarray, mu: float) -> np.ndarray:
+    """Greedy policy (flat layout) read off a post-decision cube at the price mu.
+
+    Each channel's full action-value slice through the learner's dense known
+    operator (``action_values_slice``), then the full-table tie rule
+    (``greedy_from_q``): not the solver's factored lookahead and block rule.
+    """
+    f = FactoredDynamics(model)
+    q = np.stack([action_values_slice(f, h, v_tilde, mu) for h in range(model.n_h)], axis=1)
+    return greedy_from_q(q.reshape(model.n_s, model.n_a), feasible_sa(model))
 
 
 # ---- the post-decision split, one pair at a time -------------------------------

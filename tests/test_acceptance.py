@@ -14,11 +14,7 @@ from greentx.config import reduced_profile, table_profile
 from greentx.harness import run_experiment
 from greentx.learners import epsilon_greedy, q_update, ve_batch_update
 from greentx.model import State
-from greentx.pds import (
-    FactoredDynamics,
-    pds_value_iteration,
-    policy_from_pds,
-)
+from greentx.pds import FactoredDynamics, pds_value_iteration
 from greentx.planner import value_iteration
 from greentx.power import PmAction, PowerState, pm_transition_pmf
 from greentx.queueing import overflow_penalty
@@ -34,6 +30,7 @@ from oracles import (
     known_cost,
     known_pmf,
     lagrangian_cost,
+    post_decision_policy,
     unknown_pmf,
 )
 from oracles import unknown_cost as unknown_cost_of
@@ -86,9 +83,8 @@ def test_criterion_01_direct_and_post_decision_planners_agree(reduced_model):
     mismatches = {}
     for mu in (0.0, 1.0, 10.0):
         m = reduced_model
-        _, pol_direct = value_iteration(m, mu)
-        v_tilde, _ = pds_value_iteration(m, mu)
-        pol_split = policy_from_pds(v_tilde, m, mu)
+        pol_direct = value_iteration(m, mu).policy
+        pol_split = post_decision_policy(m, pds_value_iteration(m, mu).v_tilde, mu)
         mismatches[mu] = int(np.count_nonzero(pol_direct != pol_split))
     dt = time.monotonic() - t0
     ok = all(v == 0 for v in mismatches.values()) and dt < 60.0
@@ -137,7 +133,7 @@ def test_criterion_04_online_table_reaches_the_offline_fixed_point():
         algorithm="pds_ve", ve_period=1, horizon=200_000, mu=1.0, init_mu=1.0
     )
     result = run_experiment(cfg, fixed_mu=True)
-    v_star, _ = pds_value_iteration(cfg.build_model(), 1.0)
+    v_star = pds_value_iteration(cfg.build_model(), 1.0).v_tilde
     rel = np.abs(result.tables["v_tilde"] - v_star).max() / np.abs(v_star).max()
     dt = time.monotonic() - t0
     ok = rel < 0.05 and dt < 300.0

@@ -6,17 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greentx import pds, planner
+from greentx import planner
 from greentx.config import STOCK_GAINS_DB, reduced_profile
 from greentx.errors import ConvergenceError, FeasibilityError, InitializationError
 from greentx.harness import run_experiment, solve_tables
 from greentx.model import KnownOperator, State
-from greentx.pds import (
-    FactoredDynamics,
-    init_pds_values,
-    pds_value_iteration,
-    policy_from_pds,
-)
+from greentx.pds import FactoredDynamics, init_pds_values, pds_value_iteration
 from greentx.planner import (
     TIE_TOL,
     _evaluate_rows,
@@ -49,6 +44,7 @@ from oracles import (
     known_pmf,
     lagrangian_cost,
     pds_of,
+    post_decision_policy,
     q_values,
     realized_unknown_cost,
     stage_cost_by_pack,
@@ -150,17 +146,18 @@ def test_realized_unknown_cost(reduced_model):
 
 def test_split_solver_agrees_with_direct_solver(reduced_model):
     m = reduced_model
-    v_tilde, v_pre = pds_value_iteration(m, 1.0)
-    v_direct, pol_direct = value_iteration(m, 1.0)
-    assert np.allclose(v_pre.reshape(m.n_s), v_direct, atol=1e-6)
-    assert np.array_equal(policy_from_pds(v_tilde, m, 1.0), pol_direct)
+    split = pds_value_iteration(m, 1.0)
+    direct = value_iteration(m, 1.0)
+    assert np.allclose(split.v, direct.v, atol=1e-6)
+    assert np.array_equal(post_decision_policy(m, split.v_tilde, 1.0), direct.policy)
 
 
 def test_split_solver_q_agrees_across_routes(reduced_model):
     m, mu = reduced_model, 1.0
     f = FactoredDynamics(m)
-    v_tilde, v_pre = pds_value_iteration(m, mu)
-    q_direct = q_values(m, v_pre.reshape(m.n_s), mu)
+    sol = pds_value_iteration(m, mu)
+    v_tilde = sol.v_tilde
+    q_direct = q_values(m, sol.v, mu)
     for h in range(m.n_h):
         q_slice = action_values_slice(f, h, v_tilde, mu)  # (n_b, n_x, n_a)
         for b in range(m.n_b):
@@ -175,7 +172,8 @@ def test_split_solver_q_agrees_across_routes(reduced_model):
 
 def test_post_decision_table_is_contraction_of_pre(reduced_model):
     m, mu = reduced_model, 1.0
-    v_tilde, v_pre = pds_value_iteration(m, mu)
+    sol = pds_value_iteration(m, mu)
+    v_tilde, v_pre = sol.v_tilde, sol.v.reshape(m.n_b, m.n_h, m.n_x)
     for b, h, x in [(0, 0, 0), (5, 2, 1), (10, 3, 0), (7, 1, 1)]:
         ev = 0.0
         for bn in range(m.n_b):
@@ -308,7 +306,8 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m, mu):
     assert np.all(np.diff(op.bounds) > 0)
     assert np.array_equal(index // m.n_a, np.repeat(np.arange(m.n_b * m.n_x), np.diff(op.bounds)))
     f = FactoredDynamics(m)
-    v_tilde, v = pds_value_iteration(m, mu)
+    sol = pds_value_iteration(m, mu)
+    v_tilde = sol.v_tilde
     for h in range(m.n_h):
         q = action_values_slice(f, h, v_tilde, mu)
         np.testing.assert_allclose(q, _einsum_slice(m, h, v_tilde, mu), rtol=0, atol=1e-12)
@@ -326,18 +325,17 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m, mu):
     # bit through the dense product, up to rounding through the factored one
     # (the same terms, summed in another order); and against the classic form
     # that prices the drops before the post-decision point, up to rounding
-    v_hbx = v.transpose(1, 0, 2) + 0.5  # off the fixed point, so the sweep moves
-    v0, costs = v_hbx.transpose(1, 0, 2), split_costs(m, mu)
-    swept = bellman_fixed_point(m, costs, np.inf, 1, v0, None)
+    v0 = sol.v + 0.5  # off the fixed point, so the sweep moves
+    v_hbx = v0.reshape(m.n_b, m.n_h, m.n_x).transpose(1, 0, 2)
+    swept = bellman_fixed_point(m, mu, np.inf, 1, v0, None).v
     c_u = np.repeat(mu * m.queue.eta * m.o_exp, m.n_x)
-    masked = _masked_sweep(m, v_hbx, c_u, mu * m.hold_ba)
+    masked = _masked_sweep(m, v_hbx, c_u, mu * m.hold_ba).transpose(1, 0, 2).reshape(m.n_s)
     with mock.patch.object(planner, "known_lookahead", dense_lookahead):
-        assert bellman_fixed_point(m, costs, np.inf, 1, v0, None).tobytes() == masked.tobytes()
+        assert bellman_fixed_point(m, mu, np.inf, 1, v0, None).v.tobytes() == masked.tobytes()
     np.testing.assert_allclose(swept, masked, rtol=0, atol=1e-12)
-    classic = _masked_sweep(m, v_hbx, 0.0, mu * g_ba(m))
+    classic = _masked_sweep(m, v_hbx, 0.0, mu * g_ba(m)).transpose(1, 0, 2).reshape(m.n_s)
     np.testing.assert_allclose(swept, classic, rtol=0, atol=1e-12)
-    _, pol_vi = value_iteration(m, mu)
-    assert np.array_equal(policy_from_pds(v_tilde, m, mu), pol_vi)
+    assert np.array_equal(post_decision_policy(m, v_tilde, mu), sol.policy)
 
 
 @settings(max_examples=40, deadline=None)
@@ -358,10 +356,10 @@ def test_packed_costs_equal_the_full_table_formulas_on_random_models(m, mu, seed
 def test_value_iteration_is_the_split_solve_on_random_models(m, mu):
     # one Bellman equation on one cost split: value iteration's table is the
     # split solver's pre-decision table, and both read the same policy
-    v, pol = value_iteration(m, mu)
-    v_tilde, v_pds = pds_value_iteration(m, mu)
-    assert v.tobytes() == v_pds.reshape(m.n_s).tobytes()
-    assert np.array_equal(pol, policy_from_pds(v_tilde, m, mu))
+    direct, split = value_iteration(m, mu), pds_value_iteration(m, mu)
+    for got, want in zip(direct, split):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.array_equal(direct.policy, post_decision_policy(m, split.v_tilde, mu))
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,22 +370,20 @@ def test_both_solvers_match_the_dense_oracle_on_random_models(m, mu):
         costs, trans, m.gamma, tol=1e-12, feasible=feasible_sa(m)
     )
     bound = 1e-9
-    v, pol = value_iteration(m, mu)
-    v_tilde, v_pds = pds_value_iteration(m, mu)
-    assert np.array_equal(pol, pol_ref)
-    assert np.array_equal(policy_from_pds(v_tilde, m, mu), pol_ref)
-    np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
-    np.testing.assert_allclose(v_pds.reshape(m.n_s), v_ref, rtol=0, atol=bound)
+    for sol in (value_iteration(m, mu), pds_value_iteration(m, mu)):
+        assert np.array_equal(sol.policy, pol_ref)
+        assert np.array_equal(post_decision_policy(m, sol.v_tilde, mu), pol_ref)
+        np.testing.assert_allclose(sol.v, v_ref, rtol=0, atol=bound)
 
 
 def _assert_vi_matches_the_mgs_reference(m, mu):
     """Value iteration with the package's CGS2 GMRES against the same solve
     with the modified Gram-Schmidt reference: same policy, values within 1e-10."""
-    v, pol = value_iteration(m, mu)
+    sol = value_iteration(m, mu)
     with mock.patch.object(planner, "_gmres", gmres_mgs):
-        v_ref, pol_ref = value_iteration(m, mu)
-    assert np.array_equal(pol, pol_ref)
-    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
+        ref = value_iteration(m, mu)
+    assert np.array_equal(sol.policy, ref.policy)
+    np.testing.assert_allclose(sol.v, ref.v, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,22 +402,17 @@ def _assert_factored_solves_match_the_dense_oracle(m, mu):
     with the lookahead and the policy evaluation patched to the dense matrix
     of the slice-by-slice build: equal policies, values within 1e-10. Then
     one lookahead and one evaluation of the settled rows, compared directly."""
-    v, pol = value_iteration(m, mu)
-    v_tilde, _ = pds_value_iteration(m, mu)
-    pol_pds = policy_from_pds(v_tilde, m, mu)
+    sol, split = value_iteration(m, mu), pds_value_iteration(m, mu)
     with (
         mock.patch.object(planner, "known_lookahead", dense_lookahead),
-        mock.patch.object(pds, "known_lookahead", dense_lookahead),
         mock.patch.object(planner, "_evaluate_rows", dense_evaluate_rows),
     ):
-        v_ref, pol_ref = value_iteration(m, mu)
-        v_tilde_ref, _ = pds_value_iteration(m, mu)
-        pol_pds_ref = policy_from_pds(v_tilde_ref, m, mu)
-    assert np.array_equal(pol, pol_ref) and np.array_equal(pol_pds, pol_pds_ref)
-    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(v_tilde, v_tilde_ref, rtol=0, atol=1e-10)
+        ref, split_ref = value_iteration(m, mu), pds_value_iteration(m, mu)
+    assert np.array_equal(sol.policy, ref.policy) and np.array_equal(split.policy, split_ref.policy)
+    np.testing.assert_allclose(sol.v, ref.v, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(split.v_tilde, split_ref.v_tilde, rtol=0, atol=1e-10)
     cost, c_post = split_costs(m, mu)
-    v_hbx = v.reshape(m.n_b, m.n_h, m.n_x).transpose(1, 0, 2)
+    v_hbx = sol.v.reshape(m.n_b, m.n_h, m.n_x).transpose(1, 0, 2)
     w = c_post + m.gamma * action_free_values(m, v_hbx)
     q = known_lookahead(m, cost, w)
     np.testing.assert_allclose(q, dense_lookahead(m, cost, w), rtol=0, atol=1e-10)
@@ -470,12 +461,13 @@ def test_only_the_online_learner_builds_the_dense_operator(monkeypatch):
 def test_packed_greedy_rule_equals_the_full_table_rule_on_random_models(m, price, seed):
     feasible = feasible_sa(m)
     # at the fixed points, for value iteration and the split solver
-    v, pol = value_iteration(m, price)
-    assert np.array_equal(pol, greedy_from_q(q_values(m, v, price), feasible))
-    v_tilde, _ = pds_value_iteration(m, price)
+    sol = value_iteration(m, price)
+    assert np.array_equal(sol.policy, greedy_from_q(q_values(m, sol.v, price), feasible))
+    split = pds_value_iteration(m, price)
+    v_tilde = split.v_tilde
     w = v_tilde.transpose(1, 0, 2).reshape(m.n_h, m.n_b * m.n_x)
     q = known_lookahead(m, split_costs(m, price)[0], w)
-    assert np.array_equal(policy_from_pds(v_tilde, m, price), greedy_from_q(flat_q(m, q), feasible))
+    assert np.array_equal(split.policy, greedy_from_q(flat_q(m, q), feasible))
     # off them, on values with exact ties, gaps just inside and outside TIE_TOL and NaN rows
     rng = np.random.default_rng(seed)
     n_rows = m.known_operator.action.size

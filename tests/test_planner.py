@@ -81,13 +81,13 @@ def _dense_problem(model, mu):
 
 def test_vi_agrees_with_dense_reference(reduced_model):
     m = reduced_model
-    v, pol = value_iteration(m, 1.0)
+    sol = value_iteration(m, 1.0)
     costs, trans = _dense_problem(m, 1.0)
     v_ref, _, pol_ref = dense_value_iteration(
         costs, trans, m.gamma, feasible=feasible_sa(m)
     )
-    assert np.allclose(v, v_ref, atol=1e-6)
-    assert np.array_equal(pol, pol_ref)
+    assert np.allclose(sol.v, v_ref, atol=1e-6)
+    assert np.array_equal(sol.policy, pol_ref)
 
 
 def test_vi_residuals_contract_geometrically(reduced_model):
@@ -104,16 +104,16 @@ def test_vi_raises_when_capped(reduced_model):
 
 def test_optimal_policy_evaluates_to_optimal_value(reduced_model):
     m, mu = reduced_model, 1.0
-    v, pol = value_iteration(m, mu)
-    total, power, buf = policy_evaluate(pol, m, mu)
+    sol = value_iteration(m, mu)
+    total, power, buf = policy_evaluate(sol.policy, m, mu)
     assert np.allclose(total, power + mu * buf, rtol=1e-9)
-    assert np.allclose(total, v, atol=1e-6)
+    assert np.allclose(total, sol.v, atol=1e-6)
     assert np.all(power >= 0.0) and np.all(buf >= 0.0)
 
 
 def test_action_value_matches_q_table(reduced_model):
     m = reduced_model
-    v, _ = value_iteration(m, 1.0)
+    v = value_iteration(m, 1.0).v
     q = q_values(m, v, 1.0)
     rng = np.random.default_rng(11)
     for _ in range(60):
@@ -128,7 +128,7 @@ def test_action_value_matches_q_table(reduced_model):
 
 def test_q_values_mu_override(reduced_model):
     m = reduced_model
-    v, _ = value_iteration(m, 1.0)
+    v = value_iteration(m, 1.0).v
     q0 = q_values(m, v, mu=0.0)
     s = State(4, 2, PowerState.ON)
     i = m.state_index(s)
@@ -150,6 +150,21 @@ def test_vi_settles_in_few_minimizing_sweeps_and_caps_evaluation(reduced_model):
     # solver that left its matvecs uncharged would finish within it
     with pytest.raises(ConvergenceError):
         value_iteration(reduced_model, 1.0, max_iters=12)
+
+
+@pytest.mark.parametrize("mu, sweeps, matvecs", [(1.0, 6, 14), (0.015, 32, 45)])
+def test_the_solve_record_counts_its_sweeps_and_matvecs(full_model, mu, sweeps, matvecs):
+    # the same counts under the SkylakeX, Haswell and Prescott OpenBLAS kernels
+    resids = []
+    sol = value_iteration(full_model, mu, residuals=resids)
+    assert (sol.sweeps, sol.matvecs) == (sweeps, matvecs)
+    assert sol.sweeps == len(resids)
+    # the cap counts both: exactly enough repeats the solve, one fewer raises
+    again = value_iteration(full_model, mu, max_iters=sweeps + matvecs)
+    assert (again.sweeps, again.matvecs) == (sweeps, matvecs)
+    assert again.v.tobytes() == sol.v.tobytes()
+    with pytest.raises(ConvergenceError):
+        value_iteration(full_model, mu, max_iters=sweeps + matvecs - 1)
 
 
 def test_the_gmres_norm_changes_no_bit_and_cannot_overflow():
@@ -175,7 +190,7 @@ def test_a_solve_at_a_large_price_takes_about_as_many_sweeps_as_at_mu_1(full_mod
         warnings.simplefilter("error", RuntimeWarning)
         at_1, at_big = [], []
         value_iteration(full_model, 1.0, residuals=at_1)
-        v, _ = value_iteration(full_model, mu, residuals=at_big)
+        v = value_iteration(full_model, mu, residuals=at_big).v
     assert len(at_big) <= 3 * len(at_1)
     assert np.isfinite(v).all() and at_big[-1] < 1e-9
 
