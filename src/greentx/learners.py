@@ -23,11 +23,13 @@ that pins the price pins it there, with ``MultiplierState.fixed``.
 differs from the learner's own, or whose values no run reaches: a
 negative visit count, a value table that is not finite.
 
-The Q-learner's slot makes no numpy call on a table row: feasibility does
-not depend on the channel, so it keeps, per (buffer, radio) block of
-states, the list of feasible action indices (for ``act``) and the boolean
-feasibility row as bytes (for the backup), built once from
-``model.feasible_bxa``, and reads the Q row it needs with ``tolist``.
+The Q-learner's slot reads a table row only as one slice and its
+``tolist``. Under the model's canonical action order (``S_OFF``, ``S_ON``
+sending nothing, then z ascending with the PLR level fastest) the feasible
+actions of every state are the first k of the action list: k = 2 with the
+radio off, and 2 + min(b, z_max) * n_plr with it on. So ``QLearner`` keeps
+one prefix length per state, checked against ``model.feasible_bxa`` once,
+and ``act`` and the backup read ``q[s, :k].tolist()``.
 
 The PDS learner's slot makes few numpy calls, and each on a contiguous
 array. It stores its table and visit counts channel-major, (n_h, n_b, n_x),
@@ -46,11 +48,10 @@ alpha on an array; a single-entry slot computes alpha of its one count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from .errors import ConfigError, check_snapshot, check_values
+from .errors import ConfigError, FeasibilityError, check_snapshot, check_values
 from .model import JointModel
 from .pds import FactoredDynamics
 from .planner import TIE_TOL
@@ -134,39 +135,35 @@ def q_update(
     s_next_idx: int,
     alpha: float,
     gamma: float,
-    feasible_sa,
+    n_feasible,
 ) -> float:
     """One tabular backup toward cost plus the best feasible continuation.
 
-    ``feasible_sa[s]`` is state s's feasibility row: a bool array, or any
-    sequence of truth values such as ``bytes``.
+    ``n_feasible[s]`` is the number of state s's feasible actions, which
+    are its first ones: the continuation is the minimum of that prefix of
+    the next state's row.
     """
-    best_next = min(compress(q[s_next_idx].tolist(), feasible_sa[s_next_idx]))
+    best_next = min(q[s_next_idx, : n_feasible[s_next_idx]].tolist())
     new = (1.0 - alpha) * q.item(s_idx, a_idx) + alpha * (cost + gamma * best_next)
     q[s_idx, a_idx] = new
     return new
 
 
-def epsilon_greedy(
-    q_row: np.ndarray,
-    feasible_idx,
-    eps: float,
-    rng: np.random.Generator,
-) -> int:
-    """Greedy feasible action, replaced by a uniform feasible draw w.p. eps.
+def epsilon_greedy(q_row: np.ndarray, eps: float, rng: np.random.Generator) -> int:
+    """Greedy index into ``q_row``, replaced by a uniform index w.p. eps.
 
-    The greedy action is the first of ``feasible_idx`` (an array or a list)
-    within ``TIE_TOL`` of the feasible minimum.
+    ``q_row`` holds the values of the feasible actions 0 .. len - 1 (a
+    state's prefix of its Q row). The greedy index is the first within
+    ``TIE_TOL`` of the row's minimum.
     """
     if rng.random() < eps:
-        return int(feasible_idx[rng.integers(len(feasible_idx))])
+        return int(rng.integers(len(q_row)))
     row = q_row.tolist()
-    vals = [row[a] for a in feasible_idx]
-    tie = min(vals) + TIE_TOL
-    for a, v in zip(feasible_idx, vals):
+    tie = min(row) + TIE_TOL
+    for a, v in enumerate(row):
         if v <= tie:
-            return int(a)
-    return int(feasible_idx[0])  # only NaN entries can leave the tie window empty
+            return a
+    return 0  # only NaN entries can leave the tie window empty
 
 
 class QLearner:
@@ -183,21 +180,17 @@ class QLearner:
         self.rng = rng
         self.q = np.zeros((model.n_s, model.n_a))
         self.visits = np.zeros((model.n_s, model.n_a), dtype=np.int64)
-        # feasibility does not depend on h: the n_h states of a (b, x) block
-        # share its list of feasible action indices and its row as bytes
-        n_x, n_a = model.n_x, model.n_a
+        # feasibility does not depend on h, and each (b, x) block's feasible
+        # actions are its first k: the n_h states of a block share its k
+        n_b, n_x, n_a = model.feasible_bxa.shape
         blocks = model.feasible_bxa.reshape(-1, n_a)  # row b * n_x + x
-        actions = np.nonzero(blocks)[1].tolist()
-        bounds = [0, *np.cumsum(blocks.sum(axis=1)).tolist()]
-        raw = blocks.tobytes()
-        self._feasible, self._feasible_rows = [], []
-        for b in range(model.n_b):
-            ks = range(b * n_x, (b + 1) * n_x)
-            self._feasible += [actions[bounds[k] : bounds[k + 1]] for k in ks] * model.n_h
-            self._feasible_rows += [raw[k * n_a : (k + 1) * n_a] for k in ks] * model.n_h
+        k = blocks.sum(axis=1)
+        if not np.array_equal(blocks, np.arange(n_a) < k[:, None]):
+            raise FeasibilityError("the feasible actions of a state are not a prefix of the action list")
+        self._n_feasible = np.repeat(k.reshape(n_b, 1, n_x), model.n_h, axis=1).ravel().tolist()
 
     def act(self, s: int, n: int, mu: float) -> int:
-        return epsilon_greedy(self.q[s], self._feasible[s], self.schedules.epsilon(n), self.rng)
+        return epsilon_greedy(self.q[s, : self._n_feasible[s]], self.schedules.epsilon(n), self.rng)
 
     def learn(self, outcome, n: int, mu: float) -> None:
         s, a = outcome.s, outcome.a
@@ -207,7 +200,7 @@ class QLearner:
         self.visits[s, a] = n_sa + 1
         q_update(
             self.q, s, a, cost, outcome.s_next, self.schedules.alpha(n_sa),
-            self.model.gamma, self._feasible_rows,
+            self.model.gamma, self._n_feasible,
         )
 
     def tables(self) -> dict:

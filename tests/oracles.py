@@ -47,6 +47,9 @@ checked against them:
 - the learners' references: ``default_schedules``, the experience record
   ``PdsExperienceTuple`` and ``virtual_tuples`` (one observed slot replayed
   at every buffer level and radio state, which a batch update must match);
+- the Q slot over masked full rows: ``epsilon_greedy_by_mask`` and
+  ``best_continuation_by_mask``, the reads the learner's feasible-prefix
+  slices replaced, which its actions and backups must equal;
 - the PDS slot as whole-array formulas: ``alpha_by_power``,
   ``greedy_row_by_argmax`` and ``ve_batch_by_fancy_index``, which the
   learner's cached views and in-place writes must match byte for byte;
@@ -56,7 +59,9 @@ checked against them:
   orthogonalizes by modified Gram-Schmidt, one basis vector at a time: the
   routine the package's CGS2 Arnoldi step replaced, kept as its reference);
 - runs: ``RunningSumMetrics``, the metric rows kept by running sums slot by
-  slot, and ``per_step_suboptimal``, the re-planning reference as a run;
+  slot, ``csv_text_by_rows``, the metric CSV formatted one row at a time,
+  which the chunked writer must match byte for byte, and
+  ``per_step_suboptimal``, the re-planning reference as a run;
 - the plant: ``ScalarDrawEnv``, a slot with one scalar draw per random
   quantity and ``np.searchsorted`` sampling, which the block-drawn
   ``Environment.step`` must match outcome for outcome and stream for stream.
@@ -76,7 +81,7 @@ import numpy as np
 from greentx.config import ExperimentConfig
 from greentx.env import Environment, SlotOutcome, perturb_channel
 from greentx.errors import ConfigError, ConvergenceError, FeasibilityError
-from greentx.harness import MU_WINDOW_SLOTS, MetricsRecord, RunResult, run_experiment
+from greentx.harness import CSV_COLUMNS, MU_WINDOW_SLOTS, MetricsRecord, RunResult, run_experiment
 from greentx.learners import LearningSchedule
 from greentx.model import Action, JointModel, State
 from greentx.pds import FactoredDynamics
@@ -564,6 +569,27 @@ def virtual_tuples(model: JointModel, tup: PdsExperienceTuple) -> list[PdsExperi
     return out
 
 
+def epsilon_greedy_by_mask(
+    q_row: np.ndarray, feasible_row: np.ndarray, eps: float, rng: np.random.Generator
+) -> int:
+    """The Q-learner's action read off a full row and its feasibility mask.
+
+    One uniform draw decides exploration; an exploring slot picks a feasible
+    action by one integer draw, and a greedy slot the first feasible action
+    within ``TIE_TOL`` of the feasible minimum.
+    """
+    feasible = np.flatnonzero(feasible_row)
+    if rng.random() < eps:
+        return int(feasible[rng.integers(len(feasible))])
+    vals = q_row[feasible]
+    return int(feasible[np.flatnonzero(vals <= vals.min() + TIE_TOL)[0]])
+
+
+def best_continuation_by_mask(q: np.ndarray, feasible_sa: np.ndarray, s: int) -> float:
+    """The least feasible entry of state s's full Q row."""
+    return float(q[s][feasible_sa[s]].min())
+
+
 # ---- the PDS slot as whole-array numpy formulas ------------------------------------
 # The learner's slot reads per-block views, per-arrival-count index tables and
 # a step-size table, and writes in place; these are the formulas it replaced,
@@ -801,6 +827,16 @@ class RunningSumMetrics:
             theta_off=self.off_slots / c,
             mu_window=max(0.0, self._mu_wsum / len(self._mu_hist)),
         )
+
+
+def csv_text_by_rows(history) -> str:
+    """The metric CSV one row at a time: the slot as an integer, every
+    other value by ``repr`` of its Python float, joined per row."""
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for row in np.asarray(history, dtype=np.float64):
+        n, *vals = row.tolist()
+        lines.append(",".join([str(int(n))] + [repr(v) for v in vals]) + "\n")
+    return "".join(lines)
 
 
 def per_step_suboptimal(cfg: ExperimentConfig, **kwargs) -> RunResult:

@@ -188,18 +188,17 @@ def test_criterion_06_q_learning_converges_on_a_toy_chain():
         q_star = C + gamma * P @ q_star.min(axis=1)
 
     rng = np.random.default_rng(1234)
-    feasible = np.ones((3, 2), dtype=bool)
-    both = np.array([0, 1])
+    n_feasible = [2, 2, 2]  # both actions of every state
     q = np.zeros((3, 2))
     visits = np.zeros((3, 2), dtype=np.int64)
     s = 0
     for n in range(100_000):
         eps = max(0.01, 0.5 * 0.9999**n)
-        a = epsilon_greedy(q[s], both, eps, rng)
+        a = epsilon_greedy(q[s], eps, rng)
         s_next = int(rng.choice(3, p=P[s, a]))
         visits[s, a] += 1
         alpha = (1.0 / (1.0 + visits[s, a])) ** 0.7
-        q_update(q, s, a, C[s, a], s_next, alpha, gamma, feasible)
+        q_update(q, s, a, C[s, a], s_next, alpha, gamma, n_feasible)
         s = s_next
     rel = np.abs(q - q_star).max() / np.abs(q_star).max()
     dt = time.monotonic() - t0

@@ -5,11 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
-from greentx import harness
+from greentx import harness, learners
 from greentx.config import reduced_profile, table_profile
 from greentx.errors import ConfigError, TableFormatError
 from greentx.harness import (
+    CSV_CHUNK_ROWS,
     CSV_COLUMNS,
     OBSERVATIONS,
     MetricsAccumulator,
@@ -27,7 +31,7 @@ from greentx.harness import (
     solve_tables,
 )
 from greentx.planner import value_iteration
-from oracles import RunningSumMetrics, per_step_suboptimal
+from oracles import RunningSumMetrics, csv_text_by_rows, per_step_suboptimal
 
 
 # ---- metrics accounting ------------------------------------------------------
@@ -125,6 +129,61 @@ def test_emit_csv_writes_bytes(tmp_path):
     path = tmp_path / "m.csv"
     emit_metrics_csv([MetricsRecord(0, 1, 2, 3, 4, 0.0, 0.0)], path)
     assert path.read_text() == metrics_csv_text([MetricsRecord(0, 1, 2, 3, 4, 0.0, 0.0)])
+
+
+# values whose shortest round-trip text takes each of repr's forms
+CSV_VALUES = (-0.0, 5e-324, 1e-5, 1e16, 1e22, 3.0, -2.0, 1e15, 0.1 + 0.2, np.inf, -np.inf, np.nan)
+
+
+def _history(n_rows, seed=0):
+    """Metric rows numbered from 0: about half the values drawn from
+    CSV_VALUES, the others normal draws."""
+    rng = np.random.default_rng(seed)
+    shape = (n_rows, len(CSV_COLUMNS) - 1)
+    values = np.where(rng.random(shape) < 0.5, rng.choice(CSV_VALUES, size=shape), rng.normal(size=shape))
+    return np.column_stack([np.arange(n_rows, dtype=np.float64), values])
+
+
+def _assert_csv_matches_rows(history, tmp_path):
+    want = csv_text_by_rows(history)
+    assert metrics_csv_text(history) == want
+    path = tmp_path / "m.csv"
+    emit_metrics_csv(history, path)
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]
+)
+def test_csv_matches_the_per_row_formatter(n_rows, tmp_path):
+    history = _history(n_rows, seed=n_rows)
+    _assert_csv_matches_rows(history, tmp_path)
+    assert metrics_csv_text(history).count("\n") == n_rows + 1
+
+
+def test_csv_of_a_history_slice_keeps_its_slot_numbers(tmp_path):
+    history = _history(500 + 2 * CSV_CHUNK_ROWS + 3)[500:]
+    _assert_csv_matches_rows(history, tmp_path)
+    slots = [line.split(",")[0] for line in metrics_csv_text(history).splitlines()[1:]]
+    assert slots == [str(n) for n in range(500, 500 + len(history))]
+
+
+def test_csv_of_metric_records_matches_the_per_row_formatter(tmp_path):
+    records = [MetricsRecord(n, *row[1:]) for n, row in enumerate(_history(CSV_CHUNK_ROWS + 5).tolist())]
+    _assert_csv_matches_rows(records, tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hst.tuples(hst.integers(0, 2 * CSV_CHUNK_ROWS + 3), hst.just(len(CSV_COLUMNS) - 1)),
+        elements=hst.floats(width=64),
+    )
+)
+def test_csv_of_drawn_rows_matches_the_per_row_formatter(values):
+    history = np.column_stack([np.arange(len(values), dtype=np.float64), values])
+    assert metrics_csv_text(history) == csv_text_by_rows(history)
 
 
 # ---- table persistence ---------------------------------------------------------
@@ -272,6 +331,25 @@ def test_checkpoint_options_that_cannot_work_are_refused(tmp_path, options):
     with pytest.raises(ConfigError, match="checkpoint"):
         run_experiment(reduced_profile(algorithm="q", horizon=50), **options)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("algorithm, update", [("q", "q_update"), ("pds_ve", "ve_batch_update")])
+def test_each_slot_makes_one_learner_update_and_one_metrics_write(monkeypatch, algorithm, update):
+    # the benchmark's per-slot entry and metrics figures count these calls
+    calls = {update: 0, "metrics": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(learners, update, counted(update, getattr(learners, update)))
+    monkeypatch.setattr(MetricsAccumulator, "update", counted("metrics", MetricsAccumulator.update))
+    cfg = reduced_profile(algorithm=algorithm, ve_period=1, horizon=300, seed=2)
+    run_experiment(cfg)
+    assert calls == {update: cfg.horizon, "metrics": cfg.horizon}
 
 
 def test_pds_tables_count_every_written_entry():

@@ -1,4 +1,6 @@
 """Step-size schedules, multiplier ascent, and both online learners."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as hst
 
 from greentx.config import reduced_profile
 from greentx.env import SlotOutcome
-from greentx.errors import ConfigError
+from greentx.errors import ConfigError, FeasibilityError
 from greentx.harness import OBSERVATIONS, load_checkpoint, run_experiment
 from greentx.learners import (
     ALPHA_TABLE_START,
@@ -22,15 +24,20 @@ from greentx.learners import (
 )
 from greentx.model import State
 from greentx.pds import FactoredDynamics
+from greentx.planner import TIE_TOL
 from greentx.power import PowerState
 from oracles import (
     action_values_slice,
     PdsExperienceTuple,
     PostDecisionState,
+    all_states,
     alpha_by_power,
+    best_continuation_by_mask,
     default_schedules,
+    epsilon_greedy_by_mask,
     feasible_sa,
     greedy_row_by_argmax,
+    is_feasible,
     ve_batch_by_fancy_index,
     virtual_tuples,
 )
@@ -157,27 +164,116 @@ def _assert_the_loop_steps_the_price(cfg, mu, g):
 
 def test_q_update_hand_example():
     q = np.zeros((2, 2))
-    feas = np.ones((2, 2), dtype=bool)
-    got = q_update(q, 0, 0, cost=2.0, s_next_idx=1, alpha=0.5, gamma=0.5, feasible_sa=feas)
+    got = q_update(q, 0, 0, cost=2.0, s_next_idx=1, alpha=0.5, gamma=0.5, n_feasible=[2, 2])
     assert got == 1.0 and q[0, 0] == 1.0
     assert q[0, 1] == 0.0 and np.all(q[1] == 0.0)
 
 
 def test_q_update_backs_up_only_feasible_continuations():
-    q = np.array([[0.0, 0.0], [-5.0, 3.0]])
-    feas = np.array([[True, True], [False, True]])
-    q_update(q, 0, 1, cost=1.0, s_next_idx=1, alpha=1.0, gamma=0.5, feasible_sa=feas)
-    assert q[0, 1] == 1.0 + 0.5 * 3.0  # the -5 entry is masked
+    q = np.array([[0.0, 0.0], [3.0, -5.0]])
+    q_update(q, 0, 1, cost=1.0, s_next_idx=1, alpha=1.0, gamma=0.5, n_feasible=[2, 1])
+    assert q[0, 1] == 1.0 + 0.5 * 3.0  # the -5 entry lies past state 1's prefix
 
 
 def test_epsilon_greedy_modes():
     rng = np.random.default_rng(0)
     row = np.array([9.0, 1.0, 1.0 + 1e-10, 0.0])
-    feas = np.array([0, 1, 2])
-    # eps = 0: earliest feasible entry within the tie window; index 3 is masked
-    assert epsilon_greedy(row, feas, 0.0, rng) == 1
-    picks = {epsilon_greedy(row, feas, 1.0, rng) for _ in range(200)}
+    # eps = 0: earliest entry of the feasible prefix within the tie window; index 3 lies past it
+    assert epsilon_greedy(row[:3], 0.0, rng) == 1
+    picks = {epsilon_greedy(row[:3], 1.0, rng) for _ in range(200)}
     assert picks == {0, 1, 2}
+
+
+# models over a small grid of buffer sizes, batch limits and PLR grids
+PREFIX_GRID = [
+    dict(capacity=capacity, z_max=z_max, plr_grid=plr_grid)
+    for capacity in (3, 6)
+    for z_max in (1, 3)
+    for plr_grid in ((0.05,), (0.01, 0.1), (0.01, 0.02, 0.04))
+]
+
+
+def _grid_id(kw):
+    return f"cap{kw['capacity']}-z{kw['z_max']}-plr{len(kw['plr_grid'])}"
+
+
+@pytest.mark.parametrize("kw", PREFIX_GRID, ids=_grid_id)
+def test_feasible_actions_are_a_prefix_of_the_action_list(kw):
+    m = reduced_profile(**kw).build_model()
+    n_plr = len(kw["plr_grid"])
+    for s in all_states(m):
+        k = 2 + min(s.b, m.z_max) * n_plr if s.x == PowerState.ON else 2
+        assert [is_feasible(m, s, a) for a in m.actions] == [j < k for j in range(m.n_a)], s
+
+
+def _planted_q(model, rng):
+    """A random Q table whose infeasible entries lie below every feasible
+    one, and whose feasible rows hold entries at the minimum, inside the
+    tie window, on its edge and just past it."""
+    feas = feasible_sa(model)
+    q = rng.normal(size=feas.shape)
+    q[~feas] = -1e3
+    for s in range(model.n_s):
+        idx = np.flatnonzero(feas[s])
+        low = q[s, idx].min()
+        offsets = (0.0, 0.5 * TIE_TOL, TIE_TOL, 2.0 * TIE_TOL)
+        picks = rng.choice(idx, size=min(len(offsets), len(idx)), replace=False)
+        for a, offset in zip(picks, offsets):
+            q[s, a] = low + offset
+    return q
+
+
+def _learner_with(model, q, eps, seed):
+    sched = LearningSchedule(eps_start=eps, eps_decay=1.0, eps_floor=eps)
+    learner = QLearner(model, sched, np.random.default_rng(seed))
+    learner.q[...] = q
+    return learner
+
+
+@pytest.mark.parametrize("kw", PREFIX_GRID[::4], ids=_grid_id)
+def test_q_learner_greedy_action_reads_the_masked_row(kw):
+    m = reduced_profile(**kw).build_model()
+    q = _planted_q(m, np.random.default_rng(11))
+    learner = _learner_with(m, q, 0.0, seed=3)
+    rng, feas = np.random.default_rng(3), feasible_sa(m)
+    for s in range(m.n_s):
+        assert learner.act(s, s, 0.0) == epsilon_greedy_by_mask(q[s], feas[s], 0.0, rng), s
+
+
+@pytest.mark.parametrize("kw", PREFIX_GRID[::4], ids=_grid_id)
+def test_q_learner_exploration_draws_the_masked_rows_actions(kw):
+    m = reduced_profile(**kw).build_model()
+    q = _planted_q(m, np.random.default_rng(12))
+    learner = _learner_with(m, q, 1.0, seed=4)
+    rng, feas = np.random.default_rng(4), feasible_sa(m)
+    for n, s in enumerate(list(range(m.n_s)) * 3):
+        assert learner.act(s, n, 0.0) == epsilon_greedy_by_mask(q[s], feas[s], 1.0, rng), s
+    assert learner.rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kw", PREFIX_GRID[::4], ids=_grid_id)
+def test_q_learner_backup_reads_the_masked_row(kw):
+    m = reduced_profile(**kw).build_model()
+    q = _planted_q(m, np.random.default_rng(13))
+    learner = _learner_with(m, q, 0.0, seed=5)
+    feas, mu = feasible_sa(m), 0.5
+    for s_next in range(m.n_s):
+        out = SlotOutcome(
+            s=0, a=0, f=0, l=0, s_next=s_next, power_w=0.25, holding=0, drops=0, g_realized=0.0
+        )
+        learner.q[0, 0], learner.visits[0, 0] = q[0, 0], 0
+        best = best_continuation_by_mask(learner.q, feas, s_next)
+        want = (1.0 - 1.0) * q[0, 0] + 1.0 * (0.25 + mu * 0.0 + m.gamma * best)
+        learner.learn(out, s_next, mu)
+        assert learner.q[0, 0] == want, s_next
+
+
+def test_q_learner_refuses_a_model_whose_feasible_sets_are_not_prefixes(reduced_model):
+    m = reduced_model
+    swapped = [2, 1, 0, *range(3, m.n_a)]  # actions 0 and 2 exchanged
+    shuffled = SimpleNamespace(n_s=m.n_s, n_a=m.n_a, n_h=m.n_h, feasible_bxa=m.feasible_bxa[..., swapped])
+    with pytest.raises(FeasibilityError):
+        QLearner(shuffled, default_schedules(), np.random.default_rng(0))
 
 
 def test_q_learner_first_visit_writes_sampled_target(reduced_model):
