@@ -311,8 +311,8 @@ class Environment:
         self.arrivals = arrivals
         self.streams = streams
         self.s = model.state_index(s0)
-        self._n_h, self._n_x, self._n_a = model.n_h, model.n_x, model.n_a
-        self._feasible = model.feasible_bxa.tobytes()  # [(b * n_x + x) * n_a + a]
+        self._n_h, self._n_x = model.n_h, model.n_x
+        self._n_feasible = model.n_feasible.tolist()  # [b][x]
         self._z = model.action_z.tolist()
         self._p_deliver = [1.0 - plr for plr in model.action_plr.tolist()]
         self._p_off = model.px_stack[:, :, int(PowerState.OFF)].tolist()  # [a][x]
@@ -334,9 +334,10 @@ class Environment:
         s = self.s
         bh, x = divmod(s, self._n_x)
         b, h = divmod(bh, self._n_h)
-        if not self._feasible[(b * self._n_x + x) * self._n_a + a]:
+        if not 0 <= a < self._n_feasible[b][x]:
             m = self.model
-            raise FeasibilityError(f"action {m.actions[a]} infeasible in state {m.state_of(s)}")
+            name = m.actions[a] if 0 <= a < m.n_a else f"index {a}"
+            raise FeasibilityError(f"action {name} infeasible in state {m.state_of(s)}")
         z = self._z[a]
         f = int(self.streams.goodput.binomial(z, self._p_deliver[a])) if z > 0 else 0
         x_next = _OFF if self._pm.random() < self._p_off[a][x] else _ON

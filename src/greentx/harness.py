@@ -358,7 +358,7 @@ def _check_policy(model: JointModel, policy: np.ndarray) -> None:
     if policy.min() < 0 or policy.max() >= model.n_a:
         raise TableFormatError(f"policy names actions outside [0, {model.n_a})")
     s = np.arange(model.n_s)  # flat (b, h, x) order: b = s // (n_h n_x), x = s % n_x
-    if not model.feasible_bxa[s // (model.n_h * model.n_x), s % model.n_x, policy].all():
+    if not (policy < model.n_feasible[s // (model.n_h * model.n_x), s % model.n_x]).all():
         raise TableFormatError("policy picks an infeasible action")
 
 

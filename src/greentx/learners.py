@@ -24,12 +24,8 @@ differs from the learner's own, or whose values no run reaches: a
 negative visit count, a value table that is not finite.
 
 The Q-learner's slot reads a table row only as one slice and its
-``tolist``. Under the model's canonical action order (``S_OFF``, ``S_ON``
-sending nothing, then z ascending with the PLR level fastest) the feasible
-actions of every state are the first k of the action list: k = 2 with the
-radio off, and 2 + min(b, z_max) * n_plr with it on. So ``QLearner`` keeps
-one prefix length per state, checked against ``model.feasible_bxa`` once,
-and ``act`` and the backup read ``q[s, :k].tolist()``.
+``tolist``: a state's feasible actions are the first k = ``n_feasible[b, x]``
+of the list (see ``model``), so ``act`` and the backup read ``q[s, :k]``.
 
 The PDS learner's slot makes few numpy calls, and each on a contiguous
 array. It stores its table and visit counts channel-major, (n_h, n_b, n_x),
@@ -51,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FeasibilityError, check_snapshot, check_values
+from .errors import ConfigError, check_snapshot, check_values
 from .model import JointModel
 from .pds import FactoredDynamics
 from .planner import TIE_TOL
@@ -75,6 +71,9 @@ class LearningSchedule:
             raise ConfigError("alpha_power must lie in (0.5, 1]")
         if not self.alpha_power < self.beta_power <= 1.0:
             raise ConfigError("beta_power must lie in (alpha_power, 1]")
+        for name in ("eps_start", "eps_floor", "eps_decay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
 
     def alpha(self, n: int | np.ndarray) -> float | np.ndarray:
         """Value-table step size at visit n, starting from 1; n may be an array."""
@@ -139,9 +138,8 @@ def q_update(
 ) -> float:
     """One tabular backup toward cost plus the best feasible continuation.
 
-    ``n_feasible[s]`` is the number of state s's feasible actions, which
-    are its first ones: the continuation is the minimum of that prefix of
-    the next state's row.
+    ``n_feasible[s]`` is state s's feasible prefix length: the continuation
+    is the minimum of that prefix of the next state's row.
     """
     best_next = min(q[s_next_idx, : n_feasible[s_next_idx]].tolist())
     new = (1.0 - alpha) * q.item(s_idx, a_idx) + alpha * (cost + gamma * best_next)
@@ -180,14 +178,7 @@ class QLearner:
         self.rng = rng
         self.q = np.zeros((model.n_s, model.n_a))
         self.visits = np.zeros((model.n_s, model.n_a), dtype=np.int64)
-        # feasibility does not depend on h, and each (b, x) block's feasible
-        # actions are its first k: the n_h states of a block share its k
-        n_b, n_x, n_a = model.feasible_bxa.shape
-        blocks = model.feasible_bxa.reshape(-1, n_a)  # row b * n_x + x
-        k = blocks.sum(axis=1)
-        if not np.array_equal(blocks, np.arange(n_a) < k[:, None]):
-            raise FeasibilityError("the feasible actions of a state are not a prefix of the action list")
-        self._n_feasible = np.repeat(k.reshape(n_b, 1, n_x), model.n_h, axis=1).ravel().tolist()
+        self._n_feasible = np.repeat(model.n_feasible, model.n_h, axis=0).ravel().tolist()
 
     def act(self, s: int, n: int, mu: float) -> int:
         return epsilon_greedy(self.q[s, : self._n_feasible[s]], self.schedules.epsilon(n), self.rng)

@@ -6,9 +6,12 @@ packet count z. Transmitting (z > 0) requires the radio on and kept on, and
 no more packets than the buffer holds.
 
 Everything the solvers need is precomputed here as stacked arrays indexed by
-the global action list, which is ordered canonically: radio command first,
-then z ascending, then PLR ascending. Ties in any argmin are broken toward
-the earliest action in this order.
+the global action list, which is ordered canonically: ``S_OFF``, ``S_ON``
+sending nothing, then z ascending with the PLR level fastest. Ties in any
+argmin are broken toward the earliest action in this order. Since z only
+grows along it, each (buffer, radio) pair's feasible actions are the first
+``n_feasible[b, x]`` of the list (2 with the radio off, 2 + min(b, z_max)
+* n_plr with it on), the one statement of feasibility the package reads.
 
 The known half of the slot dynamics (transmission goodput and the radio
 switch, with their power and holding costs) is also available as one packed
@@ -67,11 +70,12 @@ class KnownOperator:
     that a delivers f of its packets, and ``law[r] = y * n_x + x`` picks the
     radio law of the command y from the state x out of ``laws`` (n_laws,
     n_x). Every transmitting row keeps the radio on, so it has the one law
-    ``tx_law``. Infeasible triples have no row. The rows leaving (b, x) are
-    ``bounds[k]:bounds[k + 1]`` with k = b * n_x + x; no block is empty,
-    since z = 0 is always feasible. ``rho`` (n_h, n_rows) and ``hold``
-    (n_rows,) are each row's power draw per channel and expected holding,
-    the costs of the known half.
+    ``tx_law``. Infeasible triples have no row. The rows leaving (b, x),
+    ``bounds[k]:bounds[k + 1]`` with k = b * n_x + x, are the feasible
+    prefix, actions 0 .. n_feasible[b, x] - 1 (module docstring), so
+    ``bounds`` holds the prefix sums of ``n_feasible``; z = 0 keeps every
+    block nonempty. ``rho`` (n_h, n_rows) and ``hold`` (n_rows,) are each
+    row's power draw per channel and expected holding, the known costs.
 
     The exact solvers use this factorization and never form the operator:
     ``apply`` is the lookahead and ``buffer_rows`` the goodput rows that a
@@ -275,6 +279,9 @@ class JointModel:
         self.action_y = np.r_[int(PmAction.S_OFF), np.full(self.n_a - 1, int(PmAction.S_ON))]
         self.action_level = np.r_[0, 0, np.tile(np.arange(n_plr), self.z_max)]
         self.action_plr = np.array(self.plr_grid)[self.action_level]
+        # the feasible prefix (module docstring): z <= b with the radio on, z = 0 with it off
+        z_top = np.arange(self.n_b)[:, None] * (np.arange(self.n_x) == int(PowerState.ON))
+        self.n_feasible = np.searchsorted(self.action_z, z_top, side="right")
 
     @cached_property
     def actions(self) -> tuple[Action, ...]:
@@ -338,9 +345,6 @@ class JointModel:
 
         # expected holding per (buffer, action)
         self.hold_ba = np.arange(n_b, dtype=np.float64)[:, None] - self.action_z * (1.0 - self.action_plr)
-        z_ok = self.action_z[None, None, :] <= np.arange(n_b)[:, None, None]
-        on_needed = (self.action_z[None, None, :] == 0) | (np.arange(n_x)[None, :, None] == on)
-        self.feasible_bxa = z_ok & on_needed
 
     def _build_arrival_tables(self) -> None:
         """The tables that depend on the arrivals: A_clamp and o_exp."""
@@ -371,17 +375,18 @@ class JointModel:
     def known_operator(self) -> KnownOperator:
         """The feasible rows of the known half of the slot dynamics.
 
-        Built on first use from ``feasible_bxa``, ``goodput``,
+        Built on first use from ``n_feasible``, ``goodput``,
         ``radio_laws``, ``rho_hxa`` and ``hold_ba``, none of which the
         arrivals or the channel move; see KnownOperator.
         """
         op = self._known.get("K")
         if op is None:
-            index = np.flatnonzero(self.feasible_bxa)
-            bx, a = np.divmod(index, self.n_a)
+            k = self.n_feasible.ravel()  # block b * n_x + x holds actions 0 .. k - 1
+            bounds = np.concatenate(([0], np.cumsum(k)))
+            bx = np.repeat(np.arange(k.size), k)
+            a = np.arange(bounds[-1]) - bounds[bx]
             b, x = np.divmod(bx, self.n_x)
             law = self.action_y[a] * self.n_x + x
-            bounds = np.searchsorted(bx, np.arange(self.n_b * self.n_x + 1))
             rho, hold = self.rho_hxa[:, x, a], self.hold_ba[b, a]
             for arr in (a, b, x, law, bounds, rho, hold):
                 arr.flags.writeable = False

@@ -54,13 +54,13 @@ class FactoredDynamics:
         """Per (b, x) block k = b * n_x + x, views of what its greedy rule reads.
 
         Each entry holds the block's power rows (n_h, rows), its holding
-        row, its columns of the known operator's matrix, and its global
-        action indices as a list. Built on the first greedy row.
+        row and its columns of the known operator's matrix; its i-th row
+        is action i (see KnownOperator). Built on the first greedy row.
         """
         op = self.model.known_operator
         bounds = op.bounds.tolist()
         return [
-            (op.rho[:, lo:hi], op.hold[lo:hi], op.matrix[:, lo:hi], op.action[lo:hi].tolist())
+            (op.rho[:, lo:hi], op.hold[lo:hi], op.matrix[:, lo:hi])
             for lo, hi in zip(bounds, bounds[1:])
         ]
 
@@ -116,15 +116,15 @@ class FactoredDynamics:
         of the block within ``TIE_TOL`` of its minimum, read off the row as
         a list.
         """
-        rho, hold, cols, actions = self._blocks[b * self.model.n_x + x]
+        rho, hold, cols = self._blocks[b * self.model.n_x + x]
         ev = v_tilde[:, h, :].ravel() @ cols
         q = (rho[h] + mu * hold + ev).tolist()
         val = min(q)
         tie = val + TIE_TOL
-        for a, v in zip(actions, q):
+        for a, v in enumerate(q):
             if v <= tie:
                 return val, a
-        return val, actions[0]  # only NaN entries can leave the tie window empty
+        return val, 0  # only NaN entries can leave the tie window empty
 
 
 def pds_value_iteration(

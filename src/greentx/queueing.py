@@ -60,6 +60,8 @@ class ArrivalDistribution:
         if mean == 0:
             return cls.deterministic(0)
         terms = [math.exp(-mean)]
+        if terms[0] == 0.0:  # the terms would all be 0 and never reach the tail
+            raise ConfigError(f"poisson mean {mean!r} is too large to tabulate: exp(-mean) underflows")
         remaining = 1.0 - terms[0]
         k = 0
         while remaining >= tail:

@@ -13,7 +13,9 @@ checked against them:
   model's ``o_exp`` must match), ``buffer_transition_pmf`` and
   ``buffer_cost``, by enumerating deliveries and arrivals;
 - the joint model pair by pair: ``all_states``, ``is_feasible`` (the
-  feasibility rule the model's masks encode), ``feasible_action_indices``,
+  feasibility rule), ``feasible_bxa`` (its (b, x, a) cube, which the model's
+  prefix lengths ``n_feasible`` and the packed rows must match),
+  ``feasible_action_indices``,
   ``feasible_actions``, ``joint_transition_pmf``, ``power_cost``,
   ``expected_buffer_cost`` and ``lagrangian_cost``;
 - the classic pre-decision buffer cost ``g_ba``: holding plus eta-weighted
@@ -255,9 +257,28 @@ def is_feasible(model: JointModel, s: State, a: Action) -> bool:
     return s.x == PowerState.ON and a.y == PmAction.S_ON and a.z <= s.b
 
 
+_FEASIBLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def feasible_bxa(model: JointModel) -> np.ndarray:
+    """The (n_b, n_x, n_a) feasibility cube, ``is_feasible`` pair by pair, kept per model.
+
+    Feasibility does not depend on the channel, so channel 0 stands for all.
+    """
+    cube = _FEASIBLE.get(model)
+    if cube is None:
+        cube = np.array([
+            [[is_feasible(model, State(b, 0, x), a) for a in model.actions] for x in PowerState]
+            for b in range(model.n_b)
+        ])
+        cube.flags.writeable = False
+        _FEASIBLE[model] = cube
+    return cube
+
+
 def feasible_action_indices(model: JointModel, s: State) -> np.ndarray:
-    """Global indices of the allowed actions, read from the model's mask."""
-    return np.flatnonzero(model.feasible_bxa[s.b, int(s.x)])
+    """Global indices of the allowed actions, read from ``feasible_bxa``."""
+    return np.flatnonzero(feasible_bxa(model)[s.b, int(s.x)])
 
 
 def feasible_actions(model: JointModel, s: State) -> list[Action]:
@@ -348,7 +369,7 @@ def known_matrix_by_broadcast(model: JointModel) -> np.ndarray:
     tables = dense_tables(model)
     matrix = tables.get("matrix")
     if matrix is None:
-        index = np.flatnonzero(model.feasible_bxa)
+        index = np.flatnonzero(feasible_bxa(model))
         bx, a = np.divmod(index, model.n_a)
         b, x = np.divmod(bx, model.n_x)
         matrix = tables["G_stack"][a, b].T[:, None, :] * tables["px_stack"][a, x].T[None, :, :]
@@ -397,19 +418,20 @@ def dense_evaluate_rows(
 
 
 def feasible_sa(model: JointModel) -> np.ndarray:
-    """``feasible_bxa`` expanded to the flat state layout, (n_s, n_a)."""
-    return np.repeat(model.feasible_bxa, model.n_h, axis=0).reshape(model.n_s, model.n_a)
+    """``feasible_bxa(model)`` expanded to the flat state layout, (n_s, n_a)."""
+    return np.repeat(feasible_bxa(model), model.n_h, axis=0).reshape(model.n_s, model.n_a)
 
 
 def pack(model: JointModel, table: np.ndarray) -> np.ndarray:
     """The feasible entries of a (..., n_b, n_x, n_a) table, in the known operator's row order."""
-    return table[..., model.feasible_bxa]
+    return table[..., feasible_bxa(model)]
 
 
 def unpack(model: JointModel, q: np.ndarray) -> np.ndarray:
     """(..., n_rows) back to (..., n_b, n_x, n_a), +inf at infeasible entries."""
-    full = np.full(q.shape[:-1] + model.feasible_bxa.shape, np.inf)
-    full[..., model.feasible_bxa] = q
+    mask = feasible_bxa(model)
+    full = np.full(q.shape[:-1] + mask.shape, np.inf)
+    full[..., mask] = q
     return full
 
 
@@ -614,7 +636,7 @@ def lookahead_by_pack(
     with power and holding packed from their full tables."""
     m = factored.model
     op = m.known_operator
-    full = m.feasible_bxa.shape
+    full = feasible_bxa(m).shape
     rho = pack(m, np.broadcast_to(m.rho_hxa[:, None], (m.n_h,) + full))
     hold = pack(m, np.broadcast_to(m.hold_ba[:, None, :], full))
     ev = v_tilde[:, h, :].ravel() @ op.matrix[:, lo:hi]
@@ -680,7 +702,7 @@ def policy_evaluate(
     g_table = g_ba(model)
     for i, s in enumerate(states):
         a = int(policy[i])
-        if not model.feasible_bxa[s.b, int(s.x), a]:
+        if not feasible_bxa(model)[s.b, int(s.x), a]:
             raise ConvergenceError(f"policy picks infeasible action {a} in state {s}")
         pb_sel[i] = pb_stack[a, s.b]
         ph_sel[i] = model.channel_matrix[s.h]

@@ -167,6 +167,22 @@ def test_a_negative_start_table_price_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == "error: mu must be finite and nonnegative\n"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("eps_decay", 2.0), ("eps_decay", -0.5), ("eps_start", -1.0), ("eps_start", 1.5),
+    ("eps_floor", 2.0), ("eps_floor", -0.1),
+])
+def test_exploration_values_outside_the_unit_interval_are_refused(tmp_path, capsys, field, value):
+    # eps_decay 2.0 once overflowed at slot 1025 (2.0**1025) with a traceback,
+    # and the others ran silently
+    path = tmp_path / "eps.json"
+    path.write_text(f'{{"{field}": {value!r}}}')
+    rc = main(["learn", "--algorithm", "q", "--horizon", "1100", "--config", str(path),
+               "--out", str(tmp_path / "q.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must lie in [0, 1]\n"
+
+
 def test_a_fixed_price_is_not_bounded_by_mu_max(tmp_path, capsys):
     assert table_profile().mu_max == 5.0
     out = tmp_path / "k3.csv"

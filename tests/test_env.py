@@ -203,6 +203,20 @@ def test_env_step_rejects_infeasible(reduced_model):
         env.step(2)  # one packet from an empty buffer
 
 
+@pytest.mark.parametrize("x", [PowerState.OFF, PowerState.ON], ids=["sleeping", "full"])
+def test_env_step_refuses_action_indices_off_the_list(reduced_model, x):
+    # an index off the action list names no action: -1 once delivered six
+    # packets from an empty buffer, and n_a raised a bare IndexError
+    m = reduced_model
+    b = 0 if x == PowerState.OFF else m.queue.capacity
+    env = _det_env(m, State(b, 1, x))
+    s = env.s
+    for a in (-1, -m.n_a, m.n_a, m.n_a + 1):
+        with pytest.raises(FeasibilityError):
+            env.step(a)
+        assert env.s == s, a
+
+
 def test_env_step_bookkeeping_on_a_full_buffer(reduced_model):
     m = reduced_model
     s = State(10, 1, PowerState.ON)

@@ -1,5 +1,4 @@
 """Step-size schedules, multiplier ascent, and both online learners."""
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as hst
 
 from greentx.config import reduced_profile
 from greentx.env import SlotOutcome
-from greentx.errors import ConfigError, FeasibilityError
+from greentx.errors import ConfigError
 from greentx.harness import OBSERVATIONS, load_checkpoint, run_experiment
 from greentx.learners import (
     ALPHA_TABLE_START,
@@ -204,6 +203,9 @@ def test_feasible_actions_are_a_prefix_of_the_action_list(kw):
     for s in all_states(m):
         k = 2 + min(s.b, m.z_max) * n_plr if s.x == PowerState.ON else 2
         assert [is_feasible(m, s, a) for a in m.actions] == [j < k for j in range(m.n_a)], s
+        assert m.n_feasible[s.b, s.x] == k, s
+    assert m.n_feasible.shape == (m.n_b, m.n_x) and m.n_feasible.dtype == np.int64
+    assert not m.n_feasible.flags.writeable
 
 
 def _planted_q(model, rng):
@@ -266,14 +268,6 @@ def test_q_learner_backup_reads_the_masked_row(kw):
         want = (1.0 - 1.0) * q[0, 0] + 1.0 * (0.25 + mu * 0.0 + m.gamma * best)
         learner.learn(out, s_next, mu)
         assert learner.q[0, 0] == want, s_next
-
-
-def test_q_learner_refuses_a_model_whose_feasible_sets_are_not_prefixes(reduced_model):
-    m = reduced_model
-    swapped = [2, 1, 0, *range(3, m.n_a)]  # actions 0 and 2 exchanged
-    shuffled = SimpleNamespace(n_s=m.n_s, n_a=m.n_a, n_h=m.n_h, feasible_bxa=m.feasible_bxa[..., swapped])
-    with pytest.raises(FeasibilityError):
-        QLearner(shuffled, default_schedules(), np.random.default_rng(0))
 
 
 def test_q_learner_first_visit_writes_sampled_target(reduced_model):

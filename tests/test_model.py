@@ -96,7 +96,10 @@ def test_feasible_sa_matches_per_pair_predicate(reduced_model):
     for _ in range(200):
         i = int(rng.integers(m.n_s))
         j = int(rng.integers(m.n_a))
-        assert feasible_sa(m)[i, j] == is_feasible(m, m.state_of(i), m.actions[j])
+        s = m.state_of(i)
+        want = is_feasible(m, s, m.actions[j])
+        assert feasible_sa(m)[i, j] == want
+        assert (j < m.n_feasible[s.b, s.x]) == want  # the model's feasible prefix
 
 
 def test_joint_transition_is_a_distribution(reduced_model):

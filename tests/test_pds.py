@@ -33,6 +33,7 @@ from oracles import (
     dense_tables,
     dense_value_iteration,
     feasible_action_indices,
+    feasible_bxa,
     feasible_sa,
     flat_q,
     g_ba,
@@ -163,7 +164,7 @@ def test_split_solver_q_agrees_across_routes(reduced_model):
         for b in range(m.n_b):
             for x in range(m.n_x):
                 i = (b * m.n_h + h) * m.n_x + x
-                feas = m.feasible_bxa[b, x]
+                feas = feasible_bxa(m)[b, x]
                 assert np.allclose(
                     q_slice[b, x, feas], q_direct[i, feas], atol=1e-6
                 )
@@ -235,7 +236,7 @@ def _einsum_slice(m, h, v_tilde, mu):
         "abB,axX,BX->bxa", dense["G_stack"], dense["px_stack"], v_tilde[:, h, :], optimize=True
     )
     q = m.rho_hxa[h][None, :, :] + mu * m.hold_ba[:, None, :] + ev
-    return np.where(m.feasible_bxa, q, np.inf)
+    return np.where(feasible_bxa(m), q, np.inf)
 
 
 def _masked_sweep(m, v_hbx, c_post, buffer_cost_ba):
@@ -243,7 +244,7 @@ def _masked_sweep(m, v_hbx, c_post, buffer_cost_ba):
     dense = dense_tables(m)
     k = np.einsum("abB,axX->bxaBX", dense["G_stack"], dense["px_stack"]).reshape(-1, m.n_b * m.n_x)
     cost = m.rho_hxa[:, None, :, :] + buffer_cost_ba[None, :, None, :]
-    cost = np.where(m.feasible_bxa[None], cost, np.inf)
+    cost = np.where(feasible_bxa(m)[None], cost, np.inf)
     n_h, n_b, n_x = v_hbx.shape
     u = m.channel_matrix @ v_hbx.reshape(n_h, n_b * n_x)
     w = (m.A_clamp @ u.reshape(n_h, n_b, n_x)).reshape(n_h, n_b * n_x)
@@ -300,7 +301,7 @@ prices = st.floats(0.05, 5.0)
 def test_known_operator_matches_the_einsum_route_on_random_models(m, mu):
     op = m.known_operator
     # packed rows: exactly the feasible (b, x, a), canonical order, no empty block
-    index = np.flatnonzero(m.feasible_bxa)
+    index = np.flatnonzero(feasible_bxa(m))
     assert np.array_equal(op.action, index % m.n_a)
     assert op.bounds[0] == 0 and op.bounds[-1] == index.size
     assert np.all(np.diff(op.bounds) > 0)
@@ -318,8 +319,8 @@ def test_known_operator_matches_the_einsum_route_on_random_models(m, mu):
             for x in range(m.n_x):
                 # the row and the slice may sum in different orders (last ulp)
                 val, a = f.greedy_row(b, h, x, v_tilde, mu)
-                assert m.feasible_bxa[b, x, a]
-                assert a == greedy_from_q(q[b, x][None], m.feasible_bxa[b, x][None])[0]
+                assert feasible_bxa(m)[b, x, a]
+                assert a == greedy_from_q(q[b, x][None], feasible_bxa(m)[b, x][None])[0]
                 assert val == pytest.approx(vals[b, x], rel=0, abs=1e-12)
     # one packed sweep against the full-row masked sweep on the split: bit for
     # bit through the dense product, up to rounding through the factored one

@@ -1,11 +1,15 @@
 """Buffer dynamics and costs against brute-force enumeration."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greentx
 from greentx.errors import ConfigError
 from greentx.queueing import ArrivalDistribution, QueueConfig, overflow_penalty
 from oracles import buffer_cost, buffer_transition_pmf, expected_overflow, goodput_pmf, next_buffer
@@ -19,6 +23,30 @@ def test_poisson_truncation_point():
     assert d.mean == pytest.approx(2.0, abs=1e-7)
     direct = [math.exp(-2.0) * 2.0**k / math.factorial(k) for k in range(15)]
     assert np.allclose(d.pmf[:15], direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mean", [800.0, math.inf])
+def test_poisson_refuses_a_mean_that_never_tabulates(mean):
+    # exp(-mean) underflows to 0.0, so the tail never shrank and the call
+    # never returned: run it in a child process that a timeout ends
+    code = (
+        "import sys\n"
+        "from greentx.errors import ConfigError\n"
+        "from greentx.queueing import ArrivalDistribution\n"
+        "try:\n"
+        f"    ArrivalDistribution.poisson(float({str(mean)!r}))\n"
+        "except ConfigError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(greentx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert "poisson mean" in done.stdout
+    # a mean of 600 (60000 packets/s at the stock 10 ms slot) still tabulates
+    assert ArrivalDistribution.poisson(600.0).pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_deterministic_and_uniform_builders():
